@@ -53,8 +53,9 @@ fn bench_trace_replay(c: &mut Criterion) {
         b.iter(|| {
             black_box(drain(
                 trace
-                    .sampled_replay(&program, Sampling::new(1000, 100))
-                    .expect("replay"),
+                    .replay(&program)
+                    .expect("replay")
+                    .with_sampling(Sampling::new(1000, 100)),
             ))
         })
     });
@@ -90,8 +91,9 @@ struct BenchRecord {
     block_speedup: f64,
     replay_minsts_per_sec: f64,
     replay_speedup: f64,
-    in_memory_bytes: usize,
-    serialized_bytes: usize,
+    /// The trace's one representation: its serialized image, held as is
+    /// in memory and on disk.
+    trace_bytes: usize,
     serialized_bytes_per_kilo_inst: f64,
 }
 
@@ -120,7 +122,7 @@ fn write_bench_record(program: &mim_isa::Program, trace: &Trace) {
     // throughput, not a bare dispatch number.
     let block = rate(&mut || Trace::record(program, None).expect("record").len());
     let replay = rate(&mut || drain(trace.replay(program).expect("replay")));
-    let serialized = trace.to_bytes().len();
+    let trace_bytes = trace.encoded_bytes();
     let record = BenchRecord {
         bench: "trace_replay_throughput",
         workload: trace.name().to_string(),
@@ -130,9 +132,8 @@ fn write_bench_record(program: &mim_isa::Program, trace: &Trace) {
         block_speedup: block / execute,
         replay_minsts_per_sec: replay,
         replay_speedup: replay / execute,
-        in_memory_bytes: trace.encoded_bytes(),
-        serialized_bytes: serialized,
-        serialized_bytes_per_kilo_inst: serialized as f64 / (trace.len() as f64 / 1e3),
+        trace_bytes,
+        serialized_bytes_per_kilo_inst: trace_bytes as f64 / (trace.len() as f64 / 1e3),
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
     let json = serde_json::to_string_pretty(&record).expect("serialize");

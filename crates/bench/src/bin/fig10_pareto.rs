@@ -16,7 +16,7 @@ use mim_bench::cli::BenchArgs;
 use mim_bench::{write_json, SWEEP_LIMIT};
 use mim_core::DesignSpace;
 use mim_explore::{Exploration, Frontier, Objective};
-use mim_runner::{EvalKind, ProfileCache};
+use mim_runner::{EvalKind, WorkloadStore};
 use mim_workloads::{mibench, WorkloadSize};
 use serde::Serialize;
 
@@ -55,7 +55,7 @@ fn main() -> std::io::Result<()> {
         .map(|(_, w)| w)
         .collect();
     let benchmarks = workloads.len();
-    let cache = ProfileCache::new();
+    let cache = WorkloadStore::new();
 
     // The hybrid workflow: model scores all 192 points (one profiling
     // pass per benchmark), pruning keeps frontier contenders, simulation

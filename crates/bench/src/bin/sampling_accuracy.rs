@@ -19,7 +19,7 @@ use std::time::Instant;
 use mim_bench::cli::BenchArgs;
 use mim_core::MachineConfig;
 use mim_pipeline::PipelineSim;
-use mim_trace::{Sampling, StreamingReplay, Trace};
+use mim_trace::{Replay, Sampling, Trace};
 use mim_workloads::{mibench, WorkloadSize};
 use serde::Serialize;
 
@@ -126,14 +126,14 @@ fn main() -> std::io::Result<()> {
         .map(|plan| {
             let (wall, result) = best_of(5, || {
                 let mut replay = trace.replay(&program).expect("replay").with_sampling(*plan);
-                sim.simulate_sampled(&mut replay).expect("sampled sim")
+                sim.simulate_source(&mut replay).expect("sampled sim")
             });
             let stats = result.sampling.expect("sampled stats");
             let sampled_timeline = {
                 let mut replay = trace.replay(&program).expect("replay").with_sampling(*plan);
                 PipelineSim::new(&MachineConfig::default_config())
                     .with_timeline(timeline_interval)
-                    .simulate_sampled(&mut replay)
+                    .simulate_source(&mut replay)
                     .expect("sampled sim")
                     .timeline
                     .expect("timeline requested")
@@ -175,11 +175,12 @@ fn main() -> std::io::Result<()> {
         })
         .collect();
 
-    // The streaming buffer is plan-independent; measure it from a
-    // round-trip through the serialized encoding.
-    let bytes = trace.to_bytes();
-    let stream =
-        StreamingReplay::new(std::io::Cursor::new(&bytes[..]), &program).expect("streaming replay");
+    // The streaming buffer is plan-independent; measure it on a file
+    // replay of the serialized encoding.
+    let path = std::env::temp_dir().join(format!("mim-sampling-{}.trace", std::process::id()));
+    std::fs::write(&path, trace.to_bytes())?;
+    let stream = Replay::from_file(std::fs::File::open(&path)?, &program).expect("file replay");
+    std::fs::remove_file(&path)?;
     let record = BenchRecord {
         bench: "sampling_accuracy",
         workload: workload.name().to_string(),

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use mim_core::{DesignPoint, DesignSpace};
 use mim_runner::{
-    EvalKind, EvalResult, Evaluator, Experiment, ModelEvaluator, OooEvaluator, SampledSimEvaluator,
+    EvalKind, EvalResult, Evaluator, Experiment, ModelEvaluator, OooEvaluator, Sampling,
     SimEvaluator, WorkloadSpec, WorkloadStore,
 };
 use mim_workloads::WorkloadSize;
@@ -51,17 +51,13 @@ impl PointScorer {
                 .with_limit(self.limit)
                 .with_energy(self.energy)
                 .evaluate(spec, self.size)?,
-            EvalKind::Sim => SimEvaluator::for_point(&self.space, point)
+            EvalKind::Sim | EvalKind::Sampled => SimEvaluator::for_point(&self.space, point)
+                .with_sampling((self.kind == EvalKind::Sampled).then(Sampling::default_plan))
                 .with_cache(self.cache.clone())
                 .with_limit(self.limit)
                 .with_energy(self.energy)
                 .evaluate(spec, self.size)?,
             EvalKind::Ooo => OooEvaluator::for_point(&self.space, point)
-                .with_cache(self.cache.clone())
-                .with_limit(self.limit)
-                .with_energy(self.energy)
-                .evaluate(spec, self.size)?,
-            EvalKind::Sampled => SampledSimEvaluator::for_point(&self.space, point)
                 .with_cache(self.cache.clone())
                 .with_limit(self.limit)
                 .with_energy(self.energy)

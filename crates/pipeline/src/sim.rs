@@ -13,8 +13,8 @@ use mim_core::{CpiTimeline, MachineConfig, StackComponent};
 use mim_isa::{InstClass, Program, TraceEvent, VmError, NUM_REGS};
 use mim_trace::{LiveVm, SamplePhase, TraceError, TraceSource};
 
-/// Statistics of a sampled simulation run
-/// ([`PipelineSim::simulate_sampled`]): the per-unit CPI population behind
+/// Statistics of a sampled simulation run ([`PipelineSim::simulate_source`]
+/// over a source with a sampling plan): the per-unit CPI population behind
 /// the scaled point estimate, summarized as a CLT 95% confidence interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledStats {
@@ -203,86 +203,37 @@ impl PipelineSim {
     }
 
     /// Simulates the dynamic instruction stream produced by any
-    /// [`TraceSource`] — the core timing pass, functionally decoupled.
+    /// [`TraceSource`] — the one timing driver, functionally decoupled.
     ///
     /// With a [`Replay`](mim_trace::Replay) source this performs **no**
     /// functional execution: the pipeline timing model consumes the
     /// recorded stream directly.
+    ///
+    /// A source without a sampling plan ([`TraceSource::sampling`]) is
+    /// simulated in full: every event runs through the detailed timing
+    /// model and [`SimResult::cycles`] adds the two-cycle pipeline drain.
+    ///
+    /// A source with a plan is simulated statistically, SMARTS-style,
+    /// over its phased stream ([`TraceSource::drive_phased`]):
+    /// [`SamplePhase::Warm`] events update cache-hierarchy and
+    /// branch-predictor **state** only ([`Hierarchy::warm`],
+    /// [`BranchPredictor::warm`] — no timing, no counters),
+    /// [`SamplePhase::Measure`] events run the full detailed timing model,
+    /// and skipped events are never materialized. Pipeline timing state
+    /// is continuous across sample units (the windows are simulated as if
+    /// concatenated), so per-unit cycle counts carry no per-unit
+    /// pipeline-fill/drain bias; cache and predictor state persist
+    /// throughout and are kept warm between windows by the plan's warm-up
+    /// events. The reported [`SimResult::cycles`] is the mean per-unit CPI
+    /// scaled by the full walked stream length, and
+    /// [`SimResult::sampling`] carries the CLT 95% confidence half-width
+    /// ±ε over the units.
     ///
     /// # Errors
     ///
     /// Propagates the source's [`TraceError`] (a functional fault for live
     /// sources, a corrupt recording for replays).
     pub fn simulate_source<S: TraceSource + ?Sized>(
-        &self,
-        source: &mut S,
-    ) -> Result<SimResult, TraceError> {
-        let name = source.name().to_string();
-        let lat = Latencies::of(&self.machine);
-        let mut hierarchy = Hierarchy::new(self.machine.hierarchy.clone());
-        let mut predictor: Box<dyn BranchPredictor> = self.machine.predictor.build();
-        let mut st = PipeState::new(lat.cap);
-        let mut ctr = Counters::default();
-        let mut tl = self.timeline.map(TimelineAcc::new);
-
-        source.drive(&mut |ev| {
-            self.step(
-                &lat,
-                &mut st,
-                &mut hierarchy,
-                predictor.as_mut(),
-                &mut ctr,
-                &mut tl,
-                ev,
-            );
-            if let Some(acc) = tl.as_mut() {
-                acc.tick(st.watermark());
-            }
-        })?;
-
-        // Drain: memory + writeback stages after the last completion event.
-        let cycles = st.watermark() + 2;
-        Ok(SimResult {
-            name,
-            instructions: ctr.retired,
-            cycles,
-            misses: hierarchy.counts(),
-            branches: ctr.branches,
-            mispredicts: ctr.mispredicts,
-            taken_correct: ctr.taken_correct,
-            sampling: None,
-            timeline: tl.map(|acc| acc.finish(st.watermark())),
-        })
-    }
-
-    /// Sampled timing simulation with functional warming: the
-    /// statistically rigorous path for `Large` and beyond-Large streams.
-    ///
-    /// Drives the source's phased stream
-    /// ([`TraceSource::drive_phased`]): [`SamplePhase::Warm`] events
-    /// update cache-hierarchy and branch-predictor **state** only
-    /// ([`Hierarchy::warm`], [`BranchPredictor::warm`] — no timing, no
-    /// counters), [`SamplePhase::Measure`] events run the full detailed
-    /// timing model, and skipped events are never materialized. Pipeline
-    /// timing state is continuous across sample units (the windows are
-    /// simulated as if concatenated), so per-unit cycle counts carry no
-    /// per-unit pipeline-fill/drain bias; cache and predictor state
-    /// persist throughout and are kept warm between windows by the plan's
-    /// warm-up events.
-    ///
-    /// Per-unit CPIs feed the SMARTS-style estimate: the reported
-    /// [`SimResult::cycles`] is the mean per-unit CPI scaled by the full
-    /// walked stream length, and [`SimResult::sampling`] carries the CLT
-    /// 95% confidence half-width ±ε over the units.
-    ///
-    /// With a source that has no sampling plan this degenerates to a full
-    /// simulation measured as one unit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's [`TraceError`], like
-    /// [`simulate_source`](PipelineSim::simulate_source).
-    pub fn simulate_sampled<S: TraceSource + ?Sized>(
         &self,
         source: &mut S,
     ) -> Result<SimResult, TraceError> {
@@ -368,12 +319,6 @@ impl PipelineSim {
                 acc.tick(st.watermark());
             }
         })?;
-        if unit_insts > 0 {
-            // Final (possibly truncated) unit at stream end.
-            let mark = st.watermark();
-            unit_cpis.push((mark - unit_base) as f64 / unit_insts as f64);
-            measured_cycles += mark - unit_base;
-        }
 
         let walked = outcome.instructions();
         if let Some(acc) = tl.as_mut() {
@@ -383,42 +328,57 @@ impl PipelineSim {
                 acc.tick(st.watermark());
             }
         }
-        let units = unit_cpis.len() as u64;
-        let mean = if units == 0 {
-            0.0
-        } else {
-            unit_cpis.iter().sum::<f64>() / units as f64
-        };
-        let half = if units >= 2 {
-            let var = unit_cpis
-                .iter()
-                .map(|x| (x - mean) * (x - mean))
-                .sum::<f64>()
-                / (units - 1) as f64;
-            1.96 * (var / units as f64).sqrt()
-        } else {
-            0.0
+        let (instructions, cycles, sampling) = match plan {
+            // Drain: memory + writeback stages after the last completion
+            // event.
+            None => (ctr.retired, st.watermark() + 2, None),
+            Some(_) => {
+                if unit_insts > 0 {
+                    // Final (possibly truncated) unit at stream end.
+                    let mark = st.watermark();
+                    unit_cpis.push((mark - unit_base) as f64 / unit_insts as f64);
+                    measured_cycles += mark - unit_base;
+                }
+                let units = unit_cpis.len() as u64;
+                let mean = if units == 0 {
+                    0.0
+                } else {
+                    unit_cpis.iter().sum::<f64>() / units as f64
+                };
+                let half = if units >= 2 {
+                    let var = unit_cpis
+                        .iter()
+                        .map(|x| (x - mean) * (x - mean))
+                        .sum::<f64>()
+                        / (units - 1) as f64;
+                    1.96 * (var / units as f64).sqrt()
+                } else {
+                    0.0
+                };
+                let stats = SampledStats {
+                    units,
+                    measured_instructions: ctr.retired,
+                    measured_cycles,
+                    cpi: mean,
+                    ci_half_width: half,
+                    fraction: if walked == 0 {
+                        0.0
+                    } else {
+                        ctr.retired as f64 / walked as f64
+                    },
+                };
+                (walked, (mean * walked as f64).round() as u64, Some(stats))
+            }
         };
         Ok(SimResult {
             name,
-            instructions: walked,
-            cycles: (mean * walked as f64).round() as u64,
+            instructions,
+            cycles,
             misses: hierarchy.counts(),
             branches: ctr.branches,
             mispredicts: ctr.mispredicts,
             taken_correct: ctr.taken_correct,
-            sampling: Some(SampledStats {
-                units,
-                measured_instructions: ctr.retired,
-                measured_cycles,
-                cpi: mean,
-                ci_half_width: half,
-                fraction: if walked == 0 {
-                    0.0
-                } else {
-                    ctr.retired as f64 / walked as f64
-                },
-            }),
+            sampling,
             timeline: tl.map(|acc| acc.finish(st.watermark())),
         })
     }
@@ -1175,17 +1135,19 @@ mod tests {
     }
 
     #[test]
-    fn sampled_without_a_plan_degenerates_to_full_simulation() {
-        // With no sampling plan every event is measured as one unit: the
-        // point estimate is the full cycle count (minus the pipeline-drain
-        // constant, which cancels in watermark deltas) and the interval is
-        // degenerate.
+    fn one_window_plan_degenerates_to_full_simulation() {
+        // A plan whose single window covers the whole stream measures
+        // every event as one unit: the point estimate is the full cycle
+        // count (minus the pipeline-drain constant, which cancels in
+        // watermark deltas) and the interval is degenerate.
         let p = mim_workloads::mibench::sha().program(mim_workloads::WorkloadSize::Tiny);
         let m = machine(4);
         let trace = mim_trace::Trace::record(&p, None).unwrap();
         let full = PipelineSim::new(&m).simulate(&p).unwrap();
-        let mut replay = trace.replay(&p).unwrap();
-        let sampled = PipelineSim::new(&m).simulate_sampled(&mut replay).unwrap();
+        assert!(full.sampling.is_none());
+        let whole = mim_trace::Sampling::new(trace.len(), trace.len());
+        let mut replay = trace.replay(&p).unwrap().with_sampling(whole);
+        let sampled = PipelineSim::new(&m).simulate_source(&mut replay).unwrap();
         let stats = sampled.sampling.as_ref().unwrap();
         assert_eq!(stats.units, 1);
         assert_eq!(stats.measured_instructions, full.instructions);
@@ -1213,7 +1175,7 @@ mod tests {
                 .replay(&p)
                 .unwrap()
                 .with_sampling(Sampling::default_plan());
-            let sampled = PipelineSim::new(&m).simulate_sampled(&mut replay).unwrap();
+            let sampled = PipelineSim::new(&m).simulate_source(&mut replay).unwrap();
             let stats = sampled.sampling.as_ref().unwrap();
             assert!(stats.units > 5, "{}: only {} units", w.name(), stats.units);
             assert!(
@@ -1250,7 +1212,7 @@ mod tests {
         let trace = mim_trace::Trace::record(&p, None).unwrap();
         let run = |plan: Sampling| {
             let mut replay = trace.replay(&p).unwrap().with_sampling(plan);
-            PipelineSim::new(&m).simulate_sampled(&mut replay).unwrap()
+            PipelineSim::new(&m).simulate_source(&mut replay).unwrap()
         };
         let warmed = run(Sampling::default_plan());
         let cold = run(Sampling::new(1000, 100).with_offset(100));
@@ -1308,12 +1270,13 @@ mod tests {
         let ftl = full.timeline.as_ref().unwrap();
         let trace = mim_trace::Trace::record(&p, None).unwrap();
 
-        // Without a plan the sampled path walks the identical stream and
-        // must produce the identical timeline.
-        let mut replay = trace.replay(&p).unwrap();
+        // A plan whose one window covers the whole stream walks the
+        // identical stream and must produce the identical timeline.
+        let whole = Sampling::new(trace.len(), trace.len());
+        let mut replay = trace.replay(&p).unwrap().with_sampling(whole);
         let degen = PipelineSim::new(&m)
             .with_timeline(2000)
-            .simulate_sampled(&mut replay)
+            .simulate_source(&mut replay)
             .unwrap();
         assert_eq!(degen.timeline.as_ref().unwrap(), ftl);
 
@@ -1327,7 +1290,7 @@ mod tests {
             .with_sampling(Sampling::default_plan());
         let sampled = PipelineSim::new(&m)
             .with_timeline(2000)
-            .simulate_sampled(&mut replay)
+            .simulate_source(&mut replay)
             .unwrap();
         let stl = sampled.timeline.as_ref().unwrap();
         let stats = sampled.sampling.as_ref().unwrap();

@@ -33,7 +33,7 @@ use mim_cache::{CacheConfig, HierarchyConfig};
 use mim_isa::Program;
 use mim_obs::{clock, Counter, Histogram, Registry};
 use mim_profile::WorkloadProfile;
-use mim_trace::{StreamingReplay, Trace};
+use mim_trace::{Replay, Trace};
 
 /// Magic bytes opening every store file.
 const MAGIC: &[u8; 8] = b"MIMSTORE";
@@ -347,14 +347,16 @@ impl DiskStore {
     }
 
     /// Opens the recorded trace for `program` (at `limit`) as an
-    /// incremental [`StreamingReplay`] over the entry file, returning
+    /// incremental [`Replay`] over the entry file, returning
     /// `Ok(None)` when absent.
     ///
     /// Unlike [`get_trace`](DiskStore::get_trace), the payload is never
-    /// materialized: only the 29-byte entry header and the trace header
-    /// are read eagerly, and replay memory stays bounded by the stream's
-    /// fixed chunk buffers no matter how long the trace is — the read
-    /// path sampled simulation wants for beyond-memory streams.
+    /// materialized: only the 29-byte entry header, the window holding
+    /// the trace header and the address count are read eagerly, and
+    /// replay memory stays bounded by the replay's two fixed windows no
+    /// matter how long the trace is — the read path sampled simulation
+    /// wants for beyond-memory streams. A replay that walks the whole
+    /// recording fails on bytes after its address stream.
     ///
     /// # Errors
     ///
@@ -364,7 +366,7 @@ impl DiskStore {
         &self,
         program: &'p Program,
         limit: Option<u64>,
-    ) -> Result<Option<StreamingReplay<'p, fs::File>>, StoreError> {
+    ) -> Result<Option<Replay<'p>>, StoreError> {
         let started = clock();
         let fingerprint = Trace::fingerprint_of(program);
         let path = self.entry_path(trace_key(fingerprint, limit), "trace");
@@ -387,9 +389,9 @@ impl DiskStore {
                 message: "trailing bytes after payload".into(),
             });
         }
-        // The streaming decoder works off absolute seek positions, so the
-        // 29-byte entry header in front of the trace bytes is transparent.
-        let replay = StreamingReplay::new(file, program).map_err(|e| StoreError::Corrupt {
+        // The file replay starts at the reader's position, just past the
+        // 29-byte entry header.
+        let replay = Replay::from_file(file, program).map_err(|e| StoreError::Corrupt {
             path,
             message: e.to_string(),
         })?;
@@ -697,6 +699,31 @@ mod tests {
             store.stream_trace(&program, None),
             Err(StoreError::Truncated { .. })
         ));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn junk_after_the_trace_is_rejected_by_both_read_paths() {
+        use mim_trace::{TraceError, TraceSource};
+        let root = temp_root("junk");
+        let store = DiskStore::open(&root).unwrap();
+        let program = mibench::sha().program(WorkloadSize::Tiny);
+        let fingerprint = Trace::fingerprint_of(&program);
+        let mut payload = Trace::record(&program, None).unwrap().to_bytes();
+        payload.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        let path = store.entry_path(trace_key(fingerprint, None), "trace");
+        store
+            .write_entry(&path, KIND_TRACE, fingerprint, &payload)
+            .unwrap();
+        assert!(matches!(
+            store.get_trace(&program, None),
+            Err(StoreError::Corrupt { .. })
+        ));
+        let mut stream = store.stream_trace(&program, None).unwrap().unwrap();
+        assert_eq!(
+            stream.drive(&mut |_| {}),
+            Err(TraceError::Corrupt("trailing bytes".into()))
+        );
         fs::remove_dir_all(&root).ok();
     }
 

@@ -22,7 +22,7 @@ use mim_pipeline::{PipelineSim, SimResult};
 use mim_power::{Activity, EnergyModel};
 use mim_workloads::WorkloadSize;
 
-use mim_trace::Sampling;
+use mim_trace::{Sampling, TraceError};
 
 use crate::result::{BranchSummary, EvalError, EvalKind, EvalResult, SamplingSummary};
 use crate::spec::WorkloadSpec;
@@ -333,7 +333,22 @@ impl Evaluator for ModelEvaluator {
 
 /// Evaluates workloads with the cycle-accurate in-order pipeline
 /// simulator — the "detailed simulation" reference the model is validated
-/// against.
+/// against — in full, or sampled under a plan
+/// ([`with_sampling`](SimEvaluator::with_sampling)).
+///
+/// A sampled evaluator runs detailed timing on the plan's periodic
+/// windows, functionally warms caches and the branch predictor between
+/// them, and reports a CLT 95% confidence interval over per-unit CPIs in
+/// [`EvalResult::sampling`]. When the shared [`WorkloadStore`] has a
+/// persistent [`DiskStore`] attached, a sampled evaluator replays the
+/// trace **incrementally from disk** ([`DiskStore::stream_trace`]) so
+/// evaluation memory stays bounded by the stream's fixed windows — the
+/// path for streams too long to materialize. Otherwise it replays the
+/// store's in-memory recording; both paths walk byte-identical event
+/// streams.
+///
+/// [`DiskStore`]: crate::DiskStore
+/// [`DiskStore::stream_trace`]: crate::DiskStore::stream_trace
 #[derive(Clone)]
 pub struct SimEvaluator {
     machine: MachineConfig,
@@ -341,30 +356,50 @@ pub struct SimEvaluator {
     store: WorkloadStore,
     limit: Option<u64>,
     name: String,
+    sampling: Option<Sampling>,
     energy: bool,
     timeline: Option<u64>,
 }
 
 impl SimEvaluator {
-    /// Simulator evaluator for a single machine configuration.
+    /// Full-simulation evaluator for a single machine configuration.
     pub fn new(machine: &MachineConfig) -> SimEvaluator {
         SimEvaluator {
             machine: machine.clone(),
             sweep: SweepContext::single(machine),
             store: WorkloadStore::new(),
             limit: None,
-            name: EvalKind::Sim.label().to_string(),
+            name: SimEvaluator::default_name(None),
+            sampling: None,
             energy: false,
             timeline: None,
         }
     }
 
-    /// Simulator evaluator for one point of a design space.
+    /// Full-simulation evaluator for one point of a design space.
     pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> SimEvaluator {
         SimEvaluator {
             machine: point.machine.clone(),
             sweep: SweepContext::for_point(space, point),
             ..SimEvaluator::new(&point.machine)
+        }
+    }
+
+    /// The display name an evaluator has until
+    /// [`with_name`](SimEvaluator::with_name) overrides it: `sim`, or for a
+    /// sampled one its plan's geometry (`sampled-p1000-l100-w900-o100`),
+    /// so results from different plans never collide in memoized
+    /// experiment cells.
+    fn default_name(sampling: Option<Sampling>) -> String {
+        match sampling {
+            None => EvalKind::Sim.label().to_string(),
+            Some(s) => format!(
+                "sampled-p{}-l{}-w{}-o{}",
+                s.period(),
+                s.length(),
+                s.warmup(),
+                s.offset()
+            ),
         }
     }
 
@@ -376,7 +411,7 @@ impl SimEvaluator {
         self
     }
 
-    /// Truncates simulation to `limit` retired instructions.
+    /// Truncates the walked stream to `limit` retired instructions.
     pub fn with_limit(mut self, limit: Option<u64>) -> SimEvaluator {
         self.limit = limit;
         self
@@ -385,6 +420,17 @@ impl SimEvaluator {
     /// Overrides the evaluator's display name.
     pub fn with_name(mut self, name: impl Into<String>) -> SimEvaluator {
         self.name = name.into();
+        self
+    }
+
+    /// Sets (or, with `None`, clears) the sampling plan. A planned
+    /// evaluator reports [`EvalKind::Sampled`]; if its name is still the
+    /// default one, it is renamed to match the plan.
+    pub fn with_sampling(mut self, sampling: Option<Sampling>) -> SimEvaluator {
+        if self.name == SimEvaluator::default_name(self.sampling) {
+            self.name = SimEvaluator::default_name(sampling);
+        }
+        self.sampling = sampling;
         self
     }
 
@@ -397,191 +443,11 @@ impl SimEvaluator {
 
     /// Also captures a per-interval [`mim_core::CpiTimeline`] at the given
     /// instruction-interval width, populating [`EvalResult::timeline`].
-    /// `None` (the default) keeps the simulator timeline-free.
+    /// A sampled run's timeline covers the measured windows,
+    /// walked-position-aligned with a full run's timeline at the same
+    /// width (see [`PipelineSim::with_timeline`]). `None` (the default)
+    /// keeps the simulator timeline-free.
     pub fn with_timeline(mut self, interval: Option<u64>) -> SimEvaluator {
-        self.timeline = interval;
-        self
-    }
-
-    fn result_from_sim(
-        &self,
-        spec: &WorkloadSpec,
-        sim: &SimResult,
-        inputs: Option<&ModelInputs>,
-        wall_seconds: f64,
-    ) -> EvalResult {
-        let energy = inputs.map(|inputs| {
-            EnergyModel::new(&self.machine).evaluate(&Activity::from_sim(sim, inputs))
-        });
-        EvalResult {
-            workload: spec.name().to_string(),
-            evaluator: self.name.clone(),
-            kind: EvalKind::Sim,
-            machine_id: self.machine.id(),
-            machine_index: 0,
-            instructions: sim.instructions,
-            cycles: sim.cycles as f64,
-            cpi: sim.cpi(),
-            stack: None,
-            misses: Some(sim.misses),
-            branch: Some(BranchSummary {
-                branches: sim.branches,
-                mispredicts: sim.mispredicts,
-                taken_correct: sim.taken_correct,
-            }),
-            energy,
-            sampling: None,
-            timeline: sim.timeline.clone(),
-            wall_seconds,
-        }
-    }
-}
-
-impl Evaluator for SimEvaluator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> EvalKind {
-        EvalKind::Sim
-    }
-
-    fn evaluate(
-        &self,
-        workload: &WorkloadSpec,
-        size: WorkloadSize,
-    ) -> Result<EvalResult, EvalError> {
-        let t0 = Instant::now();
-        // Pure timing pass: replay the store's one recorded functional
-        // execution instead of re-interpreting the program per design
-        // point.
-        let program = self.store.program(workload, size);
-        let trace = self.store.trace(workload, size, self.limit)?;
-        let mut replay = trace
-            .replay(&program)
-            .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))?;
-        let mut pipeline = PipelineSim::new(&self.machine);
-        if let Some(interval) = self.timeline {
-            pipeline = pipeline.with_timeline(interval);
-        }
-        let sim = pipeline
-            .simulate_source(&mut replay)
-            .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))?;
-        let inputs = if self.energy {
-            Some(self.sweep.inputs(&self.store, workload, size, self.limit)?)
-        } else {
-            None
-        };
-        Ok(self.result_from_sim(workload, &sim, inputs.as_ref(), t0.elapsed().as_secs_f64()))
-    }
-}
-
-/// Evaluates workloads with the sampled pipeline simulator: detailed
-/// timing on the sampling plan's periodic windows, functional warming of
-/// caches and the branch predictor between them, and a CLT 95% confidence
-/// interval over per-unit CPIs reported in [`EvalResult::sampling`].
-///
-/// When the shared [`WorkloadStore`] has a persistent [`DiskStore`]
-/// attached, the trace is replayed **incrementally from disk**
-/// ([`DiskStore::stream_trace`]) so evaluation memory stays bounded by
-/// the stream's fixed chunk buffers — the path for streams too long to
-/// materialize. Without one it replays the store's in-memory recording;
-/// both paths walk byte-identical event streams.
-///
-/// The default display name encodes the sampling geometry
-/// (`sampled-p1000-l100-w900-o100`), so results from different plans
-/// never collide in memoized experiment cells.
-///
-/// [`DiskStore`]: crate::DiskStore
-/// [`DiskStore::stream_trace`]: crate::DiskStore::stream_trace
-#[derive(Clone)]
-pub struct SampledSimEvaluator {
-    machine: MachineConfig,
-    sweep: SweepContext,
-    store: WorkloadStore,
-    limit: Option<u64>,
-    name: String,
-    sampling: Sampling,
-    energy: bool,
-    timeline: Option<u64>,
-}
-
-impl SampledSimEvaluator {
-    /// Sampled evaluator for a single machine configuration with the
-    /// default 1-in-10 plan ([`Sampling::default_plan`]).
-    pub fn new(machine: &MachineConfig) -> SampledSimEvaluator {
-        let sampling = Sampling::default_plan();
-        SampledSimEvaluator {
-            machine: machine.clone(),
-            sweep: SweepContext::single(machine),
-            store: WorkloadStore::new(),
-            limit: None,
-            name: SampledSimEvaluator::plan_name(sampling),
-            sampling,
-            energy: false,
-            timeline: None,
-        }
-    }
-
-    /// Sampled evaluator for one point of a design space.
-    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> SampledSimEvaluator {
-        SampledSimEvaluator {
-            machine: point.machine.clone(),
-            sweep: SweepContext::for_point(space, point),
-            ..SampledSimEvaluator::new(&point.machine)
-        }
-    }
-
-    fn plan_name(s: Sampling) -> String {
-        format!(
-            "sampled-p{}-l{}-w{}-o{}",
-            s.period(),
-            s.length(),
-            s.warmup(),
-            s.offset()
-        )
-    }
-
-    /// Shares a workload store with other evaluators.
-    pub fn with_cache(mut self, store: WorkloadStore) -> SampledSimEvaluator {
-        self.store = store;
-        self
-    }
-
-    /// Truncates the walked stream to `limit` retired instructions.
-    pub fn with_limit(mut self, limit: Option<u64>) -> SampledSimEvaluator {
-        self.limit = limit;
-        self
-    }
-
-    /// Overrides the evaluator's display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> SampledSimEvaluator {
-        self.name = name.into();
-        self
-    }
-
-    /// Replaces the sampling plan (and, if the name is still the default
-    /// geometry-encoded one, renames the evaluator to match).
-    pub fn with_sampling(mut self, sampling: Sampling) -> SampledSimEvaluator {
-        if self.name == SampledSimEvaluator::plan_name(self.sampling) {
-            self.name = SampledSimEvaluator::plan_name(sampling);
-        }
-        self.sampling = sampling;
-        self
-    }
-
-    /// Also evaluates the energy model (profiles the workload for the
-    /// instruction mix the energy model needs).
-    pub fn with_energy(mut self, energy: bool) -> SampledSimEvaluator {
-        self.energy = energy;
-        self
-    }
-
-    /// Also captures a per-interval [`mim_core::CpiTimeline`] over the
-    /// measured windows, walked-position-aligned with a full run's
-    /// timeline at the same interval width (see
-    /// [`PipelineSim::with_timeline`]).
-    pub fn with_timeline(mut self, interval: Option<u64>) -> SampledSimEvaluator {
         self.timeline = interval;
         self
     }
@@ -591,41 +457,49 @@ impl SampledSimEvaluator {
         workload: &WorkloadSpec,
         size: WorkloadSize,
     ) -> Result<SimResult, EvalError> {
+        let trace_error = |e: TraceError| EvalError::trace(workload.name(), &self.name, &e);
         let program = self.store.program(workload, size);
-        let mut sim = PipelineSim::new(&self.machine);
+        let mut pipeline = PipelineSim::new(&self.machine);
         if let Some(interval) = self.timeline {
-            sim = sim.with_timeline(interval);
+            pipeline = pipeline.with_timeline(interval);
         }
-        // Prefer the persistent store's incremental read path: O(chunk)
-        // memory instead of O(trace). A damaged entry degrades to the
-        // materialized path, like every other DiskStore read.
-        if let Some(stream) = self
-            .store
-            .disk()
-            .and_then(|disk| disk.stream_trace(&program, self.limit).ok().flatten())
-        {
-            let mut stream = stream.with_sampling(self.sampling);
-            return sim
-                .simulate_sampled(&mut stream)
-                .map_err(|e| EvalError::trace(workload.name(), &self.name, &e));
+        // A sampled run prefers the persistent store's incremental read
+        // path: O(chunk) memory instead of O(trace). A damaged entry
+        // degrades to the in-memory path, like every other DiskStore read.
+        if let Some(plan) = self.sampling {
+            if let Some(stream) = self
+                .store
+                .disk()
+                .and_then(|disk| disk.stream_trace(&program, self.limit).ok().flatten())
+            {
+                return pipeline
+                    .simulate_source(&mut stream.with_sampling(plan))
+                    .map_err(trace_error);
+            }
         }
+        // Pure timing pass: replay the store's one recorded functional
+        // execution instead of re-interpreting the program per design
+        // point.
         let trace = self.store.trace(workload, size, self.limit)?;
-        let mut replay = trace
-            .replay(&program)
-            .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))?
-            .with_sampling(self.sampling);
-        sim.simulate_sampled(&mut replay)
-            .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))
+        let mut replay = trace.replay(&program).map_err(trace_error)?;
+        if let Some(plan) = self.sampling {
+            replay = replay.with_sampling(plan);
+        }
+        pipeline.simulate_source(&mut replay).map_err(trace_error)
     }
 }
 
-impl Evaluator for SampledSimEvaluator {
+impl Evaluator for SimEvaluator {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn kind(&self) -> EvalKind {
-        EvalKind::Sampled
+        if self.sampling.is_some() {
+            EvalKind::Sampled
+        } else {
+            EvalKind::Sim
+        }
     }
 
     fn evaluate(
@@ -635,10 +509,6 @@ impl Evaluator for SampledSimEvaluator {
     ) -> Result<EvalResult, EvalError> {
         let t0 = Instant::now();
         let sim = self.simulate(workload, size)?;
-        let stats = sim
-            .sampling
-            .as_ref()
-            .expect("simulate_sampled always attaches sampling stats");
         let inputs = if self.energy {
             Some(self.sweep.inputs(&self.store, workload, size, self.limit)?)
         } else {
@@ -650,14 +520,14 @@ impl Evaluator for SampledSimEvaluator {
         Ok(EvalResult {
             workload: workload.name().to_string(),
             evaluator: self.name.clone(),
-            kind: EvalKind::Sampled,
+            kind: self.kind(),
             machine_id: self.machine.id(),
             machine_index: 0,
             instructions: sim.instructions,
             cycles: sim.cycles as f64,
-            // The estimator's mean per-unit CPI, not the rounded
-            // cycles/instructions quotient.
-            cpi: stats.cpi,
+            // A sampled run reports the estimator's mean per-unit CPI,
+            // not the rounded cycles/instructions quotient.
+            cpi: sim.sampling.as_ref().map_or(sim.cpi(), |stats| stats.cpi),
             stack: None,
             misses: Some(sim.misses),
             branch: Some(BranchSummary {
@@ -666,15 +536,34 @@ impl Evaluator for SampledSimEvaluator {
                 taken_correct: sim.taken_correct,
             }),
             energy,
-            sampling: Some(SamplingSummary {
+            sampling: sim.sampling.as_ref().map(|stats| SamplingSummary {
                 units: stats.units,
                 measured_instructions: stats.measured_instructions,
                 fraction: stats.fraction,
                 cpi_ci95: stats.ci_half_width,
             }),
-            timeline: sim.timeline.clone(),
+            timeline: sim.timeline,
             wall_seconds: t0.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// Constructors for a [`SimEvaluator`] sampled under the default 1-in-10
+/// plan ([`Sampling::default_plan`]). New code calls
+/// [`SimEvaluator::with_sampling`]; these remain only because the
+/// `perfbench` benchmark package names them.
+pub enum SampledSimEvaluator {}
+
+impl SampledSimEvaluator {
+    /// A sampled evaluator for a single machine configuration.
+    #[allow(clippy::new_ret_no_self)] // a constructor namespace, not a type
+    pub fn new(machine: &MachineConfig) -> SimEvaluator {
+        SimEvaluator::new(machine).with_sampling(Some(Sampling::default_plan()))
+    }
+
+    /// A sampled evaluator for one point of a design space.
+    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> SimEvaluator {
+        SimEvaluator::for_point(space, point).with_sampling(Some(Sampling::default_plan()))
     }
 }
 

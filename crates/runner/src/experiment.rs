@@ -13,9 +13,7 @@ use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
 use crate::cells::CellMemo;
-use crate::evaluator::{
-    Evaluator, ModelEvaluator, OooEvaluator, SampledSimEvaluator, SimEvaluator,
-};
+use crate::evaluator::{Evaluator, ModelEvaluator, OooEvaluator, SimEvaluator};
 use crate::result::{EvalError, EvalKind, EvalResult};
 use crate::spec::WorkloadSpec;
 use crate::store::WorkloadStore;
@@ -473,20 +471,20 @@ impl Experiment {
                                 .with_limit(self.limit)
                                 .with_energy(self.energy),
                         ),
-                        (EvalKind::Sim, Some(space)) => Arc::new(
-                            SimEvaluator::for_point(space, point)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_energy(self.energy)
-                                .with_timeline(self.timeline),
-                        ),
-                        (EvalKind::Sim, None) => Arc::new(
-                            SimEvaluator::new(&point.machine)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_energy(self.energy)
-                                .with_timeline(self.timeline),
-                        ),
+                        (EvalKind::Sim | EvalKind::Sampled, space) => {
+                            let sim = match space {
+                                Some(space) => SimEvaluator::for_point(space, point),
+                                None => SimEvaluator::new(&point.machine),
+                            };
+                            let plan = (*kind == EvalKind::Sampled).then_some(self.sampling);
+                            Arc::new(
+                                sim.with_sampling(plan)
+                                    .with_cache(self.cache.clone())
+                                    .with_limit(self.limit)
+                                    .with_energy(self.energy)
+                                    .with_timeline(self.timeline),
+                            )
+                        }
                         (EvalKind::Ooo, Some(space)) => Arc::new(
                             OooEvaluator::for_point(space, point)
                                 .with_cache(self.cache.clone())
@@ -500,22 +498,6 @@ impl Experiment {
                                 .with_limit(self.limit)
                                 .with_rob_size(self.rob_size)
                                 .with_energy(self.energy),
-                        ),
-                        (EvalKind::Sampled, Some(space)) => Arc::new(
-                            SampledSimEvaluator::for_point(space, point)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_sampling(self.sampling)
-                                .with_energy(self.energy)
-                                .with_timeline(self.timeline),
-                        ),
-                        (EvalKind::Sampled, None) => Arc::new(
-                            SampledSimEvaluator::new(&point.machine)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_sampling(self.sampling)
-                                .with_energy(self.energy)
-                                .with_timeline(self.timeline),
                         ),
                     };
                     evals.push(eval);

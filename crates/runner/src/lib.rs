@@ -11,10 +11,10 @@
 //!   components, miss/branch counters, optional energy). Implementations:
 //!   [`ModelEvaluator`] (mechanistic model over a cached
 //!   [`WorkloadProfile`](mim_profile::WorkloadProfile)), [`SimEvaluator`]
-//!   (cycle-accurate pipeline), [`OooEvaluator`] (out-of-order interval
-//!   model), and [`SampledSimEvaluator`] (statistically sampled
-//!   simulation with functional warming, reporting a CLT 95% confidence
-//!   interval in [`SamplingSummary`]).
+//!   (cycle-accurate pipeline; with a sampling plan, statistically
+//!   sampled simulation with functional warming, reporting a CLT 95%
+//!   confidence interval in [`SamplingSummary`]), and [`OooEvaluator`]
+//!   (out-of-order interval model).
 //! * [`Experiment`] — a builder running the (workload × design-point ×
 //!   evaluator) grid: each workload is functionally executed **once**
 //!   (recorded into a [`Trace`](mim_trace::Trace) held by the shared
@@ -81,4 +81,8 @@ pub use experiment::{
 };
 pub use result::{BranchSummary, EvalError, EvalKind, EvalResult, SamplingSummary};
 pub use spec::WorkloadSpec;
-pub use store::{ProfileCache, StoreStats, WorkloadStore};
+pub use store::{StoreStats, WorkloadStore};
+
+/// The sampling plan [`SimEvaluator::with_sampling`] and
+/// [`Experiment::sampling`] take.
+pub use mim_trace::Sampling;

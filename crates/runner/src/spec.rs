@@ -49,12 +49,12 @@ impl WorkloadSpec {
     /// Wraps a fixed program under an explicit name (sizes are ignored —
     /// the program is evaluated as given).
     ///
-    /// Names key experiment reports and the shared [`ProfileCache`], so
+    /// Names key experiment reports and the shared [`WorkloadStore`], so
     /// they must be unique within an experiment — give variants of one
     /// kernel distinct names (`"sha/O3"`, `"sha/nosched"`, ...).
     /// [`Experiment::run`](crate::Experiment::run) rejects duplicates.
     ///
-    /// [`ProfileCache`]: crate::ProfileCache
+    /// [`WorkloadStore`]: crate::WorkloadStore
     pub fn program(name: impl Into<String>, program: Program) -> WorkloadSpec {
         WorkloadSpec {
             name: name.into(),

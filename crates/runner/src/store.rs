@@ -296,10 +296,6 @@ pub struct WorkloadStore {
     inner: Arc<Inner>,
 }
 
-/// Pre-trace-layer name for [`WorkloadStore`], kept as an alias for
-/// downstream code written against the PR-1 API.
-pub type ProfileCache = WorkloadStore;
-
 impl WorkloadStore {
     /// Creates an empty, unbounded, memory-only store.
     pub fn new() -> WorkloadStore {

@@ -4,8 +4,8 @@
 
 use mim_core::{DesignSpace, MachineConfig};
 use mim_runner::{
-    EvalKind, Evaluator, Experiment, ExperimentReport, ModelEvaluator, OooEvaluator, ProfileCache,
-    SimEvaluator, WorkloadSpec,
+    EvalKind, Evaluator, Experiment, ExperimentReport, ModelEvaluator, OooEvaluator, SimEvaluator,
+    WorkloadSpec, WorkloadStore,
 };
 use mim_workloads::{mibench, WorkloadSize};
 
@@ -14,7 +14,7 @@ use mim_workloads::{mibench, WorkloadSize};
 #[test]
 fn trait_object_dispatch_over_all_three_evaluators() {
     let machine = MachineConfig::default_config();
-    let cache = ProfileCache::new();
+    let cache = WorkloadStore::new();
     let evaluators: Vec<Box<dyn Evaluator>> = vec![
         Box::new(ModelEvaluator::new(&machine).with_cache(cache.clone())),
         Box::new(SimEvaluator::new(&machine).with_cache(cache.clone())),

@@ -9,20 +9,23 @@
 //! re-interpreting the program.
 //!
 //! * [`Trace`] — the compact recording: 1 direction bit per conditional
-//!   branch plus 1 effective address per memory operation; everything
-//!   else is reconstructed from the static program during replay.
-//!   Deterministic byte serialization ([`Trace::to_bytes`] /
-//!   [`Trace::write_to`]) persists recordings across processes.
+//!   branch plus 1 zigzag-delta varint per memory operation; everything
+//!   else is reconstructed from the static program during replay. A
+//!   trace *is* its deterministic byte image ([`Trace::to_bytes`] /
+//!   [`Trace::from_bytes`]): the bytes held in memory are the bytes
+//!   persisted across processes, with no second, decoded form.
 //! * [`TraceSource`] — the stream interface consumers are written
 //!   against; [`LiveVm`] (functional execution, the recording backend)
 //!   and [`Replay`] (trace replay) both implement it.
+//! * [`Replay`] — the one decoder over those bytes. [`Trace::replay`]
+//!   reads an in-memory trace's own slice; [`Replay::from_file`] feeds
+//!   the same cursor fixed [`STREAM_CHUNK_BYTES`] windows of a serialized
+//!   trace (a file or a store entry), so memory stays bounded by two
+//!   windows regardless of trace length.
 //! * [`Sampling`] — systematic (SMARTS-style periodic) sampling of the
-//!   replayed stream for `Large` runs, with per-window functional warming
-//!   ([`SamplePhase::Warm`]) and a window offset so estimates don't
-//!   over-weight program cold-start.
-//! * [`StreamingReplay`] — the same replay decoded incrementally from a
-//!   serialized trace (file, store entry, or cursor) in O(1) memory:
-//!   two fixed-size section buffers regardless of trace length.
+//!   replayed stream for `Large` runs ([`Replay::with_sampling`]), with
+//!   per-window functional warming ([`SamplePhase::Warm`]) and a window
+//!   offset so estimates don't over-weight program cold-start.
 //!
 //! The one recording itself runs on `mim-isa`'s block-compiled engine
 //! ([`Trace::record`]'s two streams map directly onto its
@@ -71,13 +74,13 @@
 #![warn(missing_docs)]
 
 mod error;
+mod replay;
 mod source;
-mod stream;
 mod trace;
 
 pub use error::TraceError;
-pub use source::{LiveVm, Replay, SamplePhase, Sampling, TraceSource};
-pub use stream::{StreamingReplay, CHUNK as STREAM_CHUNK_BYTES};
+pub use replay::{Replay, CHUNK as STREAM_CHUNK_BYTES};
+pub use source::{LiveVm, SamplePhase, Sampling, TraceSource};
 pub use trace::Trace;
 
 #[cfg(test)]
@@ -103,6 +106,20 @@ mod tests {
         b.bne(Reg::R3, Reg::R0, top);
         b.halt();
         b.build()
+    }
+
+    /// An open file holding `bytes`, for file replay (the path is
+    /// unlinked at once; the open handle keeps the contents readable).
+    fn file_of(tag: &str, bytes: &[u8]) -> std::fs::File {
+        let path = std::env::temp_dir().join(format!(
+            "mim-trace-{tag}-{}-{:?}.bin",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        file
     }
 
     fn live_events(p: &Program, limit: Option<u64>) -> (Vec<TraceEvent>, RunOutcome) {
@@ -278,10 +295,29 @@ mod tests {
         let p = kernel();
         let trace = Trace::record(&p, None).unwrap();
         let path = std::env::temp_dir().join(format!("mim-trace-{}.bin", std::process::id()));
-        trace.write_to(&path).unwrap();
-        let back = Trace::read_from(&path).unwrap();
+        std::fs::write(&path, trace.to_bytes()).unwrap();
+        let back = Trace::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back, trace);
+    }
+
+    /// FNV-1a over `bytes`, for pinning serialized images.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn recording_writes_the_pinned_format() {
+        // Length and digest of the kernel's trace in the on-disk format:
+        // trace stores written by earlier builds keep loading only while
+        // the recorder writes exactly these bytes.
+        let bytes = Trace::record(&kernel(), None).unwrap().to_bytes();
+        assert_eq!(bytes.len(), 83);
+        assert_eq!(digest(&bytes), 0xdc42_09e0_4345_4b9d);
+        let interpreted = Trace::record_interpreted(&kernel(), None).unwrap();
+        assert_eq!(interpreted.to_bytes(), bytes);
     }
 
     #[test]
@@ -298,8 +334,9 @@ mod tests {
             .collect();
         let mut sampled = Vec::new();
         let outcome = trace
-            .sampled_replay(&p, sampling)
+            .replay(&p)
             .unwrap()
+            .with_sampling(sampling)
             .drive(&mut |ev| sampled.push(*ev))
             .unwrap();
         assert_eq!(sampled, expected);
@@ -332,8 +369,8 @@ mod tests {
             replay.drive(&mut |_| {}),
             Err(TraceError::Exhausted { .. })
         ));
-        let bytes = trace.to_bytes();
-        let mut streaming = StreamingReplay::new(std::io::Cursor::new(bytes), &p).unwrap();
+        let file = file_of("redrive", &trace.to_bytes());
+        let mut streaming = Replay::from_file(file, &p).unwrap();
         streaming.drive(&mut |_| {}).unwrap();
         assert!(matches!(
             streaming.drive(&mut |_| {}),
@@ -395,8 +432,9 @@ mod tests {
         let (live, _) = live_events(&p, None);
         let mut tagged = Vec::new();
         let outcome = trace
-            .sampled_replay(&p, sampling)
+            .replay(&p)
             .unwrap()
+            .with_sampling(sampling)
             .drive_phased(&mut |phase, ev| tagged.push((phase, *ev)))
             .unwrap();
         assert_eq!(outcome.instructions(), trace.len());
@@ -414,8 +452,9 @@ mod tests {
         // Plain drive sees only the Measure subset.
         let mut plain = Vec::new();
         trace
-            .sampled_replay(&p, sampling)
+            .replay(&p)
             .unwrap()
+            .with_sampling(sampling)
             .drive(&mut |ev| plain.push(*ev))
             .unwrap();
         let measured: Vec<TraceEvent> = expected
@@ -449,7 +488,7 @@ mod tests {
                     .drive_phased(&mut |ph, ev| mat_events.push((ph, *ev)))
                     .unwrap();
 
-                let mut st = StreamingReplay::new(std::io::Cursor::new(bytes.clone()), &p)
+                let mut st = Replay::from_file(file_of("identical", &bytes), &p)
                     .unwrap()
                     .with_limit(limit);
                 if let Some(s) = sampling {
@@ -473,16 +512,25 @@ mod tests {
     fn streaming_replay_from_file_and_error_paths() {
         let p = kernel();
         let trace = Trace::record(&p, None).unwrap();
-        let path = std::env::temp_dir().join(format!("mim-stream-{}.bin", std::process::id()));
-        trace.write_to(&path).unwrap();
+        let bytes = trace.to_bytes();
+        let mut replay = Replay::from_file(file_of("stream", &bytes), &p).unwrap();
+        assert!(replay.buffer_bytes() < bytes.len());
         let mut events = 0u64;
-        let outcome = StreamingReplay::open(&path, &p)
+        let outcome = replay.drive(&mut |_| events += 1).unwrap();
+        assert_eq!(events, trace.len());
+        assert_eq!(outcome, trace.outcome());
+
+        // The trace may start mid-file (after a store entry's header).
+        let mut prefixed = b"entry header".to_vec();
+        prefixed.extend_from_slice(&bytes);
+        let mut file = file_of("prefixed", &prefixed);
+        std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(12)).unwrap();
+        let mut events = 0u64;
+        Replay::from_file(file, &p)
             .unwrap()
             .drive(&mut |_| events += 1)
             .unwrap();
-        std::fs::remove_file(&path).ok();
         assert_eq!(events, trace.len());
-        assert_eq!(outcome, trace.outcome());
 
         // Wrong program: rejected at construction, like Trace::replay.
         let mut other = ProgramBuilder::named("kernel");
@@ -490,19 +538,38 @@ mod tests {
         other.halt();
         let other = other.build();
         assert!(matches!(
-            StreamingReplay::new(std::io::Cursor::new(trace.to_bytes()), &other),
+            Replay::from_file(file_of("other", &bytes), &other),
             Err(TraceError::ProgramMismatch { .. })
         ));
 
         // Truncated bytes: error, never a panic — at construction for
         // header truncation, or during the walk for stream truncation.
-        let bytes = trace.to_bytes();
         for len in (0..bytes.len()).step_by(7) {
-            match StreamingReplay::new(std::io::Cursor::new(bytes[..len].to_vec()), &p) {
+            match Replay::from_file(file_of("truncated", &bytes[..len]), &p) {
                 Ok(mut replay) => assert!(replay.drive(&mut |_| {}).is_err(), "len {len}"),
                 Err(e) => assert!(matches!(e, TraceError::Corrupt(_)), "len {len}: {e:?}"),
             }
         }
+
+        // Junk after the address stream: rejected by both decoders —
+        // eagerly by `from_bytes`, and by the file walk once it reaches
+        // the end of the recording.
+        let mut junk = bytes.clone();
+        junk.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(
+            Trace::from_bytes(&junk),
+            Err(TraceError::Corrupt("trailing bytes".into()))
+        );
+        let mut replay = Replay::from_file(file_of("junk", &junk), &p).unwrap();
+        assert_eq!(
+            replay.drive(&mut |_| {}),
+            Err(TraceError::Corrupt("trailing bytes".into()))
+        );
+        // A walk cut short by a limit never reaches the junk.
+        let mut replay = Replay::from_file(file_of("junk-limited", &junk), &p)
+            .unwrap()
+            .with_limit(Some(trace.len() - 1));
+        assert!(replay.drive(&mut |_| {}).is_ok());
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The [`TraceSource`] abstraction: one interface over live functional
 //! execution and recorded-trace replay.
 
-use mim_isa::{BlockEngine, InstClass, Program, RunOutcome, TraceEvent, Vm};
+use mim_isa::{BlockEngine, Program, RunOutcome, TraceEvent, Vm};
 
 use crate::error::TraceError;
-use crate::trace::Trace;
 
 /// A producer of the dynamic instruction stream.
 ///
 /// Timing consumers (`mim-pipeline`'s simulator, `mim-profile`'s
 /// profilers) are written against this trait, so they neither know nor
 /// care whether events come from a live [`Vm`] pass ([`LiveVm`]) or from a
-/// recorded [`Trace`] ([`Replay`]). That decoupling is the paper's §2.1
+/// recorded [`Trace`](crate::Trace) ([`Replay`](crate::Replay)). That decoupling is the paper's §2.1
 /// framework applied to the whole stack: functional execution happens
 /// once, timing passes happen per design point.
 ///
@@ -30,9 +29,11 @@ pub trait TraceSource {
     /// # Errors
     ///
     /// [`LiveVm`] propagates functional faults as [`TraceError::Vm`];
-    /// [`Replay`] raises [`TraceError::Corrupt`] if the trace walks off
-    /// the program text (possible only for hand-built or corrupted
-    /// traces — [`Trace::replay`] already rejects mismatched programs).
+    /// [`Replay`](crate::Replay) raises [`TraceError::Corrupt`] if the
+    /// trace walks off the program text or its bytes are damaged
+    /// (possible only for corrupted files —
+    /// [`Trace::replay`](crate::Trace::replay) already rejects mismatched
+    /// programs).
     fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError>;
 
     /// The sampling plan governing this source's stream, if any.
@@ -94,7 +95,7 @@ enum Backend<'p> {
 /// This is the only [`TraceSource`] that actually executes the program;
 /// it backs the legacy program-based entry points
 /// (`PipelineSim::simulate`, `SweepProfiler::profile`) and
-/// [`Trace::record`]. By default it runs on the block-compiled
+/// [`Trace::record`](crate::Trace::record). By default it runs on the block-compiled
 /// [`BlockEngine`]; [`LiveVm::interpreted`] (or
 /// `MIM_BLOCK_ENGINE=off`, see [`mim_isa::block_engine_enabled`]) forces
 /// the per-step interpreter, which emits the byte-identical stream at a
@@ -289,229 +290,4 @@ impl Sampling {
     pub fn scale(&self) -> f64 {
         self.period as f64 / self.length as f64
     }
-}
-
-/// Replays a recorded [`Trace`] against its program, reconstructing the
-/// exact [`TraceEvent`] stream of the original execution without
-/// functional interpretation.
-///
-/// Construct via [`Trace::replay`] (which validates the program
-/// fingerprint). The replay walks the program text following the
-/// recorded branch directions; per event it does a fetch, a static-field
-/// copy, and at most one bit/word read — no register file, no data
-/// memory, no arithmetic.
-pub struct Replay<'a> {
-    trace: &'a Trace,
-    program: &'a Program,
-    limit: u64,
-    sampling: Option<Sampling>,
-    driven: bool,
-}
-
-impl<'a> Replay<'a> {
-    pub(crate) fn new(trace: &'a Trace, program: &'a Program) -> Replay<'a> {
-        Replay {
-            trace,
-            program,
-            limit: u64::MAX,
-            sampling: None,
-            driven: false,
-        }
-    }
-
-    /// Bounds the replay to the first `limit` recorded events, with the
-    /// same semantics as [`Vm::run`]'s limit: replaying a full trace with
-    /// limit `n` is equivalent to having executed with limit `n`.
-    pub fn with_limit(mut self, limit: Option<u64>) -> Replay<'a> {
-        self.limit = limit.unwrap_or(u64::MAX);
-        self
-    }
-
-    /// Restricts the observer to systematically sampled windows (see
-    /// [`Sampling`]); skipped events are still walked, not emitted.
-    pub fn with_sampling(mut self, sampling: Sampling) -> Replay<'a> {
-        self.sampling = Some(sampling);
-        self
-    }
-}
-
-impl TraceSource for Replay<'_> {
-    fn name(&self) -> &str {
-        self.trace.name()
-    }
-
-    fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError> {
-        self.drive_phased(&mut |phase, ev| {
-            if phase == SamplePhase::Measure {
-                observer(ev);
-            }
-        })
-    }
-
-    fn sampling(&self) -> Option<Sampling> {
-        self.sampling
-    }
-
-    fn drive_phased(
-        &mut self,
-        observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
-    ) -> Result<RunOutcome, TraceError> {
-        if self.driven {
-            return Err(TraceError::Exhausted {
-                source: self.trace.name().to_string(),
-            });
-        }
-        self.driven = true;
-        let total = self.trace.events().min(self.limit);
-        let mut cursor = MaterializedCursor {
-            trace: self.trace,
-            taken_idx: 0,
-            addr_idx: 0,
-        };
-        walk_trace(
-            self.program,
-            self.trace.name(),
-            total,
-            self.sampling,
-            &mut cursor,
-            observer,
-        )?;
-
-        // Mirror Vm::run_with: `Halted` only when the program halted
-        // strictly before the limit; hitting the limit exactly on the last
-        // retired instruction reports `LimitReached`, like the live VM.
-        if self.trace.halted() && self.trace.events() < self.limit {
-            Ok(RunOutcome::Halted {
-                instructions: total,
-            })
-        } else {
-            Ok(RunOutcome::LimitReached {
-                instructions: total,
-            })
-        }
-    }
-}
-
-/// Sequential access to a trace's two recorded streams — branch direction
-/// bits and effective addresses — whether materialized in memory
-/// ([`Replay`]) or decoded incrementally from storage
-/// ([`StreamingReplay`](crate::StreamingReplay)).
-///
-/// Both replay flavours share [`walk_trace`], so their event streams are
-/// identical by construction.
-pub(crate) trait StreamCursor {
-    /// The next branch direction bit, or `None` if the stream is out.
-    fn next_bit(&mut self) -> Result<Option<bool>, TraceError>;
-
-    /// The next effective address, or `None` if the stream is out.
-    fn next_addr(&mut self) -> Result<Option<u64>, TraceError>;
-}
-
-/// Cursor over an in-memory [`Trace`].
-struct MaterializedCursor<'a> {
-    trace: &'a Trace,
-    taken_idx: u64,
-    addr_idx: usize,
-}
-
-impl StreamCursor for MaterializedCursor<'_> {
-    fn next_bit(&mut self) -> Result<Option<bool>, TraceError> {
-        if self.taken_idx >= self.trace.taken_len() {
-            return Ok(None);
-        }
-        let bit = self.trace.bit(self.taken_idx);
-        self.taken_idx += 1;
-        Ok(Some(bit))
-    }
-
-    fn next_addr(&mut self) -> Result<Option<u64>, TraceError> {
-        let addr = self.trace.addr(self.addr_idx);
-        if addr.is_some() {
-            self.addr_idx += 1;
-        }
-        Ok(addr)
-    }
-}
-
-/// The shared replay walk: reconstructs `total` events of the dynamic
-/// instruction stream from the program text plus the cursor's two recorded
-/// streams, delivering each non-[`Skip`](SamplePhase::Skip) event to
-/// `observer` tagged with its phase under `sampling`.
-///
-/// Skipped events are still walked (the control-flow chain must advance)
-/// but their [`TraceEvent`] is never materialized.
-pub(crate) fn walk_trace(
-    program: &Program,
-    name: &str,
-    total: u64,
-    sampling: Option<Sampling>,
-    cursor: &mut dyn StreamCursor,
-    observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
-) -> Result<(), TraceError> {
-    let mut pc: u32 = 0;
-    let mut pos: u64 = 0;
-    while pos < total {
-        let inst = program.fetch(pc).ok_or_else(|| {
-            TraceError::Corrupt(format!(
-                "replay of `{name}` left the program text at pc {pc}"
-            ))
-        })?;
-        let class = inst.class();
-        if class == InstClass::Halt {
-            return Err(TraceError::Corrupt(format!(
-                "replay of `{name}` reached halt at pc {pc} with {} events left",
-                total - pos
-            )));
-        }
-
-        let mut eff_addr = None;
-        let mut taken = None;
-        let mut next_pc = pc + 1;
-        match class {
-            InstClass::Load | InstClass::Store => {
-                eff_addr = Some(cursor.next_addr()?.ok_or_else(|| {
-                    TraceError::Corrupt(format!(
-                        "replay of `{name}` ran out of addresses at pc {pc}"
-                    ))
-                })?);
-            }
-            InstClass::CondBranch => {
-                let t = cursor.next_bit()?.ok_or_else(|| {
-                    TraceError::Corrupt(format!(
-                        "replay of `{name}` ran out of branch bits at pc {pc}"
-                    ))
-                })?;
-                taken = Some(t);
-                if t {
-                    next_pc = inst.imm as u32;
-                }
-            }
-            InstClass::Jump => {
-                taken = Some(true);
-                next_pc = inst.imm as u32;
-            }
-            _ => {}
-        }
-
-        let phase = sampling.map_or(SamplePhase::Measure, |s| s.phase(pos));
-        let event_pc = pc;
-        pos += 1;
-        pc = next_pc;
-        if phase != SamplePhase::Skip {
-            observer(
-                phase,
-                &TraceEvent {
-                    pc: event_pc,
-                    opcode: inst.opcode,
-                    class,
-                    dst: inst.writes(),
-                    sources: inst.sources(),
-                    eff_addr,
-                    taken,
-                    next_pc,
-                },
-            );
-        }
-    }
-    Ok(())
 }

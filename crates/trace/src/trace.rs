@@ -1,21 +1,24 @@
 //! The recorded trace: a compact encoding of one functional execution.
 
-use std::fs;
-use std::io;
-use std::path::Path;
-
 use mim_isa::{
     BlockEngine, BlockHooks, Cond, InstClass, Opcode, Program, RunOutcome, TraceEvent, Vm, VmError,
 };
 
 use crate::error::TraceError;
-use crate::source::{Replay, Sampling};
+use crate::replay::Replay;
 
 /// Magic bytes opening every serialized trace.
-pub(crate) const MAGIC: &[u8; 8] = b"MIMTRACE";
+const MAGIC: &[u8; 8] = b"MIMTRACE";
 
 /// Serialization format version.
-pub(crate) const VERSION: u32 = 1;
+const VERSION: u32 = 1;
+
+/// Longest program name a trace header may carry. The bound keeps every
+/// header inside the first window a file replay reads.
+const MAX_NAME: usize = 4096;
+
+/// Longest LEB128 encoding of a `u64`, in bytes.
+pub(crate) const MAX_VARINT: usize = 10;
 
 /// A recorded dynamic instruction trace: everything machine-independent
 /// about one functional execution of a [`Program`], encoded compactly.
@@ -23,8 +26,10 @@ pub(crate) const VERSION: u32 = 1;
 /// Because the ISA is deterministic, the dynamic instruction stream is
 /// fully determined by the static program plus two per-execution streams:
 /// the **direction bit** of every conditional branch (1 bit each) and the
-/// **effective address** of every load/store (one word each). `Trace`
-/// stores exactly those two streams — everything else
+/// **effective address** of every load/store (a zigzag-delta LEB128
+/// varint each, usually one byte). `Trace` holds exactly those two
+/// streams, in its serialized byte image ([`to_bytes`](Trace::to_bytes))
+/// and nowhere else — everything else
 /// ([`TraceEvent`](mim_isa::TraceEvent) fields like opcode, class,
 /// operands, `next_pc`) is reconstructed from the program text during
 /// [`replay`](Trace::replay), which is why replay is much faster than
@@ -62,14 +67,9 @@ pub(crate) const VERSION: u32 = 1;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    name: String,
-    fingerprint: u64,
-    text_len: u32,
-    events: u64,
-    halted: bool,
-    taken_bits: u64,
-    taken: Vec<u64>,
-    addrs: Vec<u64>,
+    header: Header,
+    addr_count: u64,
+    bytes: Vec<u8>,
 }
 
 impl Trace {
@@ -83,8 +83,9 @@ impl Trace {
     /// addresses) map one-to-one onto the engine's
     /// [`cond_branch`](BlockHooks::cond_branch) and
     /// [`mem_access`](BlockHooks::mem_access) hooks, so recording pays no
-    /// per-event [`TraceEvent`] reconstruction. With the block engine
-    /// disabled ([`mim_isa::block_engine_enabled`]) this falls back to
+    /// per-event [`TraceEvent`] reconstruction and writes the encoded
+    /// streams as the program runs. With the block engine disabled
+    /// ([`mim_isa::block_engine_enabled`]) this falls back to
     /// [`record_interpreted`](Trace::record_interpreted); the produced
     /// trace is byte-identical either way.
     ///
@@ -95,12 +96,9 @@ impl Trace {
         if !mim_isa::block_engine_enabled() {
             return Trace::record_interpreted(program, limit);
         }
-        let mut trace = Trace::empty_for(program);
-        let mut engine = BlockEngine::new(program);
-        let outcome = engine.run_hooks(limit, &mut RecordHooks { trace: &mut trace })?;
-        trace.events = outcome.instructions();
-        trace.halted = outcome.halted();
-        Ok(trace)
+        let mut recorder = Recorder::new(program);
+        let outcome = BlockEngine::new(program).run_hooks(limit, &mut recorder)?;
+        Ok(recorder.finish(outcome))
     }
 
     /// Records via the per-step interpreter [`Vm`], bypassing the block
@@ -112,85 +110,68 @@ impl Trace {
     ///
     /// Propagates any [`VmError`] raised during execution.
     pub fn record_interpreted(program: &Program, limit: Option<u64>) -> Result<Trace, VmError> {
-        let mut trace = Trace::empty_for(program);
-        let mut vm = Vm::new(program);
-        let outcome = vm.run_with(limit, |ev| {
-            trace.events += 1;
+        let mut recorder = Recorder::new(program);
+        let outcome = Vm::new(program).run_with(limit, |ev| {
             if ev.class == InstClass::CondBranch {
-                trace.push_bit(ev.taken == Some(true));
+                recorder.bit(ev.taken == Some(true));
             }
             if let Some(addr) = ev.eff_addr {
-                trace.addrs.push(addr);
+                recorder.addr(addr);
             }
         })?;
-        trace.halted = outcome.halted();
-        Ok(trace)
-    }
-
-    /// An empty trace carrying `program`'s identity, ready for a recording
-    /// pass to fill in.
-    fn empty_for(program: &Program) -> Trace {
-        Trace {
-            name: program.name().to_string(),
-            fingerprint: Trace::fingerprint_of(program),
-            text_len: program.len() as u32,
-            events: 0,
-            halted: false,
-            taken_bits: 0,
-            taken: Vec::new(),
-            addrs: Vec::new(),
-        }
+        Ok(recorder.finish(outcome))
     }
 
     /// Name of the recorded program.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.header.name
     }
 
     /// Number of retired instructions recorded.
     pub fn len(&self) -> u64 {
-        self.events
+        self.header.events
     }
 
     /// True for a trace of zero retired instructions.
     pub fn is_empty(&self) -> bool {
-        self.events == 0
+        self.header.events == 0
     }
 
     /// True if the recorded execution ran to `halt` (as opposed to hitting
     /// the recording's instruction limit).
     pub fn halted(&self) -> bool {
-        self.halted
+        self.header.halted
     }
 
     /// Conditional branches recorded (= direction bits stored).
     pub fn branches(&self) -> u64 {
-        self.taken_bits
+        self.header.taken_bits
     }
 
     /// Memory operations recorded (= effective addresses stored).
     pub fn mem_ops(&self) -> u64 {
-        self.addrs.len() as u64
+        self.addr_count
     }
 
     /// Conditional branches recorded as taken — a popcount over the stored
     /// direction bits, so the machine-independent taken rate
     /// (`taken_branches() / branches()`) is available without a replay.
     pub fn taken_branches(&self) -> u64 {
-        self.taken.iter().map(|w| u64::from(w.count_ones())).sum()
+        self.bits().iter().map(|b| u64::from(b.count_ones())).sum()
     }
 
-    /// Approximate in-memory footprint of the encoded streams, in bytes —
-    /// 1 bit per branch plus 8 bytes per memory operation, versus the
-    /// full [`TraceEvent`](mim_isa::TraceEvent) this expands to on replay.
+    /// In-memory footprint of the trace in bytes: its serialized image,
+    /// 1 bit per branch plus about one byte per memory operation, versus
+    /// the full [`TraceEvent`](mim_isa::TraceEvent) this expands to on
+    /// replay.
     pub fn encoded_bytes(&self) -> usize {
-        self.taken.len() * 8 + self.addrs.len() * 8
+        self.bytes.len()
     }
 
     /// True if `program` is the program this trace was recorded from
     /// (matched by a stable content fingerprint, not by name).
     pub fn matches(&self, program: &Program) -> bool {
-        self.text_len == program.len() as u32 && self.fingerprint == Trace::fingerprint_of(program)
+        self.header.check_program(program).is_ok()
     }
 
     /// Replays the recording against its program, yielding a
@@ -202,71 +183,33 @@ impl Trace {
     /// Returns [`TraceError::ProgramMismatch`] if `program` is not the
     /// program this trace was recorded from.
     pub fn replay<'a>(&'a self, program: &'a Program) -> Result<Replay<'a>, TraceError> {
-        if !self.matches(program) {
-            return Err(TraceError::ProgramMismatch {
-                trace: self.name.clone(),
-                program: program.name().to_string(),
-            });
-        }
-        Ok(Replay::new(self, program))
-    }
-
-    /// Replays only systematically sampled windows of the recording (for
-    /// `Large` runs where even replay is worth truncating); see
-    /// [`Sampling`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::ProgramMismatch`] if `program` is not the
-    /// program this trace was recorded from.
-    pub fn sampled_replay<'a>(
-        &'a self,
-        program: &'a Program,
-        sampling: Sampling,
-    ) -> Result<Replay<'a>, TraceError> {
-        Ok(self.replay(program)?.with_sampling(sampling))
+        self.header.check_program(program)?;
+        let count_at = self.header.count_at() as usize;
+        Ok(Replay::new(
+            program,
+            self.header.clone(),
+            self.addr_count,
+            self.bits(),
+            &self.bytes[count_at + 8..],
+        ))
     }
 
     /// The stored outcome of the recorded execution, as a [`RunOutcome`].
     pub fn outcome(&self) -> RunOutcome {
-        if self.halted {
+        if self.header.halted {
             RunOutcome::Halted {
-                instructions: self.events,
+                instructions: self.header.events,
             }
         } else {
             RunOutcome::LimitReached {
-                instructions: self.events,
+                instructions: self.header.events,
             }
         }
     }
 
-    // ---- encoding internals ------------------------------------------------
-
-    fn push_bit(&mut self, bit: bool) {
-        let word = (self.taken_bits / 64) as usize;
-        if word == self.taken.len() {
-            self.taken.push(0);
-        }
-        if bit {
-            self.taken[word] |= 1u64 << (self.taken_bits % 64);
-        }
-        self.taken_bits += 1;
-    }
-
-    pub(crate) fn bit(&self, index: u64) -> bool {
-        (self.taken[(index / 64) as usize] >> (index % 64)) & 1 == 1
-    }
-
-    pub(crate) fn addr(&self, index: usize) -> Option<u64> {
-        self.addrs.get(index).copied()
-    }
-
-    pub(crate) fn events(&self) -> u64 {
-        self.events
-    }
-
-    pub(crate) fn taken_len(&self) -> u64 {
-        self.taken_bits
+    /// The branch-direction bitvector section of the byte image.
+    fn bits(&self) -> &[u8] {
+        &self.bytes[self.header.bits_at..self.header.count_at() as usize]
     }
 
     /// Stable 64-bit FNV-1a content fingerprint of a program (text and
@@ -294,44 +237,83 @@ impl Trace {
 
     // ---- serialization -----------------------------------------------------
 
-    /// Serializes the trace to a deterministic byte image: the same trace
-    /// always produces the same bytes, on every platform and build.
+    /// The trace's deterministic byte image: the same trace always
+    /// produces the same bytes, on every platform and build.
     ///
     /// Layout: magic, version, flags, name, program identity, event count,
     /// the branch-direction bitvector, and the zigzag-delta LEB128-encoded
-    /// address stream.
+    /// address stream. This image is the trace's only representation, so
+    /// the call is a copy.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.taken.len() * 8 + self.addrs.len() * 2);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(u8::from(self.halted));
-        out.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        out.extend_from_slice(&self.text_len.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.events.to_le_bytes());
-        out.extend_from_slice(&self.taken_bits.to_le_bytes());
-        for &word in &self.taken {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.addrs.len() as u64).to_le_bytes());
-        let mut prev = 0u64;
-        for &addr in &self.addrs {
-            // Consecutive memory addresses are usually near each other:
-            // zigzag deltas keep most of the stream at one byte per access.
-            write_varint(&mut out, zigzag(addr.wrapping_sub(prev) as i64));
-            prev = addr;
-        }
-        out
+        self.bytes.clone()
     }
 
     /// Decodes a trace from bytes produced by [`to_bytes`](Trace::to_bytes).
+    ///
+    /// Checks the header and both stream sections and scans every address
+    /// varint, so a trace that decodes here replays without hitting
+    /// malformed bytes.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] on any malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let mut r = Reader::new(bytes);
+        let header = Header::parse(bytes)?;
+        let mut r = Reader {
+            bytes,
+            pos: header.bits_at,
+        };
+        // Bound every count by the bytes actually present, so crafted
+        // headers with huge counts are rejected before any scan.
+        if header.bits_len() > r.remaining() as u64 {
+            return Err(TraceError::Corrupt(
+                "branch bitvector larger than input".into(),
+            ));
+        }
+        r.take(header.bits_len() as usize)?;
+        let addr_count = r.u64()?;
+        if addr_count > header.events {
+            return Err(TraceError::Corrupt("more addresses than events".into()));
+        }
+        if addr_count > r.remaining() as u64 {
+            // Each address takes at least one varint byte.
+            return Err(TraceError::Corrupt(
+                "address stream larger than input".into(),
+            ));
+        }
+        for _ in 0..addr_count {
+            r.varint()?;
+        }
+        if r.pos != bytes.len() {
+            return Err(TraceError::Corrupt("trailing bytes".into()));
+        }
+        Ok(Trace {
+            header,
+            addr_count,
+            bytes: bytes.to_vec(),
+        })
+    }
+}
+
+/// The fixed-size header of a serialized trace, and where its branch
+/// bitvector starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub(crate) name: String,
+    text_len: u32,
+    fingerprint: u64,
+    pub(crate) events: u64,
+    pub(crate) halted: bool,
+    pub(crate) taken_bits: u64,
+    /// Offset of the branch bitvector from the start of the trace.
+    pub(crate) bits_at: usize,
+}
+
+impl Header {
+    /// Parses and checks the header at the start of `bytes` — the one
+    /// header parser, shared by [`Trace::from_bytes`] and file replay.
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Header, TraceError> {
+        let mut r = Reader { bytes, pos: 0 };
         if r.take(MAGIC.len())? != MAGIC.as_slice() {
             return Err(TraceError::Corrupt("bad magic".into()));
         }
@@ -341,11 +323,14 @@ impl Trace {
                 "unsupported version {version} (expected {VERSION})"
             )));
         }
-        let flags = r.u8()?;
+        let flags = r.take(1)?[0];
         if flags > 1 {
             return Err(TraceError::Corrupt(format!("unknown flags {flags:#x}")));
         }
         let name_len = r.u32()? as usize;
+        if name_len > MAX_NAME {
+            return Err(TraceError::Corrupt("unreasonable name length".into()));
+        }
         let name = String::from_utf8(r.take(name_len)?.to_vec())
             .map_err(|_| TraceError::Corrupt("name is not UTF-8".into()))?;
         let text_len = r.u32()?;
@@ -355,92 +340,147 @@ impl Trace {
         if taken_bits > events {
             return Err(TraceError::Corrupt("more branch bits than events".into()));
         }
-        // Bound every allocation by the bytes actually present, so crafted
-        // headers with huge counts are rejected instead of aborting the
-        // process in the allocator.
-        let words = taken_bits.div_ceil(64);
-        if words > (r.remaining() / 8) as u64 {
-            return Err(TraceError::Corrupt(
-                "branch bitvector larger than input".into(),
-            ));
-        }
-        let words = words as usize;
-        let mut taken = Vec::with_capacity(words);
-        for _ in 0..words {
-            taken.push(r.u64()?);
-        }
-        let addr_count = r.u64()?;
-        if addr_count > events {
-            return Err(TraceError::Corrupt("more addresses than events".into()));
-        }
-        if addr_count > r.remaining() as u64 {
-            // Each address takes at least one varint byte.
-            return Err(TraceError::Corrupt(
-                "address stream larger than input".into(),
-            ));
-        }
-        let mut addrs = Vec::with_capacity(addr_count as usize);
-        let mut prev = 0u64;
-        for _ in 0..addr_count {
-            let delta = unzigzag(r.varint()?);
-            prev = prev.wrapping_add(delta as u64);
-            addrs.push(prev);
-        }
-        if !r.at_end() {
-            return Err(TraceError::Corrupt("trailing bytes".into()));
-        }
-        Ok(Trace {
+        Ok(Header {
             name,
-            fingerprint,
             text_len,
+            fingerprint,
             events,
             halted: flags == 1,
             taken_bits,
-            taken,
-            addrs,
+            bits_at: r.pos,
         })
     }
 
-    /// Writes the trace to `path` (see [`to_bytes`](Trace::to_bytes)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        fs::write(path, self.to_bytes())
+    /// Appends the header's byte image to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(u8::from(self.halted));
+        out.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.name.as_bytes());
+        out.extend_from_slice(&self.text_len.to_le_bytes());
+        out.extend_from_slice(&self.fingerprint.to_le_bytes());
+        out.extend_from_slice(&self.events.to_le_bytes());
+        out.extend_from_slice(&self.taken_bits.to_le_bytes());
     }
 
-    /// Reads a trace previously written with [`write_to`](Trace::write_to).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors; decoding failures surface as
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn read_from(path: impl AsRef<Path>) -> io::Result<Trace> {
-        let bytes = fs::read(path)?;
-        Trace::from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    /// Bytes of the branch bitvector (whole 64-bit words).
+    pub(crate) fn bits_len(&self) -> u64 {
+        self.taken_bits.div_ceil(64) * 8
+    }
+
+    /// Offset of the address count, which sits between the two streams.
+    pub(crate) fn count_at(&self) -> u64 {
+        self.bits_at as u64 + self.bits_len()
+    }
+
+    /// Checks that the recording is of `program`.
+    pub(crate) fn check_program(&self, program: &Program) -> Result<(), TraceError> {
+        if self.text_len == program.len() as u32
+            && self.fingerprint == Trace::fingerprint_of(program)
+        {
+            Ok(())
+        } else {
+            Err(TraceError::ProgramMismatch {
+                trace: self.name.clone(),
+                program: program.name().to_string(),
+            })
+        }
     }
 }
 
-/// The recording hook set for the block engine: exactly the two dynamic
-/// streams a [`Trace`] stores. Event counts and the halted flag come from
-/// the engine's [`RunOutcome`], so every other hook stays a no-op and the
+/// Writes a trace's byte image while the program runs: a header with
+/// placeholder counts, then the branch bitvector word by word; the
+/// address varints go to a side buffer appended when the run ends.
+struct Recorder {
+    header: Header,
+    bytes: Vec<u8>,
+    word: u64,
+    addrs: Vec<u8>,
+    addr_count: u64,
+    prev_addr: u64,
+}
+
+impl Recorder {
+    fn new(program: &Program) -> Recorder {
+        let mut header = Header {
+            name: program.name().to_string(),
+            text_len: program.len() as u32,
+            fingerprint: Trace::fingerprint_of(program),
+            events: 0,
+            halted: false,
+            taken_bits: 0,
+            bits_at: 0,
+        };
+        let mut bytes = Vec::new();
+        header.write(&mut bytes);
+        header.bits_at = bytes.len();
+        Recorder {
+            header,
+            bytes,
+            word: 0,
+            addrs: Vec::new(),
+            addr_count: 0,
+            prev_addr: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn bit(&mut self, taken: bool) {
+        let slot = self.header.taken_bits % 64;
+        self.word |= u64::from(taken) << slot;
+        self.header.taken_bits += 1;
+        if slot == 63 {
+            self.bytes.extend_from_slice(&self.word.to_le_bytes());
+            self.word = 0;
+        }
+    }
+
+    #[inline(always)]
+    fn addr(&mut self, addr: u64) {
+        // Consecutive memory addresses are usually near each other:
+        // zigzag deltas keep most of the stream at one byte per access.
+        write_varint(
+            &mut self.addrs,
+            zigzag(addr.wrapping_sub(self.prev_addr) as i64),
+        );
+        self.prev_addr = addr;
+        self.addr_count += 1;
+    }
+
+    fn finish(mut self, outcome: RunOutcome) -> Trace {
+        if !self.header.taken_bits.is_multiple_of(64) {
+            self.bytes.extend_from_slice(&self.word.to_le_bytes());
+        }
+        self.header.events = outcome.instructions();
+        self.header.halted = outcome.halted();
+        let mut head = Vec::with_capacity(self.header.bits_at);
+        self.header.write(&mut head);
+        self.bytes[..head.len()].copy_from_slice(&head);
+        self.bytes.extend_from_slice(&self.addr_count.to_le_bytes());
+        self.bytes.extend_from_slice(&self.addrs);
+        Trace {
+            header: self.header,
+            addr_count: self.addr_count,
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// The block engine's recording hooks: exactly the two dynamic streams a
+/// [`Trace`] stores. Event counts and the halted flag come from the
+/// engine's [`RunOutcome`], so every other hook stays a no-op and the
 /// fast path never materializes a [`TraceEvent`] the recording would
 /// discard.
-struct RecordHooks<'t> {
-    trace: &'t mut Trace,
-}
-
-impl BlockHooks for RecordHooks<'_> {
+impl BlockHooks for Recorder {
     #[inline(always)]
     fn mem_access(&mut self, _op: &TraceEvent, addr: u64) {
-        self.trace.addrs.push(addr);
+        self.addr(addr);
     }
 
     #[inline(always)]
     fn cond_branch(&mut self, _op: &TraceEvent, taken: bool) {
-        self.trace.push_bit(taken);
+        self.bit(taken);
     }
 }
 
@@ -516,14 +556,17 @@ impl Fnv {
     }
 }
 
+#[inline]
 fn zigzag(v: i64) -> u64 {
     ((v as u64) << 1) ^ ((v >> 63) as u64)
 }
 
+#[inline]
 pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+#[inline]
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -536,6 +579,24 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Decodes the LEB128 varint at the front of `buf`, returning its value
+/// and its length in bytes. The 10th byte may hold only the top bit:
+/// payload bits that would shift out mark a non-canonical encoding.
+#[inline]
+pub(crate) fn read_varint(buf: &[u8]) -> Result<(u64, usize), TraceError> {
+    let mut value = 0u64;
+    for (i, &byte) in buf.iter().take(MAX_VARINT).enumerate() {
+        if i == MAX_VARINT - 1 && byte > 1 {
+            return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
+        }
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok((value, i + 1));
+        }
+    }
+    Err(TraceError::Corrupt("truncated input".into()))
+}
+
 /// Bounds-checked little reader over a byte slice.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -543,10 +604,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         let end = self
             .pos
@@ -556,10 +613,6 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, TraceError> {
@@ -575,27 +628,12 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, TraceError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            // The 10th byte holds only the top bit (shift 63): payload
-            // bits that would shift out mark a non-canonical encoding.
-            if shift == 63 && byte > 1 {
-                return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(TraceError::Corrupt("varint overran 64 bits".into()))
+        let (value, len) = read_varint(&self.bytes[self.pos..])?;
+        self.pos += len;
+        Ok(value)
     }
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
     }
 }

@@ -78,10 +78,6 @@ pub struct SyntheticRecipe {
     pub seed: u64,
 }
 
-/// Pre-validation-layer name for [`SyntheticRecipe`], kept as an alias for
-/// code written against the original statistical-synthesis API.
-pub type SyntheticWorkload = SyntheticRecipe;
-
 // Register plan: r1 = loop counter, r2 = bound, r3 = base pointer,
 // r4 = nonzero divisor, r5..r26 = rotating destinations so recent
 // producers sit at predictable distances, r27 = branch-bit scratch,

@@ -74,7 +74,7 @@ fn confidence_intervals_are_calibrated_across_the_grid() {
         let trace = Trace::record(&program, None).expect("recording");
         for plan in grid_plans() {
             let mut replay = trace.replay(&program).expect("replay").with_sampling(plan);
-            let sampled = sim.simulate_sampled(&mut replay).expect("sampled sim");
+            let sampled = sim.simulate_source(&mut replay).expect("sampled sim");
             let stats = sampled.sampling.expect("sampled stats present");
             assert!(
                 stats.units > 1,
@@ -110,7 +110,7 @@ fn sampled_simulation_is_deterministic() {
             .replay(&program)
             .expect("replay")
             .with_sampling(Sampling::default_plan());
-        sim.simulate_sampled(&mut replay).expect("sampled sim")
+        sim.simulate_source(&mut replay).expect("sampled sim")
     };
     assert_eq!(run(), run());
 }
@@ -148,13 +148,13 @@ fn streaming_replay_matches_materialized_end_to_end() {
         .replay(&program)
         .expect("replay")
         .with_sampling(Sampling::default_plan());
-    let from_memory = sim.simulate_sampled(&mut replay).expect("sampled sim");
+    let from_memory = sim.simulate_source(&mut replay).expect("sampled sim");
     let mut stream = store
         .stream_trace(&program, None)
         .expect("stream open")
         .expect("entry present")
         .with_sampling(Sampling::default_plan());
-    let from_disk = sim.simulate_sampled(&mut stream).expect("sampled sim");
+    let from_disk = sim.simulate_source(&mut stream).expect("sampled sim");
     assert_eq!(from_memory, from_disk);
 
     // The stream's working set is a fixed small buffer, not the whole

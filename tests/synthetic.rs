@@ -4,7 +4,7 @@
 
 use mim::core::{MachineConfig, MechanisticModel};
 use mim::prelude::*;
-use mim::workloads::synth::{SyntheticRecipe, SyntheticWorkload};
+use mim::workloads::synth::SyntheticRecipe;
 use proptest::prelude::*;
 
 #[test]
@@ -12,23 +12,23 @@ fn model_validates_on_synthetic_workloads() {
     let machine = MachineConfig::default_config();
     let model = MechanisticModel::new(&machine);
     let recipes = [
-        ("codec", SyntheticWorkload::codec_like()),
+        ("codec", SyntheticRecipe::codec_like()),
         (
             "serial",
-            SyntheticWorkload {
+            SyntheticRecipe {
                 dep_distances: vec![100], // everything back-to-back
                 mix: (70, 10, 2, 12, 6),
                 seed: 7,
-                ..SyntheticWorkload::codec_like()
+                ..SyntheticRecipe::codec_like()
             },
         ),
         (
             "parallel",
-            SyntheticWorkload {
+            SyntheticRecipe {
                 dep_distances: vec![0, 0, 0, 0, 0, 0, 0, 1, 1, 1],
                 mix: (80, 2, 0, 12, 6),
                 seed: 11,
-                ..SyntheticWorkload::codec_like()
+                ..SyntheticRecipe::codec_like()
             },
         ),
     ];
@@ -56,7 +56,7 @@ fn dependency_distance_controls_width_scaling() {
     // The statistical generator exposes the paper's core mechanism
     // directly: short dependency distances must suppress superscalar
     // benefit, long distances enable it.
-    let speedup = |recipe: &SyntheticWorkload| {
+    let speedup = |recipe: &SyntheticRecipe| {
         let program = recipe.generate();
         let mut cycles = Vec::new();
         for width in [1u32, 4] {
@@ -73,19 +73,19 @@ fn dependency_distance_controls_width_scaling() {
         }
         cycles[0] as f64 / cycles[1] as f64
     };
-    let serial = SyntheticWorkload {
+    let serial = SyntheticRecipe {
         dep_distances: vec![100],
         mix: (90, 0, 0, 6, 4),
         iterations: 500,
         seed: 3,
-        ..SyntheticWorkload::codec_like()
+        ..SyntheticRecipe::codec_like()
     };
-    let parallel = SyntheticWorkload {
+    let parallel = SyntheticRecipe {
         dep_distances: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
         mix: (90, 0, 0, 6, 4),
         iterations: 500,
         seed: 3,
-        ..SyntheticWorkload::codec_like()
+        ..SyntheticRecipe::codec_like()
     };
     let s_serial = speedup(&serial);
     let s_parallel = speedup(&parallel);

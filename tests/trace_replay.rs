@@ -68,6 +68,57 @@ fn profile_replay_is_byte_identical_for_all_bundled_workloads() {
     }
 }
 
+/// `(name, length, FNV-1a digest)` of every bundled workload's serialized
+/// trace, in `bundled_programs` order. Trace stores written by earlier
+/// builds keep loading only while recordings match these byte for byte.
+const PINNED_IMAGES: [(&str, usize, u64); 26] = [
+    ("adpcm_c", 13788, 0x36b4_0874_944c_9420),
+    ("adpcm_d", 12749, 0x6252_7d07_b0f0_dfe0),
+    ("dijkstra", 3064, 0x99b2_b4d8_6550_9c02),
+    ("gsm_c", 6727, 0x016a_d447_a4a8_c214),
+    ("jpeg_c", 18051, 0x18ea_7d8d_86c2_f4f1),
+    ("jpeg_d", 18184, 0xd115_175b_11f1_452c),
+    ("lame", 25822, 0x28b2_daed_31ca_852c),
+    ("patricia", 14976, 0x5ee1_49ba_e3f9_45e1),
+    ("qsort", 6496, 0xd054_f7d0_2e07_b92f),
+    ("rsynth", 12537, 0xa536_8d36_6478_a253),
+    ("sha", 5782, 0xfe10_121c_f784_92b5),
+    ("stringsearch", 5206, 0x477b_4a4f_26ae_afb5),
+    ("susan_c", 6410, 0x0f74_0fee_743c_58ef),
+    ("susan_e", 6514, 0x7fb3_91fa_3970_d2f4),
+    ("susan_s", 14713, 0x3c1b_d613_d23e_b9e6),
+    ("tiff2bw", 18250, 0x5253_3592_cc77_1037),
+    ("tiff2rgba", 17138, 0x7f51_bb34_93dd_d353),
+    ("tiffdither", 18901, 0xa5c1_5187_c6d8_4d7c),
+    ("tiffmedian", 6096, 0x133d_f7b1_d758_649f),
+    ("mcf_like", 7799, 0x9078_b702_c114_b945),
+    ("libquantum_like", 139340, 0xe5f0_b3c0_64e3_a130),
+    ("bzip2_like", 562408, 0x90a4_de16_5d6f_1d1c),
+    ("hmmer_like", 62033, 0x704e_ceb0_ccdc_002c),
+    ("sjeng_like", 22565, 0xcd1d_a656_6bd9_fb82),
+    ("milc_like", 199392, 0x4cfe_d68e_d57c_09ff),
+    ("sha", 5782, 0xba60_5aaa_df55_931f),
+];
+
+/// The recording-time encoder writes the pinned on-disk format for every
+/// bundled workload.
+#[test]
+fn recordings_match_the_pinned_format_for_all_bundled_workloads() {
+    let digest = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let programs = bundled_programs();
+    assert_eq!(programs.len(), PINNED_IMAGES.len());
+    for (p, (name, len, pinned)) in programs.iter().zip(PINNED_IMAGES) {
+        let bytes = Trace::record(p, None).expect("recording").to_bytes();
+        assert_eq!(p.name(), name);
+        assert_eq!(bytes.len(), len, "{name}");
+        assert_eq!(digest(&bytes), pinned, "{name}");
+    }
+}
+
 /// Serialization round-trips deterministically for every bundled
 /// workload, and the decoded trace still replays identically.
 #[test]
