@@ -308,7 +308,7 @@ impl DiskStore {
         limit: Option<u64>,
     ) -> Result<Option<Trace>, StoreError> {
         let started = clock();
-        let fingerprint = Trace::fingerprint_of(program);
+        let fingerprint = program.fingerprint();
         let path = self.entry_path(trace_key(fingerprint, limit), "trace");
         let Some(payload) = read_entry(&path, KIND_TRACE, fingerprint)? else {
             self.get_ns.observe_since(started);
@@ -341,7 +341,7 @@ impl DiskStore {
         limit: Option<u64>,
         trace: &Trace,
     ) -> Result<(), StoreError> {
-        let fingerprint = Trace::fingerprint_of(program);
+        let fingerprint = program.fingerprint();
         let path = self.entry_path(trace_key(fingerprint, limit), "trace");
         self.write_entry(&path, KIND_TRACE, fingerprint, &trace.to_bytes())
     }
@@ -368,7 +368,7 @@ impl DiskStore {
         limit: Option<u64>,
     ) -> Result<Option<Replay<'p>>, StoreError> {
         let started = clock();
-        let fingerprint = Trace::fingerprint_of(program);
+        let fingerprint = program.fingerprint();
         let path = self.entry_path(trace_key(fingerprint, limit), "trace");
         let mut file = match fs::File::open(&path) {
             Ok(file) => file,
@@ -415,7 +415,7 @@ impl DiskStore {
         predictors: &[PredictorConfig],
     ) -> Result<Option<WorkloadProfile>, StoreError> {
         let started = clock();
-        let fingerprint = Trace::fingerprint_of(program);
+        let fingerprint = program.fingerprint();
         let key = profile_key(fingerprint, limit, hierarchy, l2s, predictors);
         let path = self.entry_path(key, "profile");
         let Some(payload) = read_entry(&path, KIND_PROFILE, fingerprint)? else {
@@ -449,7 +449,7 @@ impl DiskStore {
         predictors: &[PredictorConfig],
         profile: &WorkloadProfile,
     ) -> Result<(), StoreError> {
-        let fingerprint = Trace::fingerprint_of(program);
+        let fingerprint = program.fingerprint();
         let key = profile_key(fingerprint, limit, hierarchy, l2s, predictors);
         let path = self.entry_path(key, "profile");
         let json = serde_json::to_string(profile).expect("profile serialization is infallible");
@@ -687,7 +687,7 @@ mod tests {
         assert_eq!(outcome.instructions(), materialized.len() as u64);
 
         // Streaming a damaged entry is a typed error, not a panic.
-        let path = store.entry_path(trace_key(Trace::fingerprint_of(&program), None), "trace");
+        let path = store.entry_path(trace_key(program.fingerprint(), None), "trace");
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..20]).unwrap();
         assert!(matches!(
@@ -708,7 +708,7 @@ mod tests {
         let root = temp_root("junk");
         let store = DiskStore::open(&root).unwrap();
         let program = mibench::sha().program(WorkloadSize::Tiny);
-        let fingerprint = Trace::fingerprint_of(&program);
+        let fingerprint = program.fingerprint();
         let mut payload = Trace::record(&program, None).unwrap().to_bytes();
         payload.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
         let path = store.entry_path(trace_key(fingerprint, None), "trace");
@@ -728,6 +728,41 @@ mod tests {
     }
 
     #[test]
+    fn sampled_evaluation_recovers_from_junk_after_the_trace() {
+        use crate::{Evaluator, SimEvaluator, WorkloadSpec, WorkloadStore};
+        use mim_trace::Sampling;
+        let workload = WorkloadSpec::from(mibench::sha());
+        let evaluate = |store: WorkloadStore| {
+            SimEvaluator::new(&MachineConfig::default_config())
+                .with_sampling(Some(Sampling::new(1000, 100)))
+                .with_cache(store)
+                .evaluate(&workload, WorkloadSize::Tiny)
+                .expect("sampled evaluation")
+        };
+        let clean = evaluate(WorkloadStore::new());
+
+        let root = temp_root("junk-eval");
+        let disk = DiskStore::open(&root).unwrap();
+        let program = mibench::sha().program(WorkloadSize::Tiny);
+        let fingerprint = program.fingerprint();
+        let mut payload = Trace::record(&program, None).unwrap().to_bytes();
+        payload.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        let path = disk.entry_path(trace_key(fingerprint, None), "trace");
+        disk.write_entry(&path, KIND_TRACE, fingerprint, &payload)
+            .unwrap();
+        let damaged = evaluate(WorkloadStore::persistent(&root).unwrap());
+        assert_eq!(
+            serde_json::to_string(&damaged).unwrap(),
+            serde_json::to_string(&clean).unwrap()
+        );
+        assert!(
+            disk.get_trace(&program, None).unwrap().is_some(),
+            "the damaged entry is rewritten"
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn truncated_file_is_a_typed_error() {
         let root = temp_root("truncated");
         let store = DiskStore::open(&root).unwrap();
@@ -735,7 +770,7 @@ mod tests {
         let trace = Trace::record(&program, None).unwrap();
         store.put_trace(&program, None, &trace).unwrap();
         // Truncate the entry in place (header intact, payload cut short).
-        let path = store.entry_path(trace_key(Trace::fingerprint_of(&program), None), "trace");
+        let path = store.entry_path(trace_key(program.fingerprint(), None), "trace");
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         assert!(matches!(
@@ -758,7 +793,7 @@ mod tests {
         let program = mibench::sha().program(WorkloadSize::Tiny);
         let trace = Trace::record(&program, None).unwrap();
         store.put_trace(&program, None, &trace).unwrap();
-        let path = store.entry_path(trace_key(Trace::fingerprint_of(&program), None), "trace");
+        let path = store.entry_path(trace_key(program.fingerprint(), None), "trace");
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
@@ -776,7 +811,7 @@ mod tests {
         let program = mibench::sha().program(WorkloadSize::Tiny);
         let trace = Trace::record(&program, None).unwrap();
         store.put_trace(&program, None, &trace).unwrap();
-        let path = store.entry_path(trace_key(Trace::fingerprint_of(&program), None), "trace");
+        let path = store.entry_path(trace_key(program.fingerprint(), None), "trace");
         let mut bytes = fs::read(&path).unwrap();
         // Flip a bit of the header's program fingerprint.
         bytes[13] ^= 1;
@@ -793,7 +828,7 @@ mod tests {
         let root = temp_root("garbage");
         let store = DiskStore::open(&root).unwrap();
         let program = mibench::sha().program(WorkloadSize::Tiny);
-        let path = store.entry_path(trace_key(Trace::fingerprint_of(&program), None), "trace");
+        let path = store.entry_path(trace_key(program.fingerprint(), None), "trace");
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, vec![0u8; 64]).unwrap();
         assert!(matches!(

@@ -465,16 +465,19 @@ impl SimEvaluator {
         }
         // A sampled run prefers the persistent store's incremental read
         // path: O(chunk) memory instead of O(trace). A damaged entry
-        // degrades to the in-memory path, like every other DiskStore read.
+        // degrades to the in-memory path, like every other DiskStore read
+        // — also when the damage only shows during the walk (bytes after
+        // the recording are found at its end). The in-memory path then
+        // rejects the entry, re-records and rewrites it.
         if let Some(plan) = self.sampling {
             if let Some(stream) = self
                 .store
                 .disk()
                 .and_then(|disk| disk.stream_trace(&program, self.limit).ok().flatten())
             {
-                return pipeline
-                    .simulate_source(&mut stream.with_sampling(plan))
-                    .map_err(trace_error);
+                if let Ok(sim) = pipeline.simulate_source(&mut stream.with_sampling(plan)) {
+                    return Ok(sim);
+                }
             }
         }
         // Pure timing pass: replay the store's one recorded functional

@@ -231,6 +231,33 @@ mod tests {
     }
 
     #[test]
+    fn short_varint_agrees_with_the_checked_decoder() {
+        use crate::trace::{read_varint, short_varint};
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // Each byte continues the varint with probability 3/4, so every
+            // length from 1 to 8 bytes (and longer) shows up.
+            let mut bytes = state.to_le_bytes();
+            let coin = state.rotate_left(29).wrapping_mul(0x2545_f491_4f6c_dd1d);
+            for (i, byte) in bytes.iter_mut().enumerate() {
+                if (coin >> (2 * i)) & 3 != 0 {
+                    *byte |= 0x80;
+                } else {
+                    *byte &= 0x7f;
+                }
+            }
+            assert_eq!(
+                short_varint(u64::from_le_bytes(bytes)),
+                read_varint(&bytes).ok(),
+                "{bytes:02x?}"
+            );
+        }
+    }
+
+    #[test]
     fn replaying_against_wrong_program_is_rejected() {
         let p = kernel();
         let trace = Trace::record(&p, None).unwrap();

@@ -24,7 +24,7 @@ use mim_isa::{InstClass, Program, RunOutcome, TraceEvent};
 
 use crate::error::TraceError;
 use crate::source::{SamplePhase, Sampling, TraceSource};
-use crate::trace::{read_varint, unzigzag, Header, MAX_VARINT};
+use crate::trace::{read_varint, short_varint, unzigzag, Header, MAX_VARINT};
 
 /// Bytes per window of a file replay. Two sections are live during a
 /// replay, so peak decoder memory is at most `2 * CHUNK` plus a few words
@@ -345,9 +345,24 @@ impl<'a> Section<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// The next LEB128 varint.
+    /// The next LEB128 varint. Varints of up to 8 bytes (every
+    /// address delta below 2^56) are decoded from one 8-byte load
+    /// without branching on their length; the rest, and the last few
+    /// bytes of a window, take the checked path.
     #[inline]
     fn varint(&mut self) -> Result<u64, TraceError> {
+        if let Some(bytes) = self.window.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            if let Some((value, len)) = short_varint(word) {
+                self.pos += len;
+                return Ok(value);
+            }
+        }
+        self.long_varint()
+    }
+
+    #[inline(never)]
+    fn long_varint(&mut self) -> Result<u64, TraceError> {
         self.fill(MAX_VARINT)?;
         let (value, len) = read_varint(&self.window[self.pos..])?;
         self.pos += len;

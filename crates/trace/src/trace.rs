@@ -1,8 +1,6 @@
 //! The recorded trace: a compact encoding of one functional execution.
 
-use mim_isa::{
-    BlockEngine, BlockHooks, Cond, InstClass, Opcode, Program, RunOutcome, TraceEvent, Vm, VmError,
-};
+use mim_isa::{BlockEngine, BlockHooks, InstClass, Program, RunOutcome, TraceEvent, Vm, VmError};
 
 use crate::error::TraceError;
 use crate::replay::Replay;
@@ -212,29 +210,6 @@ impl Trace {
         &self.bytes[self.header.bits_at..self.header.count_at() as usize]
     }
 
-    /// Stable 64-bit FNV-1a content fingerprint of a program (text and
-    /// initial data image — deliberately **not** the name, so renamed
-    /// copies of the same program still match their traces), used to pair
-    /// traces with programs across serialization. Independent of
-    /// `std::hash` so the bytes written by [`to_bytes`](Trace::to_bytes)
-    /// are identical across builds.
-    pub fn fingerprint_of(program: &Program) -> u64 {
-        let mut h = Fnv::new();
-        h.u32(program.len() as u32);
-        for inst in program.text() {
-            h.byte(opcode_code(inst.opcode));
-            h.byte(inst.dst.index() as u8);
-            h.byte(inst.src1.index() as u8);
-            h.byte(inst.src2.index() as u8);
-            h.u64(inst.imm as u64);
-        }
-        h.u64(program.data().len() as u64);
-        for &word in program.data() {
-            h.u64(word as u64);
-        }
-        h.finish()
-    }
-
     // ---- serialization -----------------------------------------------------
 
     /// The trace's deterministic byte image: the same trace always
@@ -376,9 +351,7 @@ impl Header {
 
     /// Checks that the recording is of `program`.
     pub(crate) fn check_program(&self, program: &Program) -> Result<(), TraceError> {
-        if self.text_len == program.len() as u32
-            && self.fingerprint == Trace::fingerprint_of(program)
-        {
+        if self.text_len == program.len() as u32 && self.fingerprint == program.fingerprint() {
             Ok(())
         } else {
             Err(TraceError::ProgramMismatch {
@@ -406,7 +379,7 @@ impl Recorder {
         let mut header = Header {
             name: program.name().to_string(),
             text_len: program.len() as u32,
-            fingerprint: Trace::fingerprint_of(program),
+            fingerprint: program.fingerprint(),
             events: 0,
             halted: false,
             taken_bits: 0,
@@ -419,7 +392,9 @@ impl Recorder {
             header,
             bytes,
             word: 0,
-            addrs: Vec::new(),
+            // Room for a Small-size recording's addresses without
+            // regrowing through every doubling.
+            addrs: Vec::with_capacity(64 * 1024),
             addr_count: 0,
             prev_addr: 0,
         }
@@ -439,11 +414,14 @@ impl Recorder {
     #[inline(always)]
     fn addr(&mut self, addr: u64) {
         // Consecutive memory addresses are usually near each other:
-        // zigzag deltas keep most of the stream at one byte per access.
-        write_varint(
-            &mut self.addrs,
-            zigzag(addr.wrapping_sub(self.prev_addr) as i64),
-        );
+        // zigzag deltas keep most of the stream at one byte per access,
+        // so that byte is pushed inline and longer varints go out of line.
+        let delta = zigzag(addr.wrapping_sub(self.prev_addr) as i64);
+        if delta < 0x80 {
+            self.addrs.push(delta as u8);
+        } else {
+            write_varint(&mut self.addrs, delta);
+        }
         self.prev_addr = addr;
         self.addr_count += 1;
     }
@@ -484,78 +462,6 @@ impl BlockHooks for Recorder {
     }
 }
 
-/// Stable byte encoding of an opcode for fingerprinting (not persisted in
-/// traces themselves — the trace stores no instructions).
-fn opcode_code(op: Opcode) -> u8 {
-    match op {
-        Opcode::Add => 0,
-        Opcode::Sub => 1,
-        Opcode::And => 2,
-        Opcode::Or => 3,
-        Opcode::Xor => 4,
-        Opcode::Sll => 5,
-        Opcode::Srl => 6,
-        Opcode::Sra => 7,
-        Opcode::Slt => 8,
-        Opcode::SltU => 9,
-        Opcode::Addi => 10,
-        Opcode::Andi => 11,
-        Opcode::Ori => 12,
-        Opcode::Xori => 13,
-        Opcode::Slli => 14,
-        Opcode::Srli => 15,
-        Opcode::Srai => 16,
-        Opcode::Slti => 17,
-        Opcode::Li => 18,
-        Opcode::Mul => 19,
-        Opcode::Div => 20,
-        Opcode::Rem => 21,
-        Opcode::Ld => 22,
-        Opcode::St => 23,
-        Opcode::J => 24,
-        Opcode::Nop => 25,
-        Opcode::Halt => 26,
-        Opcode::Br(Cond::Eq) => 27,
-        Opcode::Br(Cond::Ne) => 28,
-        Opcode::Br(Cond::Lt) => 29,
-        Opcode::Br(Cond::Ge) => 30,
-        Opcode::Br(Cond::LtU) => 31,
-        Opcode::Br(Cond::GeU) => 32,
-    }
-}
-
-/// Incremental FNV-1a (64-bit).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[inline]
 fn zigzag(v: i64) -> u64 {
     ((v as u64) << 1) ^ ((v >> 63) as u64)
@@ -566,7 +472,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-#[inline]
+#[inline(never)]
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -595,6 +501,26 @@ pub(crate) fn read_varint(buf: &[u8]) -> Result<(u64, usize), TraceError> {
         }
     }
     Err(TraceError::Corrupt("truncated input".into()))
+}
+
+/// Decodes the LEB128 varint at the front of `word`, the next 8 bytes of
+/// a stream in little-endian order, returning its value and length in
+/// bytes — or `None` if the varint is longer than 8 bytes.
+#[inline]
+pub(crate) fn short_varint(word: u64) -> Option<(u64, usize)> {
+    // The first byte with a clear top bit ends the varint.
+    let stops = !word & 0x8080_8080_8080_8080;
+    if stops == 0 {
+        return None;
+    }
+    let end = stops.trailing_zeros();
+    // Keep the varint's bytes, drop their continuation bits, then pack
+    // the 7-bit groups: pairs into 14 bits, quads into 28, all into 56.
+    let x = word & (u64::MAX >> (63 - end)) & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
+    let x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
+    let x = ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff);
+    Some((x, (end as usize + 1) / 8))
 }
 
 /// Bounds-checked little reader over a byte slice.
