@@ -29,13 +29,14 @@
 //!
 //! The one recording itself runs on `mim-isa`'s block-compiled engine
 //! ([`Trace::record`]'s two streams map directly onto its
-//! `cond_branch`/`mem_access` hooks), sustaining ≥5× the per-step
-//! interpreter's throughput; replay then streams events ~2.5× faster
-//! than interpreted re-execution (no register file, no data memory, no
-//! ALU). Both are measured by the `trace_replay_throughput` bench in
-//! `mim-bench` and tracked in `BENCH_trace.json` — and, the bigger win,
-//! a design-space sweep amortizes the one recording over every design
-//! point instead of re-executing per point.
+//! `cond_branch`/`mem_access` hooks, which write the encoded streams as
+//! the program runs), held to ≥5× the per-step interpreter's
+//! throughput; replay then streams events faster than interpreted
+//! re-execution (no register file, no data memory, no ALU). Both are
+//! measured by the `trace_replay_throughput` bench in `mim-bench` and
+//! tracked in `BENCH_trace.json` — and, the bigger win, a design-space
+//! sweep amortizes the one recording over every design point instead of
+//! re-executing per point.
 //!
 //! ## Example: record once, replay everywhere
 //!
