@@ -69,7 +69,6 @@ fn main() -> std::io::Result<()> {
         .workloads(workloads)
         .size(WorkloadSize::Small)
         .evaluators([EvalKind::Model, EvalKind::Ooo])
-        .rob_size(128)
         .run()
         .expect("experiment");
 

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use mim_core::DesignSpace;
-use mim_runner::{parallel_map, EvalKind, WorkloadSpec, WorkloadStore};
+use mim_runner::{parallel_map, EvalKind, EvalOptions, WorkloadSpec, WorkloadStore};
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
@@ -172,13 +172,11 @@ pub struct Exploration {
     workloads: Vec<WorkloadSpec>,
     weights: Option<Vec<f64>>,
     size: WorkloadSize,
-    limit: Option<u64>,
     objectives: Vec<Objective>,
     strategy: Box<dyn SearchStrategy>,
     kind: EvalKind,
-    energy: bool,
+    options: EvalOptions,
     threads: usize,
-    cache: WorkloadStore,
     sim_verify: Option<f64>,
 }
 
@@ -192,13 +190,11 @@ impl Exploration {
             workloads: Vec::new(),
             weights: None,
             size: WorkloadSize::Small,
-            limit: None,
             objectives: Vec::new(),
             strategy: Box::new(Exhaustive),
             kind: EvalKind::Model,
-            energy: false,
+            options: EvalOptions::default(),
             threads: 0,
-            cache: WorkloadStore::new(),
             sim_verify: None,
         }
     }
@@ -245,9 +241,10 @@ impl Exploration {
         self
     }
 
-    /// Truncates every profile/simulation to `limit` retired instructions.
-    pub fn limit(mut self, limit: u64) -> Exploration {
-        self.limit = Some(limit);
+    /// Truncates every profile/simulation to `limit` retired instructions
+    /// (a number, or an `Option` where `None` runs to the end).
+    pub fn limit(mut self, limit: impl Into<Option<u64>>) -> Exploration {
+        self.options.limit = limit.into();
         self
     }
 
@@ -281,7 +278,7 @@ impl Exploration {
     ///
     /// [`EvalResult::energy`]: mim_runner::EvalResult::energy
     pub fn energy(mut self, energy: bool) -> Exploration {
-        self.energy = energy;
+        self.options.energy = energy;
         self
     }
 
@@ -310,12 +307,12 @@ impl Exploration {
     /// The exploration's shared profile cache (hand it to other
     /// experiments to reuse the same one-pass profiles).
     pub fn profile_cache(&self) -> WorkloadStore {
-        self.cache.clone()
+        self.options.store.clone()
     }
 
     /// Replaces the profile cache with a shared one.
     pub fn with_cache(mut self, cache: WorkloadStore) -> Exploration {
-        self.cache = cache;
+        self.options.store = cache;
         self
     }
 
@@ -359,7 +356,10 @@ impl Exploration {
                 weights.iter().map(|w| w / total).collect()
             }
         };
-        let energy = self.energy || self.objectives.iter().any(Objective::needs_energy);
+        let options = EvalOptions {
+            energy: self.options.energy || self.objectives.iter().any(Objective::needs_energy),
+            ..self.options.clone()
+        };
         let threads = if self.threads > 0 {
             self.threads
         } else {
@@ -376,7 +376,7 @@ impl Exploration {
         if self.sim_verify.is_some() || self.kind != EvalKind::Model {
             let warmed: Vec<Result<(), ExploreError>> =
                 parallel_map(threads, &self.workloads, |_, spec| {
-                    self.cache.trace(spec, self.size, self.limit)?;
+                    options.store.trace(spec, self.size, options.limit)?;
                     Ok(())
                 });
             for outcome in warmed {
@@ -391,10 +391,8 @@ impl Exploration {
             workloads: self.workloads.clone(),
             weights: weights.clone(),
             size: self.size,
-            limit: self.limit,
             kind: self.kind,
-            energy,
-            cache: self.cache.clone(),
+            options: options.clone(),
             objectives: self.objectives.clone(),
             threads,
         };
@@ -443,7 +441,7 @@ impl Exploration {
                 &evaluated,
                 objective_names.clone(),
                 &weights,
-                energy,
+                &options,
                 threads,
             )?),
         };
@@ -460,7 +458,7 @@ impl Exploration {
                 .map(|w| w.name().to_string())
                 .collect(),
             size: self.size.to_string(),
-            limit: self.limit,
+            limit: options.limit,
             space_points: self.space.len(),
             evaluated,
             frontier,
@@ -480,7 +478,7 @@ impl Exploration {
         evaluated: &[EvaluatedPoint],
         objective_names: Vec<String>,
         weights: &[f64],
-        energy: bool,
+        options: &EvalOptions,
         threads: usize,
     ) -> Result<HybridReport, ExploreError> {
         let model_scores: Vec<Vec<f64>> = evaluated.iter().map(|p| p.scores.clone()).collect();
@@ -490,10 +488,8 @@ impl Exploration {
             workloads: self.workloads.clone(),
             weights: weights.to_vec(),
             size: self.size,
-            limit: self.limit,
             kind: EvalKind::Sim,
-            energy,
-            cache: self.cache.clone(),
+            options: options.clone(),
             objectives: self.objectives.clone(),
             threads,
         };

@@ -7,11 +7,8 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use mim_core::{DesignPoint, DesignSpace};
-use mim_runner::{
-    EvalKind, EvalResult, Evaluator, Experiment, ModelEvaluator, OooEvaluator, Sampling,
-    SimEvaluator, WorkloadSpec, WorkloadStore,
-};
+use mim_core::DesignSpace;
+use mim_runner::{EvalKind, EvalOptions, Experiment, WorkloadSpec};
 use mim_workloads::WorkloadSize;
 
 use crate::error::ExploreError;
@@ -31,41 +28,13 @@ pub(crate) struct PointScorer {
     pub(crate) workloads: Vec<WorkloadSpec>,
     pub(crate) weights: Vec<f64>,
     pub(crate) size: WorkloadSize,
-    pub(crate) limit: Option<u64>,
     pub(crate) kind: EvalKind,
-    pub(crate) energy: bool,
-    pub(crate) cache: WorkloadStore,
+    pub(crate) options: EvalOptions,
     pub(crate) objectives: Vec<Objective>,
     pub(crate) threads: usize,
 }
 
 impl PointScorer {
-    fn evaluate_cell(
-        &self,
-        spec: &WorkloadSpec,
-        point: &DesignPoint,
-    ) -> Result<EvalResult, ExploreError> {
-        let result = match self.kind {
-            EvalKind::Model => ModelEvaluator::for_point(&self.space, point)
-                .with_cache(self.cache.clone())
-                .with_limit(self.limit)
-                .with_energy(self.energy)
-                .evaluate(spec, self.size)?,
-            EvalKind::Sim | EvalKind::Sampled => SimEvaluator::for_point(&self.space, point)
-                .with_sampling((self.kind == EvalKind::Sampled).then(Sampling::default_plan))
-                .with_cache(self.cache.clone())
-                .with_limit(self.limit)
-                .with_energy(self.energy)
-                .evaluate(spec, self.size)?,
-            EvalKind::Ooo => OooEvaluator::for_point(&self.space, point)
-                .with_cache(self.cache.clone())
-                .with_limit(self.limit)
-                .with_energy(self.energy)
-                .evaluate(spec, self.size)?,
-        };
-        Ok(result)
-    }
-
     /// Scores one design point: per-objective weighted mean across the
     /// exploration's workloads.
     pub(crate) fn score_point(&self, index: usize) -> Result<Vec<f64>, ExploreError> {
@@ -75,9 +44,10 @@ impl PointScorer {
                 self.space.len()
             ))
         })?;
+        let evaluator = self.options.build(self.kind, &self.space, &point);
         let mut sums = vec![0.0; self.objectives.len()];
         for (spec, &weight) in self.workloads.iter().zip(&self.weights) {
-            let result = self.evaluate_cell(spec, &point)?;
+            let result = evaluator.evaluate(spec, self.size)?;
             for (sum, objective) in sums.iter_mut().zip(&self.objectives) {
                 *sum += weight * objective.score(&result, &point.machine)?;
             }
@@ -169,19 +139,18 @@ impl<'a> SearchSpace<'a> {
     /// Returns an [`ExploreError`] if any cell fails.
     pub fn evaluate_all(&self) -> Result<(), ExploreError> {
         let scorer = self.scorer;
-        let mut experiment = Experiment::new()
+        let report = Experiment::new()
             .title("exhaustive exploration grid")
             .workloads(scorer.workloads.iter().cloned())
             .size(scorer.size)
+            .limit(scorer.options.limit)
             .design_space(scorer.space.clone())
             .evaluators([scorer.kind])
-            .energy(scorer.energy)
+            .sampling(scorer.options.sampling)
+            .energy(scorer.options.energy)
             .threads(scorer.threads)
-            .with_cache(scorer.cache.clone());
-        if let Some(limit) = scorer.limit {
-            experiment = experiment.limit(limit);
-        }
-        let report = experiment.run()?;
+            .with_cache(scorer.options.store.clone())
+            .run()?;
         // One linear pass over the grid's rows (indexing rows by point
         // keeps a 10,000-point space from going quadratic here).
         let machines: Vec<_> = scorer.space.points().map(|p| p.machine).collect();

@@ -7,8 +7,10 @@ use mim_bpred::PredictorConfig;
 use mim_cache::CacheConfig;
 use mim_core::{DesignSpace, MachineConfig};
 use mim_explore::{
-    dominates, pareto_indices, Anneal, Exploration, ExplorationReport, GreedyAscent, Objective,
+    dominates, pareto_indices, Anneal, Exploration, ExplorationReport, ExploreError, GreedyAscent,
+    Objective, SearchSpace, SearchStrategy,
 };
+use mim_runner::EvalKind;
 use mim_workloads::{mibench, WorkloadSize};
 use proptest::prelude::*;
 
@@ -101,6 +103,48 @@ fn exhaustive_reports_are_deterministic_and_round_trip() {
     let round = ExplorationReport::from_json(&serial.to_json()).expect("parse back");
     assert_eq!(round.to_json(), serial.to_json(), "stable re-serialization");
     assert_eq!(round.frontier, serial.frontier);
+}
+
+/// Scores every point one at a time through `SearchSpace::evaluate`, the
+/// per-point path greedy ascent and annealing take.
+struct EveryPoint;
+
+impl SearchStrategy for EveryPoint {
+    fn name(&self) -> String {
+        "every-point".into()
+    }
+
+    fn search(&self, space: &SearchSpace) -> Result<(), ExploreError> {
+        for index in 0..space.len() {
+            space.evaluate(index)?;
+        }
+        Ok(())
+    }
+}
+
+/// The per-point path and the exhaustive grid build their evaluators the
+/// same way, so they score every point identically for each evaluator.
+#[test]
+fn per_point_scores_match_the_exhaustive_grid() {
+    for kind in [EvalKind::Model, EvalKind::Sim, EvalKind::Sampled] {
+        let run = |per_point: bool| {
+            let exploration = Exploration::new(width_space())
+                .workloads([mibench::sha(), mibench::crc32()])
+                .size(WorkloadSize::Tiny)
+                .evaluator(kind)
+                .objectives([Objective::delay(), Objective::energy()])
+                .threads(1);
+            let exploration = if per_point {
+                exploration.strategy(EveryPoint)
+            } else {
+                exploration
+            };
+            exploration.run().expect("exploration")
+        };
+        let (grid, per_point) = (run(false), run(true));
+        assert_eq!(grid.evaluated.len(), 4, "{kind}: every width evaluated");
+        assert_eq!(grid.evaluated, per_point.evaluated, "{kind}");
+    }
 }
 
 /// Weighted aggregation: degenerate weights reproduce a single-workload

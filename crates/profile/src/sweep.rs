@@ -308,14 +308,12 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Creates a profiler matching one machine configuration.
+    /// Creates a profiler matching one machine configuration: the
+    /// one-point space [`DesignSpace::new(machine)`](mim_core::DesignSpace::new).
     pub fn new(machine: &MachineConfig) -> Profiler {
+        let space = mim_core::DesignSpace::new(machine.clone());
         Profiler {
-            sweep: SweepProfiler::new(
-                machine.hierarchy.clone(),
-                vec![machine.hierarchy.l2.clone()],
-                vec![machine.predictor.clone()],
-            ),
+            sweep: SweepProfiler::for_design_space(&space),
         }
     }
 

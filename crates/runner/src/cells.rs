@@ -16,9 +16,9 @@
 //! workload name, size, instruction limit, the **full** serialized
 //! [`MachineConfig`] (not [`MachineConfig::id`], which elides latencies),
 //! the evaluator name, and the evaluator knobs that change results
-//! (energy, ROB size, timeline interval). Two jobs that describe the same cell differently
-//! (e.g. different design-space objects covering the same point) still
-//! share one entry.
+//! (energy, timeline interval). Two jobs that describe the same cell
+//! differently (e.g. different design-space objects covering the same
+//! point) still share one entry.
 
 use std::sync::{Arc, Mutex};
 
@@ -151,7 +151,6 @@ impl CellMemo {
     /// `timeline` is the per-interval CPI-timeline width when the
     /// experiment requests one — part of the key because a cached result
     /// carries (or lacks) the timeline it was computed with.
-    #[allow(clippy::too_many_arguments)]
     pub fn key(
         workload: &str,
         size: WorkloadSize,
@@ -159,12 +158,11 @@ impl CellMemo {
         machine: &MachineConfig,
         evaluator: &str,
         energy: bool,
-        rob_size: u32,
         timeline: Option<u64>,
     ) -> u64 {
         let config = serde_json::to_string(machine).expect("config serialization is infallible");
         let text = format!(
-            "{workload}\u{1f}{size}\u{1f}{}\u{1f}{evaluator}\u{1f}{energy}\u{1f}{rob_size}\u{1f}{}\u{1f}{config}",
+            "{workload}\u{1f}{size}\u{1f}{}\u{1f}{evaluator}\u{1f}{energy}\u{1f}{}\u{1f}{config}",
             limit.map_or(u64::MAX, |l| l),
             timeline.map_or(0, |t| t),
         );
@@ -314,14 +312,14 @@ mod tests {
     fn keys_are_content_addressed() {
         let tiny = WorkloadSize::Tiny;
         let base = MachineConfig::default_config();
-        let k1 = CellMemo::key("sha", tiny, None, &base, "model", false, 128, None);
-        let k2 = CellMemo::key("sha", tiny, None, &base, "model", false, 128, None);
+        let k1 = CellMemo::key("sha", tiny, None, &base, "model", false, None);
+        let k2 = CellMemo::key("sha", tiny, None, &base, "model", false, None);
         assert_eq!(k1, k2);
         // Any differing component changes the key.
         let mut wide = base.clone();
         wide.width += 1;
         for other in [
-            CellMemo::key("crc", tiny, None, &base, "model", false, 128, None),
+            CellMemo::key("crc", tiny, None, &base, "model", false, None),
             CellMemo::key(
                 "sha",
                 WorkloadSize::Small,
@@ -329,15 +327,13 @@ mod tests {
                 &base,
                 "model",
                 false,
-                128,
                 None,
             ),
-            CellMemo::key("sha", tiny, Some(9), &base, "model", false, 128, None),
-            CellMemo::key("sha", tiny, None, &wide, "model", false, 128, None),
-            CellMemo::key("sha", tiny, None, &base, "sim", false, 128, None),
-            CellMemo::key("sha", tiny, None, &base, "model", true, 128, None),
-            CellMemo::key("sha", tiny, None, &base, "ooo", false, 64, None),
-            CellMemo::key("sha", tiny, None, &base, "sim", false, 128, Some(10_000)),
+            CellMemo::key("sha", tiny, Some(9), &base, "model", false, None),
+            CellMemo::key("sha", tiny, None, &wide, "model", false, None),
+            CellMemo::key("sha", tiny, None, &base, "sim", false, None),
+            CellMemo::key("sha", tiny, None, &base, "model", true, None),
+            CellMemo::key("sha", tiny, None, &base, "sim", false, Some(10_000)),
         ] {
             assert_ne!(k1, other);
         }

@@ -1,22 +1,26 @@
-//! The object-safe [`Evaluator`] trait and its three implementations.
+//! The object-safe [`Evaluator`] trait and its one built-in
+//! implementation, the evaluator builder [`Evaluation`].
 //!
 //! Every evaluator maps `(workload, size)` to a unified [`EvalResult`];
 //! model-vs-simulation comparison is a generic diff of two results rather
-//! than bespoke per-binary wiring. All three implementations share a
-//! [`WorkloadStore`], so a workload is functionally executed exactly once
-//! per sweep — recorded into a trace that is replayed for profiling,
-//! simulation, and MLP estimation alike, no matter how many evaluators
-//! and design points consume it (the paper's §2.1 framework applied to
-//! the whole stack).
+//! than bespoke per-binary wiring. [`ModelEvaluator`], [`SimEvaluator`]
+//! and [`OooEvaluator`] are [`Evaluation`] with different methods, each
+//! scoring one point of a design space (a single machine is the
+//! one-point space [`DesignSpace::new`]); [`EvalOptions::build`] turns an
+//! [`EvalKind`] into one. All share a [`WorkloadStore`], so a workload is
+//! functionally executed exactly once per sweep — recorded into a trace
+//! that is replayed for profiling, simulation, and MLP estimation alike,
+//! no matter how many evaluators and design points consume it (the
+//! paper's §2.1 framework applied to the whole stack).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use mim_bpred::PredictorConfig;
-use mim_cache::{CacheConfig, HierarchyConfig};
+use mim_cache::{CacheConfig, HierarchyConfig, MissCounts};
 use mim_core::{
-    CpiStack, DesignPoint, DesignSpace, MachineConfig, MechanisticModel, ModelInputs, OooConfig,
-    OooModel, StackComponent,
+    CpiStack, CpiTimeline, DesignPoint, DesignSpace, MachineConfig, MechanisticModel, ModelInputs,
+    OooConfig, OooModel, StackComponent,
 };
 use mim_pipeline::{PipelineSim, SimResult};
 use mim_power::{Activity, EnergyModel};
@@ -31,9 +35,10 @@ use crate::store::WorkloadStore;
 /// An object-safe performance evaluator: anything that can score a
 /// workload on its machine configuration.
 ///
-/// Implementations are [`ModelEvaluator`] (the mechanistic model),
-/// [`SimEvaluator`] (cycle-accurate simulation) and [`OooEvaluator`] (the
-/// out-of-order interval model); downstream code can add its own.
+/// The built-in implementations are [`ModelEvaluator`] (the mechanistic
+/// model), [`SimEvaluator`] (cycle-accurate simulation, full or sampled)
+/// and [`OooEvaluator`] (the out-of-order interval model); downstream
+/// code can add its own.
 ///
 /// # Example
 ///
@@ -74,7 +79,8 @@ pub trait Evaluator: Send + Sync {
 }
 
 /// The (hierarchy, candidate-lists, selected-indices) context that lets an
-/// evaluator share one profiling pass across an entire design space.
+/// evaluator share one profiling pass across an entire design space: all
+/// candidates are profiled once, and this point's are selected.
 #[derive(Clone)]
 struct SweepContext {
     hierarchy: HierarchyConfig,
@@ -84,173 +90,321 @@ struct SweepContext {
     predictor_index: usize,
 }
 
-impl SweepContext {
-    /// Degenerate context: profile exactly this machine's L2/predictor.
-    fn single(machine: &MachineConfig) -> SweepContext {
-        SweepContext {
-            hierarchy: machine.hierarchy.clone(),
-            l2s: vec![machine.hierarchy.l2.clone()],
-            predictors: vec![machine.predictor.clone()],
-            l2_index: 0,
-            predictor_index: 0,
-        }
-    }
-
-    /// Context for one point of a design space: profile all candidates
-    /// once, select this point's.
-    fn for_point(space: &DesignSpace, point: &DesignPoint) -> SweepContext {
-        SweepContext {
-            hierarchy: space.base().hierarchy.clone(),
-            l2s: space.l2_configs().to_vec(),
-            predictors: space.predictor_configs().to_vec(),
-            l2_index: point.l2_index,
-            predictor_index: point.predictor_index,
-        }
-    }
-
-    fn inputs(
-        &self,
-        store: &WorkloadStore,
-        spec: &WorkloadSpec,
-        size: WorkloadSize,
-        limit: Option<u64>,
-    ) -> Result<ModelInputs, EvalError> {
-        let profile = store.profile(
-            spec,
-            size,
-            limit,
-            &self.hierarchy,
-            &self.l2s,
-            &self.predictors,
-        )?;
-        Ok(profile.inputs_for(self.l2_index, self.predictor_index))
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn result_from_stack(
-    spec: &WorkloadSpec,
-    name: &str,
-    kind: EvalKind,
-    machine: &MachineConfig,
-    machine_index: usize,
-    inputs: &ModelInputs,
-    stack: CpiStack,
-    energy: bool,
-    wall_seconds: f64,
-) -> EvalResult {
-    let energy = energy.then(|| {
-        EnergyModel::new(machine).evaluate(&Activity::from_model(inputs, stack.total_cycles()))
-    });
-    EvalResult {
-        workload: spec.name().to_string(),
-        evaluator: name.to_string(),
-        kind,
-        machine_id: machine.id(),
-        machine_index,
-        instructions: inputs.num_insts,
-        cycles: stack.total_cycles(),
-        cpi: stack.cpi(),
-        misses: Some(inputs.misses),
-        branch: Some(BranchSummary {
-            branches: inputs.branch.branches,
-            mispredicts: inputs.branch.mispredicts,
-            taken_correct: inputs.branch.taken_correct,
-        }),
-        stack: Some(stack),
-        energy,
-        sampling: None,
-        timeline: None,
-        wall_seconds,
-    }
-}
-
-/// Transformation applied to the profiled [`ModelInputs`] before the model
-/// evaluates them — the per-term *profile swap hook*.
-///
-/// Differential validation uses it to substitute externally measured
-/// statistics (e.g. the simulator's miss counts) into the profile one term
-/// at a time, isolating how much of a model-vs-simulation disagreement is
-/// a *measurement* difference versus an *approximation* difference.
-pub type InputsMap = Arc<dyn Fn(ModelInputs) -> ModelInputs + Send + Sync>;
-
-/// Evaluates workloads with the paper's mechanistic in-order model: one
-/// cached profiling pass, then closed-form prediction per design point.
+/// The options every built-in evaluator of one run shares. An
+/// [`Experiment`](crate::Experiment) holds one, and so does a design-space
+/// search; both turn an [`EvalKind`] into an evaluator through
+/// [`build`](EvalOptions::build).
 #[derive(Clone)]
-pub struct ModelEvaluator {
+pub struct EvalOptions {
+    /// The shared recordings and profiles.
+    pub store: WorkloadStore,
+    /// Retired-instruction budget per evaluation (`None`: run to the end).
+    pub limit: Option<u64>,
+    /// Also evaluate the energy model, populating [`EvalResult::energy`].
+    pub energy: bool,
+    /// The plan of [`EvalKind::Sampled`] evaluators.
+    pub sampling: Sampling,
+    /// CPI-timeline interval of the two simulator kinds (`None`: no
+    /// timeline).
+    pub timeline: Option<u64>,
+}
+
+impl Default for EvalOptions {
+    /// A fresh store, no limit, no energy, no timeline, and the default
+    /// 1-in-10 sampling plan ([`Sampling::default_plan`]).
+    fn default() -> EvalOptions {
+        EvalOptions {
+            store: WorkloadStore::new(),
+            limit: None,
+            energy: false,
+            sampling: Sampling::default_plan(),
+            timeline: None,
+        }
+    }
+}
+
+impl EvalOptions {
+    /// Builds the built-in evaluator of `kind` for one point of `space`.
+    pub fn build(
+        &self,
+        kind: EvalKind,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> Arc<dyn Evaluator> {
+        match kind {
+            EvalKind::Model => Arc::new(self.share(ModelEvaluator::for_point(space, point))),
+            EvalKind::Sim | EvalKind::Sampled => Arc::new(
+                self.share(SimEvaluator::for_point(space, point))
+                    .with_sampling((kind == EvalKind::Sampled).then_some(self.sampling))
+                    .with_timeline(self.timeline),
+            ),
+            EvalKind::Ooo => Arc::new(self.share(OooEvaluator::for_point(space, point))),
+        }
+    }
+
+    fn share<M: Method>(&self, evaluation: Evaluation<M>) -> Evaluation<M> {
+        evaluation
+            .with_cache(self.store.clone())
+            .with_limit(self.limit)
+            .with_energy(self.energy)
+    }
+}
+
+/// How an [`Evaluation`] measures a workload: the part of an evaluator
+/// that differs between the model, the simulator and the out-of-order
+/// model.
+pub trait Method: Clone + Default + Send + Sync + 'static {
+    /// The evaluator family this method reports; its label is the
+    /// evaluator's name until [`with_name`](Evaluation::with_name) (or a
+    /// sampling plan) overrides it.
+    fn kind(&self) -> EvalKind;
+
+    /// Measures one workload at one size on `evaluation`'s machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EvalError`] if the program faults while profiling or
+    /// simulating.
+    fn measure(
+        evaluation: &Evaluation<Self>,
+        workload: &WorkloadSpec,
+        size: WorkloadSize,
+    ) -> Result<Measurement, EvalError>;
+}
+
+/// The method-specific part of an [`EvalResult`], which [`Evaluation`]
+/// completes with the workload, evaluator and machine it names.
+pub struct Measurement {
+    instructions: u64,
+    cycles: f64,
+    cpi: f64,
+    stack: Option<CpiStack>,
+    misses: MissCounts,
+    branch: BranchSummary,
+    /// The activity the energy model charges, when energy is on.
+    activity: Option<Activity>,
+    sampling: Option<SamplingSummary>,
+    timeline: Option<CpiTimeline>,
+}
+
+impl Measurement {
+    /// An analytical model's prediction over profiled inputs.
+    fn from_stack(inputs: &ModelInputs, stack: CpiStack, energy: bool) -> Measurement {
+        Measurement {
+            instructions: inputs.num_insts,
+            cycles: stack.total_cycles(),
+            cpi: stack.cpi(),
+            misses: inputs.misses,
+            branch: BranchSummary {
+                branches: inputs.branch.branches,
+                mispredicts: inputs.branch.mispredicts,
+                taken_correct: inputs.branch.taken_correct,
+            },
+            activity: energy.then(|| Activity::from_model(inputs, stack.total_cycles())),
+            stack: Some(stack),
+            sampling: None,
+            timeline: None,
+        }
+    }
+}
+
+/// An evaluator: one machine (a point of a design space) scored by
+/// method `M`. [`ModelEvaluator`], [`SimEvaluator`] and [`OooEvaluator`]
+/// name its three methods.
+#[derive(Clone)]
+pub struct Evaluation<M> {
     machine: MachineConfig,
     sweep: SweepContext,
     store: WorkloadStore,
     limit: Option<u64>,
     name: String,
-    ablated: Vec<StackComponent>,
     energy: bool,
-    inputs_map: Option<InputsMap>,
+    method: M,
 }
 
-impl ModelEvaluator {
-    /// Model evaluator for a single machine configuration.
-    pub fn new(machine: &MachineConfig) -> ModelEvaluator {
-        ModelEvaluator {
-            machine: machine.clone(),
-            sweep: SweepContext::single(machine),
-            store: WorkloadStore::new(),
-            limit: None,
-            name: EvalKind::Model.label().to_string(),
-            ablated: Vec::new(),
-            energy: false,
-            inputs_map: None,
-        }
+/// Evaluates workloads with the paper's mechanistic in-order model: one
+/// cached profiling pass, then closed-form prediction per design point.
+pub type ModelEvaluator = Evaluation<Model>;
+
+/// Evaluates workloads with the cycle-accurate in-order pipeline
+/// simulator — the "detailed simulation" reference the model is validated
+/// against — in full, or sampled under a plan
+/// ([`with_sampling`](Evaluation::with_sampling)).
+///
+/// A sampled evaluator runs detailed timing on the plan's periodic
+/// windows, functionally warms caches and the branch predictor between
+/// them, and reports a CLT 95% confidence interval over per-unit CPIs in
+/// [`EvalResult::sampling`]. When the shared [`WorkloadStore`] has a
+/// persistent [`DiskStore`] attached, a sampled evaluator replays the
+/// trace **incrementally from disk** ([`DiskStore::stream_trace`]) so
+/// evaluation memory stays bounded by the stream's fixed windows — the
+/// path for streams too long to materialize. Otherwise it replays the
+/// store's in-memory recording; both paths walk byte-identical event
+/// streams.
+///
+/// [`DiskStore`]: crate::DiskStore
+/// [`DiskStore::stream_trace`]: crate::DiskStore::stream_trace
+pub type SimEvaluator = Evaluation<Sim>;
+
+/// Evaluates workloads with the first-order out-of-order interval model
+/// (Eyerman et al.), the paper's §6.1 comparator, with the paper's
+/// 128-entry window ([`OooConfig::default_config`]). Memory-level
+/// parallelism is estimated per workload from the program itself.
+pub type OooEvaluator = Evaluation<Ooo>;
+
+impl<M: Method> Evaluation<M> {
+    /// Evaluator for a single machine configuration: the one point of
+    /// [`DesignSpace::new(machine)`](DesignSpace::new).
+    pub fn new(machine: &MachineConfig) -> Evaluation<M> {
+        let space = DesignSpace::new(machine.clone());
+        let point = space.point_at(0).expect("a one-point space has point 0");
+        Evaluation::for_point(&space, &point)
     }
 
-    /// Model evaluator for one point of a design space. All points of the
-    /// same space share a single recording + profiling pass per workload
-    /// (provided they share a [`WorkloadStore`], see [`with_cache`]).
-    ///
-    /// [`with_cache`]: ModelEvaluator::with_cache
-    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> ModelEvaluator {
-        ModelEvaluator {
+    /// Evaluator for one point of a design space. All points of the same
+    /// space share a single recording + profiling pass per workload
+    /// (provided they share a [`WorkloadStore`], see
+    /// [`with_cache`](Evaluation::with_cache)).
+    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> Evaluation<M> {
+        let method = M::default();
+        Evaluation {
             machine: point.machine.clone(),
-            sweep: SweepContext::for_point(space, point),
+            sweep: SweepContext {
+                hierarchy: space.base().hierarchy.clone(),
+                l2s: space.l2_configs().to_vec(),
+                predictors: space.predictor_configs().to_vec(),
+                l2_index: point.l2_index,
+                predictor_index: point.predictor_index,
+            },
             store: WorkloadStore::new(),
             limit: None,
-            name: EvalKind::Model.label().to_string(),
-            ablated: Vec::new(),
+            name: method.kind().label().to_string(),
             energy: false,
-            inputs_map: None,
+            method,
         }
     }
 
     /// Shares a workload store (recordings + profiles) with other
     /// evaluators.
-    pub fn with_cache(mut self, store: WorkloadStore) -> ModelEvaluator {
+    pub fn with_cache(mut self, store: WorkloadStore) -> Evaluation<M> {
         self.store = store;
         self
     }
 
-    /// Truncates profiling to `limit` retired instructions.
-    pub fn with_limit(mut self, limit: Option<u64>) -> ModelEvaluator {
+    /// Truncates profiling and the simulated stream to `limit` retired
+    /// instructions.
+    pub fn with_limit(mut self, limit: Option<u64>) -> Evaluation<M> {
         self.limit = limit;
         self
     }
 
     /// Overrides the evaluator's display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> ModelEvaluator {
+    pub fn with_name(mut self, name: impl Into<String>) -> Evaluation<M> {
         self.name = name.into();
         self
     }
 
-    /// Zeroes the given penalty terms before summing the stack (the
-    /// ablation study's knob).
-    pub fn with_ablation(mut self, ablated: Vec<StackComponent>) -> ModelEvaluator {
-        self.ablated = ablated;
+    /// Also evaluates the energy model, populating
+    /// [`EvalResult::energy`] (a simulator profiles the workload for the
+    /// instruction mix the energy model needs).
+    pub fn with_energy(mut self, energy: bool) -> Evaluation<M> {
+        self.energy = energy;
         self
     }
 
-    /// Also evaluates the energy model, populating
-    /// [`EvalResult::energy`].
-    pub fn with_energy(mut self, energy: bool) -> ModelEvaluator {
-        self.energy = energy;
+    /// This point's profiled model inputs, from the store's one profiling
+    /// pass over every candidate of the space.
+    fn inputs(&self, spec: &WorkloadSpec, size: WorkloadSize) -> Result<ModelInputs, EvalError> {
+        let sweep = &self.sweep;
+        let profile = self.store.profile(
+            spec,
+            size,
+            self.limit,
+            &sweep.hierarchy,
+            &sweep.l2s,
+            &sweep.predictors,
+        )?;
+        Ok(profile.inputs_for(sweep.l2_index, sweep.predictor_index))
+    }
+}
+
+impl<M: Method> Evaluator for Evaluation<M> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn kind(&self) -> EvalKind {
+        self.method.kind()
+    }
+
+    fn evaluate(
+        &self,
+        workload: &WorkloadSpec,
+        size: WorkloadSize,
+    ) -> Result<EvalResult, EvalError> {
+        let t0 = Instant::now();
+        let measured = M::measure(self, workload, size)?;
+        Ok(EvalResult {
+            workload: workload.name().to_string(),
+            evaluator: self.name.clone(),
+            kind: self.kind(),
+            machine_id: self.machine.id(),
+            machine_index: 0,
+            instructions: measured.instructions,
+            cycles: measured.cycles,
+            cpi: measured.cpi,
+            stack: measured.stack,
+            misses: Some(measured.misses),
+            branch: Some(measured.branch),
+            energy: measured
+                .activity
+                .map(|activity| EnergyModel::new(&self.machine).evaluate(&activity)),
+            sampling: measured.sampling,
+            timeline: measured.timeline,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+        })
+    }
+}
+
+/// The mechanistic model method of [`ModelEvaluator`]: the ablated
+/// penalty terms and the profile-swap hook
+/// ([`with_inputs_map`](Evaluation::with_inputs_map)).
+#[derive(Clone, Default)]
+pub struct Model {
+    ablated: Vec<StackComponent>,
+    inputs_map: Option<Arc<dyn Fn(ModelInputs) -> ModelInputs + Send + Sync>>,
+}
+
+impl Method for Model {
+    fn kind(&self) -> EvalKind {
+        EvalKind::Model
+    }
+
+    fn measure(
+        evaluation: &ModelEvaluator,
+        workload: &WorkloadSpec,
+        size: WorkloadSize,
+    ) -> Result<Measurement, EvalError> {
+        let mut inputs = evaluation.inputs(workload, size)?;
+        let method = &evaluation.method;
+        if let Some(map) = &method.inputs_map {
+            inputs = map(inputs);
+        }
+        let model = MechanisticModel::new(&evaluation.machine);
+        let stack = if method.ablated.is_empty() {
+            model.predict(&inputs)
+        } else {
+            model.predict_ablated(&inputs, &method.ablated)
+        };
+        Ok(Measurement::from_stack(&inputs, stack, evaluation.energy))
+    }
+}
+
+impl ModelEvaluator {
+    /// Zeroes the given penalty terms before summing the stack (the
+    /// ablation study's knob).
+    pub fn with_ablation(mut self, ablated: Vec<StackComponent>) -> ModelEvaluator {
+        self.method.ablated = ablated;
         self
     }
 
@@ -287,111 +441,26 @@ impl ModelEvaluator {
         mut self,
         map: impl Fn(ModelInputs) -> ModelInputs + Send + Sync + 'static,
     ) -> ModelEvaluator {
-        self.inputs_map = Some(Arc::new(map));
+        self.method.inputs_map = Some(Arc::new(map));
         self
     }
 }
 
-impl Evaluator for ModelEvaluator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> EvalKind {
-        EvalKind::Model
-    }
-
-    fn evaluate(
-        &self,
-        workload: &WorkloadSpec,
-        size: WorkloadSize,
-    ) -> Result<EvalResult, EvalError> {
-        let t0 = Instant::now();
-        let mut inputs = self.sweep.inputs(&self.store, workload, size, self.limit)?;
-        if let Some(map) = &self.inputs_map {
-            inputs = map(inputs);
-        }
-        let model = MechanisticModel::new(&self.machine);
-        let stack = if self.ablated.is_empty() {
-            model.predict(&inputs)
-        } else {
-            model.predict_ablated(&inputs, &self.ablated)
-        };
-        Ok(result_from_stack(
-            workload,
-            &self.name,
-            EvalKind::Model,
-            &self.machine,
-            0,
-            &inputs,
-            stack,
-            self.energy,
-            t0.elapsed().as_secs_f64(),
-        ))
-    }
-}
-
-/// Evaluates workloads with the cycle-accurate in-order pipeline
-/// simulator — the "detailed simulation" reference the model is validated
-/// against — in full, or sampled under a plan
-/// ([`with_sampling`](SimEvaluator::with_sampling)).
-///
-/// A sampled evaluator runs detailed timing on the plan's periodic
-/// windows, functionally warms caches and the branch predictor between
-/// them, and reports a CLT 95% confidence interval over per-unit CPIs in
-/// [`EvalResult::sampling`]. When the shared [`WorkloadStore`] has a
-/// persistent [`DiskStore`] attached, a sampled evaluator replays the
-/// trace **incrementally from disk** ([`DiskStore::stream_trace`]) so
-/// evaluation memory stays bounded by the stream's fixed windows — the
-/// path for streams too long to materialize. Otherwise it replays the
-/// store's in-memory recording; both paths walk byte-identical event
-/// streams.
-///
-/// [`DiskStore`]: crate::DiskStore
-/// [`DiskStore::stream_trace`]: crate::DiskStore::stream_trace
-#[derive(Clone)]
-pub struct SimEvaluator {
-    machine: MachineConfig,
-    sweep: SweepContext,
-    store: WorkloadStore,
-    limit: Option<u64>,
-    name: String,
+/// The simulator method of [`SimEvaluator`]: the sampling plan (`None`
+/// simulates in full) and the CPI-timeline interval.
+#[derive(Clone, Copy, Default)]
+pub struct Sim {
     sampling: Option<Sampling>,
-    energy: bool,
     timeline: Option<u64>,
 }
 
-impl SimEvaluator {
-    /// Full-simulation evaluator for a single machine configuration.
-    pub fn new(machine: &MachineConfig) -> SimEvaluator {
-        SimEvaluator {
-            machine: machine.clone(),
-            sweep: SweepContext::single(machine),
-            store: WorkloadStore::new(),
-            limit: None,
-            name: SimEvaluator::default_name(None),
-            sampling: None,
-            energy: false,
-            timeline: None,
-        }
-    }
-
-    /// Full-simulation evaluator for one point of a design space.
-    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> SimEvaluator {
-        SimEvaluator {
-            machine: point.machine.clone(),
-            sweep: SweepContext::for_point(space, point),
-            ..SimEvaluator::new(&point.machine)
-        }
-    }
-
-    /// The display name an evaluator has until
-    /// [`with_name`](SimEvaluator::with_name) overrides it: `sim`, or for a
-    /// sampled one its plan's geometry (`sampled-p1000-l100-w900-o100`),
-    /// so results from different plans never collide in memoized
-    /// experiment cells.
-    fn default_name(sampling: Option<Sampling>) -> String {
-        match sampling {
+impl Sim {
+    /// The display name of an evaluator whose name was not overridden:
+    /// `sim`, or for a sampled evaluator its plan's geometry
+    /// (`sampled-p1000-l100-w900-o100`), so results from different plans
+    /// never collide in memoized experiment cells.
+    fn default_name(&self) -> String {
+        match self.sampling {
             None => EvalKind::Sim.label().to_string(),
             Some(s) => format!(
                 "sampled-p{}-l{}-w{}-o{}",
@@ -402,42 +471,62 @@ impl SimEvaluator {
             ),
         }
     }
+}
 
-    /// Shares a workload store: the simulator replays the store's one
-    /// recorded execution per workload (and reads the profile from it when
-    /// energy evaluation needs the instruction mix).
-    pub fn with_cache(mut self, store: WorkloadStore) -> SimEvaluator {
-        self.store = store;
-        self
+impl Method for Sim {
+    fn kind(&self) -> EvalKind {
+        if self.sampling.is_some() {
+            EvalKind::Sampled
+        } else {
+            EvalKind::Sim
+        }
     }
 
-    /// Truncates the walked stream to `limit` retired instructions.
-    pub fn with_limit(mut self, limit: Option<u64>) -> SimEvaluator {
-        self.limit = limit;
-        self
+    fn measure(
+        evaluation: &SimEvaluator,
+        workload: &WorkloadSpec,
+        size: WorkloadSize,
+    ) -> Result<Measurement, EvalError> {
+        let sim = evaluation.simulate(workload, size)?;
+        let inputs = evaluation
+            .energy
+            .then(|| evaluation.inputs(workload, size))
+            .transpose()?;
+        Ok(Measurement {
+            instructions: sim.instructions,
+            cycles: sim.cycles as f64,
+            // A sampled run reports the estimator's mean per-unit CPI,
+            // not the rounded cycles/instructions quotient.
+            cpi: sim.sampling.as_ref().map_or(sim.cpi(), |stats| stats.cpi),
+            stack: None,
+            misses: sim.misses,
+            branch: BranchSummary {
+                branches: sim.branches,
+                mispredicts: sim.mispredicts,
+                taken_correct: sim.taken_correct,
+            },
+            activity: inputs.map(|inputs| Activity::from_sim(&sim, &inputs)),
+            sampling: sim.sampling.as_ref().map(|stats| SamplingSummary {
+                units: stats.units,
+                measured_instructions: stats.measured_instructions,
+                fraction: stats.fraction,
+                cpi_ci95: stats.ci_half_width,
+            }),
+            timeline: sim.timeline,
+        })
     }
+}
 
-    /// Overrides the evaluator's display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> SimEvaluator {
-        self.name = name.into();
-        self
-    }
-
+impl SimEvaluator {
     /// Sets (or, with `None`, clears) the sampling plan. A planned
     /// evaluator reports [`EvalKind::Sampled`]; if its name is still the
     /// default one, it is renamed to match the plan.
     pub fn with_sampling(mut self, sampling: Option<Sampling>) -> SimEvaluator {
-        if self.name == SimEvaluator::default_name(self.sampling) {
-            self.name = SimEvaluator::default_name(sampling);
+        let default_name = self.name == self.method.default_name();
+        self.method.sampling = sampling;
+        if default_name {
+            self.name = self.method.default_name();
         }
-        self.sampling = sampling;
-        self
-    }
-
-    /// Also evaluates the energy model (profiles the workload for the
-    /// instruction mix the energy model needs).
-    pub fn with_energy(mut self, energy: bool) -> SimEvaluator {
-        self.energy = energy;
         self
     }
 
@@ -448,7 +537,7 @@ impl SimEvaluator {
     /// width (see [`PipelineSim::with_timeline`]). `None` (the default)
     /// keeps the simulator timeline-free.
     pub fn with_timeline(mut self, interval: Option<u64>) -> SimEvaluator {
-        self.timeline = interval;
+        self.method.timeline = interval;
         self
     }
 
@@ -460,7 +549,7 @@ impl SimEvaluator {
         let trace_error = |e: TraceError| EvalError::trace(workload.name(), &self.name, &e);
         let program = self.store.program(workload, size);
         let mut pipeline = PipelineSim::new(&self.machine);
-        if let Some(interval) = self.timeline {
+        if let Some(interval) = self.method.timeline {
             pipeline = pipeline.with_timeline(interval);
         }
         // A sampled run prefers the persistent store's incremental read
@@ -469,7 +558,7 @@ impl SimEvaluator {
         // — also when the damage only shows during the walk (bytes after
         // the recording are found at its end). The in-memory path then
         // rejects the entry, re-records and rewrites it.
-        if let Some(plan) = self.sampling {
+        if let Some(plan) = self.method.sampling {
             if let Some(stream) = self
                 .store
                 .disk()
@@ -485,69 +574,10 @@ impl SimEvaluator {
         // point.
         let trace = self.store.trace(workload, size, self.limit)?;
         let mut replay = trace.replay(&program).map_err(trace_error)?;
-        if let Some(plan) = self.sampling {
+        if let Some(plan) = self.method.sampling {
             replay = replay.with_sampling(plan);
         }
         pipeline.simulate_source(&mut replay).map_err(trace_error)
-    }
-}
-
-impl Evaluator for SimEvaluator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> EvalKind {
-        if self.sampling.is_some() {
-            EvalKind::Sampled
-        } else {
-            EvalKind::Sim
-        }
-    }
-
-    fn evaluate(
-        &self,
-        workload: &WorkloadSpec,
-        size: WorkloadSize,
-    ) -> Result<EvalResult, EvalError> {
-        let t0 = Instant::now();
-        let sim = self.simulate(workload, size)?;
-        let inputs = if self.energy {
-            Some(self.sweep.inputs(&self.store, workload, size, self.limit)?)
-        } else {
-            None
-        };
-        let energy = inputs.as_ref().map(|inputs| {
-            EnergyModel::new(&self.machine).evaluate(&Activity::from_sim(&sim, inputs))
-        });
-        Ok(EvalResult {
-            workload: workload.name().to_string(),
-            evaluator: self.name.clone(),
-            kind: self.kind(),
-            machine_id: self.machine.id(),
-            machine_index: 0,
-            instructions: sim.instructions,
-            cycles: sim.cycles as f64,
-            // A sampled run reports the estimator's mean per-unit CPI,
-            // not the rounded cycles/instructions quotient.
-            cpi: sim.sampling.as_ref().map_or(sim.cpi(), |stats| stats.cpi),
-            stack: None,
-            misses: Some(sim.misses),
-            branch: Some(BranchSummary {
-                branches: sim.branches,
-                mispredicts: sim.mispredicts,
-                taken_correct: sim.taken_correct,
-            }),
-            energy,
-            sampling: sim.sampling.as_ref().map(|stats| SamplingSummary {
-                units: stats.units,
-                measured_instructions: stats.measured_instructions,
-                fraction: stats.fraction,
-                cpi_ci95: stats.ci_half_width,
-            }),
-            timeline: sim.timeline,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        })
     }
 }
 
@@ -570,135 +600,38 @@ impl SampledSimEvaluator {
     }
 }
 
-/// Evaluates workloads with the first-order out-of-order interval model
-/// (Eyerman et al.), the paper's §6.1 comparator. Memory-level
-/// parallelism is estimated per workload from the program itself unless
-/// fixed with [`with_mlp`](OooEvaluator::with_mlp).
-#[derive(Clone)]
-pub struct OooEvaluator {
-    machine: MachineConfig,
-    sweep: SweepContext,
-    store: WorkloadStore,
-    limit: Option<u64>,
-    name: String,
-    rob_size: u32,
-    fixed_mlp: Option<f64>,
-    energy: bool,
-}
+/// The out-of-order interval-model method of [`OooEvaluator`]; it has no
+/// settings of its own.
+#[derive(Clone, Copy, Default)]
+pub struct Ooo;
 
-impl OooEvaluator {
-    /// Out-of-order evaluator sharing the machine's front end, caches and
-    /// predictor, with the paper's 128-entry window.
-    pub fn new(machine: &MachineConfig) -> OooEvaluator {
-        OooEvaluator {
-            machine: machine.clone(),
-            sweep: SweepContext::single(machine),
-            store: WorkloadStore::new(),
-            limit: None,
-            name: EvalKind::Ooo.label().to_string(),
-            rob_size: 128,
-            fixed_mlp: None,
-            energy: false,
-        }
-    }
-
-    /// Out-of-order evaluator for one point of a design space.
-    pub fn for_point(space: &DesignSpace, point: &DesignPoint) -> OooEvaluator {
-        OooEvaluator {
-            machine: point.machine.clone(),
-            sweep: SweepContext::for_point(space, point),
-            ..OooEvaluator::new(&point.machine)
-        }
-    }
-
-    /// Shares a workload store (recordings + profiles) with other
-    /// evaluators.
-    pub fn with_cache(mut self, store: WorkloadStore) -> OooEvaluator {
-        self.store = store;
-        self
-    }
-
-    /// Truncates profiling to `limit` retired instructions.
-    pub fn with_limit(mut self, limit: Option<u64>) -> OooEvaluator {
-        self.limit = limit;
-        self
-    }
-
-    /// Overrides the evaluator's display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> OooEvaluator {
-        self.name = name.into();
-        self
-    }
-
-    /// Sets the reorder-buffer size (default 128).
-    pub fn with_rob_size(mut self, rob_size: u32) -> OooEvaluator {
-        self.rob_size = rob_size;
-        self
-    }
-
-    /// Fixes the memory-level parallelism instead of estimating it per
-    /// workload.
-    pub fn with_mlp(mut self, mlp: f64) -> OooEvaluator {
-        self.fixed_mlp = Some(mlp);
-        self
-    }
-
-    /// Also evaluates the energy model.
-    pub fn with_energy(mut self, energy: bool) -> OooEvaluator {
-        self.energy = energy;
-        self
-    }
-}
-
-impl Evaluator for OooEvaluator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
+impl Method for Ooo {
     fn kind(&self) -> EvalKind {
         EvalKind::Ooo
     }
 
-    fn evaluate(
-        &self,
+    fn measure(
+        evaluation: &OooEvaluator,
         workload: &WorkloadSpec,
         size: WorkloadSize,
-    ) -> Result<EvalResult, EvalError> {
-        let t0 = Instant::now();
-        let inputs = self.sweep.inputs(&self.store, workload, size, self.limit)?;
-        let mlp = match self.fixed_mlp {
-            Some(mlp) => mlp,
-            None => {
-                let program = self.store.program(workload, size);
-                let trace = self.store.trace(workload, size, self.limit)?;
-                let mut replay = trace
-                    .replay(&program)
-                    .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))?;
-                mim_profile::estimate_mlp_source(
-                    &mut replay,
-                    &self.machine.hierarchy,
-                    self.rob_size,
-                )
-                .map_err(|e| EvalError::trace(workload.name(), &self.name, &e))?
-                .mlp
-            }
-        };
+    ) -> Result<Measurement, EvalError> {
+        let trace_error = |e: TraceError| EvalError::trace(workload.name(), &evaluation.name, &e);
+        let inputs = evaluation.inputs(workload, size)?;
+        let rob_size = OooConfig::default_config().rob_size;
+        let store = &evaluation.store;
+        let program = store.program(workload, size);
+        let trace = store.trace(workload, size, evaluation.limit)?;
+        let mut replay = trace.replay(&program).map_err(trace_error)?;
+        let mlp =
+            mim_profile::estimate_mlp_source(&mut replay, &evaluation.machine.hierarchy, rob_size)
+                .map_err(trace_error)?
+                .mlp;
         let model = OooModel::new(OooConfig {
-            machine: self.machine.clone(),
-            rob_size: self.rob_size,
+            machine: evaluation.machine.clone(),
+            rob_size,
             mlp,
         });
         let stack = model.predict(&inputs);
-        Ok(result_from_stack(
-            workload,
-            &self.name,
-            EvalKind::Ooo,
-            &self.machine,
-            0,
-            &inputs,
-            stack,
-            self.energy,
-            t0.elapsed().as_secs_f64(),
-        ))
+        Ok(Measurement::from_stack(&inputs, stack, evaluation.energy))
     }
 }

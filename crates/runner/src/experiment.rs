@@ -13,7 +13,7 @@ use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
 use crate::cells::CellMemo;
-use crate::evaluator::{Evaluator, ModelEvaluator, OooEvaluator, SimEvaluator};
+use crate::evaluator::{EvalOptions, Evaluator};
 use crate::result::{EvalError, EvalKind, EvalResult};
 use crate::spec::WorkloadSpec;
 use crate::store::WorkloadStore;
@@ -246,24 +246,15 @@ pub struct Experiment {
     title: String,
     workloads: Vec<WorkloadSpec>,
     size: WorkloadSize,
-    limit: Option<u64>,
     machine: MachineConfig,
     space: Option<DesignSpace>,
     stride: usize,
     kinds: Vec<EvalKind>,
     custom: Vec<Arc<dyn Evaluator>>,
-    rob_size: u32,
-    sampling: mim_trace::Sampling,
-    energy: bool,
-    timeline: Option<u64>,
+    options: EvalOptions,
     threads: usize,
-    cache: WorkloadStore,
     cells: Option<CellMemo>,
-    on_cell: Option<CellCallback>,
 }
-
-/// Progress callback fired once per evaluated cell.
-type CellCallback = Arc<dyn Fn(&EvalResult) + Send + Sync>;
 
 impl Default for Experiment {
     fn default() -> Experiment {
@@ -278,20 +269,14 @@ impl Experiment {
             title: String::new(),
             workloads: Vec::new(),
             size: WorkloadSize::Small,
-            limit: None,
             machine: MachineConfig::default_config(),
             space: None,
             stride: 1,
             kinds: Vec::new(),
             custom: Vec::new(),
-            rob_size: 128,
-            sampling: mim_trace::Sampling::default_plan(),
-            energy: false,
-            timeline: None,
+            options: EvalOptions::default(),
             threads: 0,
-            cache: WorkloadStore::new(),
             cells: None,
-            on_cell: None,
         }
     }
 
@@ -324,13 +309,15 @@ impl Experiment {
         self
     }
 
-    /// Truncates every profile/simulation to `limit` retired instructions.
-    pub fn limit(mut self, limit: u64) -> Experiment {
-        self.limit = Some(limit);
+    /// Truncates every profile/simulation to `limit` retired instructions
+    /// (a number, or an `Option` where `None` runs to the end).
+    pub fn limit(mut self, limit: impl Into<Option<u64>>) -> Experiment {
+        self.options.limit = limit.into();
         self
     }
 
-    /// Sets the single machine configuration to evaluate (ignored once
+    /// Sets the single machine configuration to evaluate: the one-point
+    /// space [`DesignSpace::new(machine)`](DesignSpace::new) (ignored once
     /// [`design_space`](Experiment::design_space) is set).
     pub fn machine(mut self, machine: MachineConfig) -> Experiment {
         self.machine = machine;
@@ -364,24 +351,18 @@ impl Experiment {
         self
     }
 
-    /// Reorder-buffer size for [`EvalKind::Ooo`] evaluators (default 128).
-    pub fn rob_size(mut self, rob_size: u32) -> Experiment {
-        self.rob_size = rob_size;
-        self
-    }
-
     /// Sampling plan for [`EvalKind::Sampled`] evaluators (default
     /// [`Sampling::default_plan`](mim_trace::Sampling::default_plan), the
     /// 1-in-10 plan with full functional warming).
     pub fn sampling(mut self, sampling: mim_trace::Sampling) -> Experiment {
-        self.sampling = sampling;
+        self.options.sampling = sampling;
         self
     }
 
     /// Also runs the energy model, populating [`EvalResult::energy`] (the
     /// §6.3 EDP studies).
     pub fn energy(mut self, energy: bool) -> Experiment {
-        self.energy = energy;
+        self.options.energy = energy;
         self
     }
 
@@ -391,7 +372,7 @@ impl Experiment {
     /// the timeline is strictly out-of-band, so serialized reports are
     /// byte-identical with or without it.
     pub fn timeline(mut self, interval: u64) -> Experiment {
-        self.timeline = Some(interval.max(1));
+        self.options.timeline = Some(interval.max(1));
         self
     }
 
@@ -403,31 +384,18 @@ impl Experiment {
         self
     }
 
-    /// Registers a progress callback fired once per successfully evaluated
-    /// cell (no-op by default). Long sweeps report progress through it —
-    /// e.g. bump an `AtomicUsize` and redraw a counter — and `mim-explore`
-    /// charges search budgets with it.
-    ///
-    /// The callback runs on worker threads as cells complete, so arrival
-    /// order varies run to run; the report's contents and serialization
-    /// stay deterministic regardless.
-    pub fn on_cell(mut self, callback: impl Fn(&EvalResult) + Send + Sync + 'static) -> Experiment {
-        self.on_cell = Some(Arc::new(callback));
-        self
-    }
-
     /// The experiment's shared workload store. Hand this to custom
     /// evaluators (`with_cache`) so they reuse the experiment's one
     /// recording + profiling pass per workload.
     pub fn profile_cache(&self) -> WorkloadStore {
-        self.cache.clone()
+        self.options.store.clone()
     }
 
     /// Replaces the experiment's workload store with a shared one, so
     /// several experiments (or an outer driver like `mim-explore`) reuse a
     /// single recording + profiling pass per workload across runs.
     pub fn with_cache(mut self, cache: WorkloadStore) -> Experiment {
-        self.cache = cache;
+        self.options.store = cache;
         self
     }
 
@@ -451,61 +419,21 @@ impl Experiment {
         }
     }
 
-    /// Builds the per-point evaluator matrix.
-    fn build_evaluators(&self, points: &[DesignPoint]) -> Vec<Vec<Arc<dyn Evaluator>>> {
+    /// Builds the per-point evaluator matrix: the built-in kinds, then the
+    /// custom evaluators.
+    fn build_evaluators(
+        &self,
+        space: &DesignSpace,
+        points: &[DesignPoint],
+    ) -> Vec<Vec<Arc<dyn Evaluator>>> {
         points
             .iter()
             .map(|point| {
-                let mut evals: Vec<Arc<dyn Evaluator>> = Vec::new();
-                for kind in &self.kinds {
-                    let eval: Arc<dyn Evaluator> = match (kind, &self.space) {
-                        (EvalKind::Model, Some(space)) => Arc::new(
-                            ModelEvaluator::for_point(space, point)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_energy(self.energy),
-                        ),
-                        (EvalKind::Model, None) => Arc::new(
-                            ModelEvaluator::new(&point.machine)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_energy(self.energy),
-                        ),
-                        (EvalKind::Sim | EvalKind::Sampled, space) => {
-                            let sim = match space {
-                                Some(space) => SimEvaluator::for_point(space, point),
-                                None => SimEvaluator::new(&point.machine),
-                            };
-                            let plan = (*kind == EvalKind::Sampled).then_some(self.sampling);
-                            Arc::new(
-                                sim.with_sampling(plan)
-                                    .with_cache(self.cache.clone())
-                                    .with_limit(self.limit)
-                                    .with_energy(self.energy)
-                                    .with_timeline(self.timeline),
-                            )
-                        }
-                        (EvalKind::Ooo, Some(space)) => Arc::new(
-                            OooEvaluator::for_point(space, point)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_rob_size(self.rob_size)
-                                .with_energy(self.energy),
-                        ),
-                        (EvalKind::Ooo, None) => Arc::new(
-                            OooEvaluator::new(&point.machine)
-                                .with_cache(self.cache.clone())
-                                .with_limit(self.limit)
-                                .with_rob_size(self.rob_size)
-                                .with_energy(self.energy),
-                        ),
-                    };
-                    evals.push(eval);
-                }
-                for custom in &self.custom {
-                    evals.push(Arc::clone(custom));
-                }
-                evals
+                self.kinds
+                    .iter()
+                    .map(|&kind| self.options.build(kind, space, point))
+                    .chain(self.custom.iter().cloned())
+                    .collect()
             })
             .collect()
     }
@@ -569,15 +497,14 @@ impl Experiment {
         }
         let threads = self.resolved_threads();
 
-        // Resolve the design points.
-        let points: Vec<DesignPoint> = match &self.space {
-            Some(space) => space.points().step_by(self.stride).collect(),
-            None => vec![DesignPoint {
-                machine: self.machine.clone(),
-                l2_index: 0,
-                predictor_index: 0,
-            }],
-        };
+        // Resolve the design points: a single machine is the one-point
+        // space.
+        let space = self
+            .space
+            .clone()
+            .unwrap_or_else(|| DesignSpace::new(self.machine.clone()));
+        let points: Vec<DesignPoint> = space.points().step_by(self.stride).collect();
+        let (store, limit) = (&self.options.store, self.options.limit);
 
         // Phase 1 — one recording (and, where needed, one replayed
         // profiling pass) per workload (§2.1), parallel over workloads.
@@ -589,24 +516,12 @@ impl Experiment {
             .field_u64("points", points.len() as u64);
         let t_profile = Instant::now();
         let warm_span = Span::enter("experiment.warm");
-        let needs_profile = self.energy
+        let needs_profile = self.options.energy
             || self
                 .kinds
                 .iter()
                 .any(|k| matches!(k, EvalKind::Model | EvalKind::Ooo))
             || !self.custom.is_empty();
-        let (hierarchy, l2s, predictors) = match &self.space {
-            Some(space) => (
-                space.base().hierarchy.clone(),
-                space.l2_configs().to_vec(),
-                space.predictor_configs().to_vec(),
-            ),
-            None => (
-                self.machine.hierarchy.clone(),
-                vec![self.machine.hierarchy.l2.clone()],
-                vec![self.machine.predictor.clone()],
-            ),
-        };
         // Record a trace only when a grid cell will replay it repeatedly
         // (simulation per design point, MLP estimation). Model-only
         // experiments keep the O(1)-memory streaming profile pass — still
@@ -616,16 +531,22 @@ impl Experiment {
             .iter()
             .any(|k| matches!(k, EvalKind::Sim | EvalKind::Ooo | EvalKind::Sampled));
         let warm: Vec<Result<(), EvalError>> = parallel_map(threads, &self.workloads, |_, spec| {
-            self.cache.program(spec, self.size);
+            store.program(spec, self.size);
             if needs_trace {
                 // The one functional execution per workload: every grid
                 // cell below (profile, simulation, MLP) replays this
                 // recording.
-                self.cache.trace(spec, self.size, self.limit)?;
+                store.trace(spec, self.size, limit)?;
             }
             if needs_profile {
-                self.cache
-                    .profile(spec, self.size, self.limit, &hierarchy, &l2s, &predictors)?;
+                store.profile(
+                    spec,
+                    self.size,
+                    limit,
+                    &space.base().hierarchy,
+                    space.l2_configs(),
+                    space.predictor_configs(),
+                )?;
             }
             Ok(())
         });
@@ -637,7 +558,7 @@ impl Experiment {
 
         // Phase 2 — the evaluation grid, workload-major then point then
         // evaluator, executed in parallel with order-preserving slots.
-        let evaluators = self.build_evaluators(&points);
+        let evaluators = self.build_evaluators(&space, &points);
         let mut cells: Vec<(usize, usize, usize)> = Vec::new();
         for wi in 0..self.workloads.len() {
             for (pi, evals) in evaluators.iter().enumerate() {
@@ -651,7 +572,7 @@ impl Experiment {
         let n_builtin = self.kinds.len();
         // Per-cell evaluate latency lands in the shared store's registry,
         // so a server merging store metrics sees the grid's distribution.
-        let cell_ns = self.cache.registry().histogram("experiment.cell_ns");
+        let cell_ns = store.registry().histogram("experiment.cell_ns");
         let outcomes: Vec<Result<EvalResult, EvalError>> =
             parallel_map(threads, &cells, |_, &(wi, pi, ei)| {
                 let cell_started = clock();
@@ -665,7 +586,7 @@ impl Experiment {
                 // two simulator evaluators, so model/OOO cells keep their
                 // timeline-free keys.
                 let cell_timeline = match self.kinds.get(ei) {
-                    Some(EvalKind::Sim | EvalKind::Sampled) => self.timeline,
+                    Some(EvalKind::Sim | EvalKind::Sampled) => self.options.timeline,
                     _ => None,
                 };
                 // Memoize built-in cells only: custom evaluators may close
@@ -675,11 +596,10 @@ impl Experiment {
                         let key = CellMemo::key(
                             spec.name(),
                             self.size,
-                            self.limit,
+                            limit,
                             &points[pi].machine,
                             evaluator.name(),
-                            self.energy,
-                            self.rob_size,
+                            self.options.energy,
                             cell_timeline,
                         );
                         memo.get_or_compute(key, || evaluator.evaluate(spec, self.size))?
@@ -688,9 +608,6 @@ impl Experiment {
                 };
                 result.machine_index = pi;
                 cell_ns.observe_since(cell_started);
-                if let Some(on_cell) = &self.on_cell {
-                    on_cell(&result);
-                }
                 Ok(result)
             });
         drop(grid_span);
@@ -703,7 +620,7 @@ impl Experiment {
         Ok(ExperimentReport {
             title: self.title,
             size: self.size.to_string(),
-            limit: self.limit,
+            limit,
             workloads: self
                 .workloads
                 .iter()

@@ -8,13 +8,15 @@
 //!
 //! * [`Evaluator`] — an object-safe trait mapping `(workload, size)` to a
 //!   unified, serializable [`EvalResult`] (CPI, cycles, CPI-stack
-//!   components, miss/branch counters, optional energy). Implementations:
+//!   components, miss/branch counters, optional energy). The built-in
+//!   evaluators are one builder, [`Evaluation`], with three methods:
 //!   [`ModelEvaluator`] (mechanistic model over a cached
 //!   [`WorkloadProfile`](mim_profile::WorkloadProfile)), [`SimEvaluator`]
 //!   (cycle-accurate pipeline; with a sampling plan, statistically
 //!   sampled simulation with functional warming, reporting a CLT 95%
 //!   confidence interval in [`SamplingSummary`]), and [`OooEvaluator`]
-//!   (out-of-order interval model).
+//!   (out-of-order interval model). [`EvalOptions::build`] is the one
+//!   place an [`EvalKind`] becomes an evaluator.
 //! * [`Experiment`] — a builder running the (workload × design-point ×
 //!   evaluator) grid: each workload is functionally executed **once**
 //!   (recorded into a [`Trace`](mim_trace::Trace) held by the shared
@@ -74,7 +76,8 @@ mod store;
 pub use cells::{CellMemo, CellStats};
 pub use disk::{DiskStore, StoreError};
 pub use evaluator::{
-    Evaluator, InputsMap, ModelEvaluator, OooEvaluator, SampledSimEvaluator, SimEvaluator,
+    EvalOptions, Evaluation, Evaluator, ModelEvaluator, OooEvaluator, SampledSimEvaluator,
+    SimEvaluator,
 };
 pub use experiment::{
     parallel_map, print_comparison, CpiComparison, Experiment, ExperimentReport, ExperimentTiming,

@@ -235,41 +235,38 @@ fn configuration_errors_are_reported() {
     assert!(err.message.contains("custom evaluators"));
 }
 
-/// The `on_cell` progress callback fires exactly once per evaluated cell,
-/// and registering it does not perturb report determinism.
+/// A single machine is the one-point space: `.machine(m)` and
+/// `.design_space(DesignSpace::new(m))` give byte-identical reports (and
+/// identical timelines) for every built-in evaluator, energy included.
 #[test]
-fn on_cell_fires_once_per_cell() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let count = Arc::new(AtomicUsize::new(0));
-    let seen = Arc::clone(&count);
-    let report = Experiment::new()
-        .title("determinism")
-        .workloads([mibench::sha(), mibench::qsort()])
-        .size(WorkloadSize::Tiny)
-        .design_space(
-            DesignSpace::new(MachineConfig::default_config())
-                .with_widths(vec![1, 2, 3, 4])
-                .expect("distinct widths"),
-        )
-        .evaluators([EvalKind::Model, EvalKind::Sim])
-        .energy(true)
-        .threads(4)
-        .on_cell(move |cell| {
-            assert!(cell.cpi > 0.0, "callbacks observe finished cells");
-            seen.fetch_add(1, Ordering::Relaxed);
-        })
-        .run()
-        .expect("experiment");
-    assert_eq!(report.rows.len(), 2 * 4 * 2);
-    assert_eq!(
-        count.load(Ordering::Relaxed),
-        report.rows.len(),
-        "one callback per cell"
-    );
-    // Identical JSON to the callback-free sweep of the same grid.
-    assert_eq!(report.to_json(), width_sweep(1).to_json());
+fn single_machine_is_the_one_point_space() {
+    let mut machine = MachineConfig::default_config();
+    machine.width = 2;
+    let run = |experiment: Experiment| {
+        experiment
+            .title("one point")
+            .workloads([mibench::sha(), mibench::qsort()])
+            .size(WorkloadSize::Tiny)
+            .evaluators([
+                EvalKind::Model,
+                EvalKind::Sim,
+                EvalKind::Sampled,
+                EvalKind::Ooo,
+            ])
+            .energy(true)
+            .timeline(5_000)
+            .threads(1)
+            .run()
+            .expect("experiment")
+    };
+    let single = run(Experiment::new().machine(machine.clone()));
+    let space = run(Experiment::new().design_space(DesignSpace::new(machine)));
+    assert_eq!(single.rows.len(), 2 * 4);
+    assert!(single.rows.iter().all(|r| r.energy.is_some()));
+    assert_eq!(single.to_json(), space.to_json());
+    for (a, b) in single.rows.iter().zip(&space.rows) {
+        assert_eq!(a.timeline, b.timeline);
+    }
 }
 
 /// The timeline knob is strictly out-of-band — serialized reports are

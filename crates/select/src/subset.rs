@@ -249,9 +249,10 @@ impl SubsetRun {
     }
 
     /// Truncates every recording/profile/simulation to `limit` retired
-    /// instructions.
-    pub fn limit(mut self, limit: u64) -> SubsetRun {
-        self.limit = Some(limit);
+    /// instructions (a number, or an `Option` where `None` runs to the
+    /// end).
+    pub fn limit(mut self, limit: impl Into<Option<u64>>) -> SubsetRun {
+        self.limit = limit.into();
         self
     }
 
@@ -394,18 +395,16 @@ impl SubsetRun {
 
         // Phase 3 — the subset sweep: representatives only, full space.
         let t_subset = Instant::now();
-        let mut subset_experiment = Experiment::new()
+        let subset_report = Experiment::new()
             .title("representative subset sweep")
             .workloads(rep_specs.iter().cloned())
             .size(self.size)
+            .limit(self.limit)
             .design_space(self.space.clone())
             .evaluators([self.kind])
             .threads(threads)
-            .with_cache(self.cache.clone());
-        if let Some(limit) = self.limit {
-            subset_experiment = subset_experiment.limit(limit);
-        }
-        let subset_report = subset_experiment.run()?;
+            .with_cache(self.cache.clone())
+            .run()?;
         let subset_table = SubsetRun::cpi_table(&subset_report, &label, points);
         let weighted_cpi: Vec<f64> = (0..points)
             .map(|point| selection.weighted_mean(|name| subset_table[&(name.to_string(), point)]))
@@ -419,18 +418,16 @@ impl SubsetRun {
         // Phase 4 (optional) — exhaustive verification sweep.
         let verify = if self.verify {
             let t_verify = Instant::now();
-            let mut exhaustive_experiment = Experiment::new()
+            let exhaustive_report = Experiment::new()
                 .title("exhaustive reference sweep")
                 .workloads(self.workloads.iter().cloned())
                 .size(self.size)
+                .limit(self.limit)
                 .design_space(self.space.clone())
                 .evaluators([self.kind])
                 .threads(threads)
-                .with_cache(self.cache.clone());
-            if let Some(limit) = self.limit {
-                exhaustive_experiment = exhaustive_experiment.limit(limit);
-            }
-            let exhaustive_report = exhaustive_experiment.run()?;
+                .with_cache(self.cache.clone())
+                .run()?;
             let table = SubsetRun::cpi_table(&exhaustive_report, &label, points);
             let n = self.workloads.len() as f64;
             let exhaustive_cpi: Vec<f64> = (0..points)
@@ -466,15 +463,13 @@ impl SubsetRun {
                 let mut exploration = Exploration::new(self.space.clone())
                     .workloads(specs.iter().cloned())
                     .size(self.size)
+                    .limit(self.limit)
                     .objectives([Objective::delay(), Objective::energy()])
                     .evaluator(self.kind)
                     .threads(threads)
                     .with_cache(self.cache.clone());
                 if let Some(weights) = weights {
                     exploration = exploration.workload_weights(weights);
-                }
-                if let Some(limit) = self.limit {
-                    exploration = exploration.limit(limit);
                 }
                 exploration.run()
             };
@@ -547,18 +542,16 @@ impl SubsetRun {
                     .space
                     .point_at(index)
                     .expect("probe index within space");
-                let mut probe_experiment = Experiment::new()
+                let probe_report = Experiment::new()
                     .title("sim probe")
                     .workloads(self.workloads.iter().cloned())
                     .size(self.size)
+                    .limit(self.limit)
                     .machine(point.machine.clone())
                     .evaluators([EvalKind::Sim])
                     .threads(threads)
-                    .with_cache(self.cache.clone());
-                if let Some(limit) = self.limit {
-                    probe_experiment = probe_experiment.limit(limit);
-                }
-                let probe_report = probe_experiment.run()?;
+                    .with_cache(self.cache.clone())
+                    .run()?;
                 let table = SubsetRun::cpi_table(&probe_report, EvalKind::Sim.label(), 1);
                 let weighted = selection.weighted_mean(|name| table[&(name.to_string(), 0)]);
                 let exhaustive = self

@@ -403,15 +403,13 @@ impl ExperimentSpec {
         let mut experiment = Experiment::new()
             .title(&self.title)
             .size(parse_size(&self.size)?)
+            .limit(self.limit)
             .energy(self.energy)
             .threads(1)
             .with_cache(store.clone())
             .with_cells(cells.clone());
         for name in &self.workloads {
             experiment = experiment.workload(find_workload(name)?);
-        }
-        if let Some(limit) = self.limit {
-            experiment = experiment.limit(limit);
         }
         if let Some(sampling) = &self.sampling {
             experiment = experiment.sampling(sampling.resolve()?);
@@ -439,14 +437,12 @@ impl ExplorationSpec {
         let mut exploration = Exploration::new(self.space.resolve()?)
             .title(&self.title)
             .size(parse_size(&self.size)?)
+            .limit(self.limit)
             .evaluator(parse_eval(&self.evaluator)?)
             .threads(1)
             .with_cache(store.clone());
         for name in &self.workloads {
             exploration = exploration.workload(find_workload(name)?);
-        }
-        if let Some(limit) = self.limit {
-            exploration = exploration.limit(limit);
         }
         let objectives = self
             .objectives
@@ -466,15 +462,13 @@ impl SubsetSpec {
         let mut run = SubsetRun::new(self.space.resolve()?)
             .title(&self.title)
             .size(parse_size(&self.size)?)
+            .limit(self.limit)
             .evaluator(parse_eval(&self.evaluator)?)
             .verify(self.verify)
             .threads(1)
             .with_cache(store.clone());
         for name in &self.workloads {
             run = run.workload(find_workload(name)?);
-        }
-        if let Some(limit) = self.limit {
-            run = run.limit(limit);
         }
         let report = run.run().map_err(|e| e.to_string())?;
         Ok(report.to_value())

@@ -310,18 +310,17 @@ impl DifferentialRun {
         let size = WorkloadSize::Small; // fixed programs: size is nominal
         let specs: Vec<WorkloadSpec> = self.space.workload_specs();
         let store = WorkloadStore::new();
-        let mut experiment = Experiment::new()
+        let report = Experiment::new()
             .title(self.title.clone())
             .workloads(specs.iter().cloned())
             .size(size)
+            .limit(self.limit)
             .design_space(self.designs.clone())
             .evaluators([EvalKind::Model, EvalKind::Sim])
             .threads(self.threads)
-            .with_cache(store.clone());
-        if let Some(limit) = self.limit {
-            experiment = experiment.limit(limit);
-        }
-        let report = experiment.run().map_err(ValidateError::Eval)?;
+            .with_cache(store.clone())
+            .run()
+            .map_err(ValidateError::Eval)?;
 
         let points: Vec<DesignPoint> = self.designs.points().collect();
         let n_behaviors = self.space.len();
@@ -443,12 +442,10 @@ impl DifferentialRun {
         let sim_branch = sim_row.branch.expect("sim rows carry branch counts");
         let mut shifts = [0.0; 6];
         for (i, term) in ErrorTerm::MEASURED.into_iter().enumerate() {
-            let mut evaluator = ModelEvaluator::for_point(&self.designs, point)
+            let evaluator = ModelEvaluator::for_point(&self.designs, point)
                 .with_cache(store.clone())
+                .with_limit(self.limit)
                 .with_name(format!("model+swap:{}", term.label()));
-            if let Some(limit) = self.limit {
-                evaluator = evaluator.with_limit(Some(limit));
-            }
             let swapping = match term {
                 ErrorTerm::ICache => evaluator.with_inputs_map(move |mut inputs| {
                     inputs.misses.l1i_misses = sim_misses.l1i_misses;

@@ -62,7 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .title("custom kernel")
         .workload(WorkloadSpec::program("dot-product", program))
         .evaluators([EvalKind::Model, EvalKind::Sim, EvalKind::Ooo])
-        .rob_size(128)
         .run()?;
 
     let in_order = report.get("dot-product", 0, "model").expect("cell");
