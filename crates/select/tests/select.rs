@@ -4,7 +4,7 @@
 
 use mim_core::{DesignSpace, MachineConfig};
 use mim_runner::{WorkloadSpec, WorkloadStore};
-use mim_select::{KSelection, Selection, Signature, SubsetReport, SubsetRun};
+use mim_select::{KSelection, RepresentativeSet, Selection, Signature, SubsetReport, SubsetRun};
 use mim_validate::BehaviorSpace;
 use mim_workloads::{mibench, spec, WorkloadSize};
 
@@ -56,6 +56,29 @@ fn signatures_separate_memory_from_compute_kernels() {
     let back: Signature = serde_json::from_str(&json).unwrap();
     assert_eq!(back, sha);
 }
+
+/// The default selection over the Tiny MiBench suite, byte for byte. The
+/// clustering code may be restructured; the set it reports may not move.
+#[test]
+fn default_selection_over_tiny_mibench_is_pinned() {
+    let store = WorkloadStore::new();
+    let signatures: Vec<Signature> = mibench::all()
+        .into_iter()
+        .map(|w| {
+            Signature::extract(&store, &WorkloadSpec::from(w), WorkloadSize::Tiny, None).unwrap()
+        })
+        .collect();
+    let set = RepresentativeSet::select(&signatures, &Selection::default()).unwrap();
+    assert_eq!(serde_json::to_string(&set).unwrap(), PINNED_SELECTION);
+}
+
+const PINNED_SELECTION: &str = concat!(
+    r#"{"method":"kmedoids-s1835625811","distance":"euclidean","k":2,"silhouette":0.3182301448532424,"#,
+    r#""representatives":[{"name":"jpeg_c","weight":0.8947368421052632,"members":["adpcm_c","adpcm_d","#,
+    r#""dijkstra","gsm_c","jpeg_c","jpeg_d","lame","patricia","rsynth","sha","susan_c","susan_e","#,
+    r#""susan_s","tiff2bw","tiff2rgba","tiffdither","tiffmedian"]},{"name":"qsort","#,
+    r#""weight":0.10526315789473684,"members":["qsort","stringsearch"]}]}"#,
+);
 
 #[test]
 fn signature_extraction_adds_no_functional_executions_beyond_the_recording() {
