@@ -43,9 +43,9 @@ fn run(quick: bool, probes: usize, threads: usize, cache: WorkloadStore) -> Subs
     };
     let suite = corpus();
     // Spend the whole ≤25% budget: silhouette auto-k favours the
-    // coarsest clean split (2 blobs here) and BIC lands around 7 — both
-    // rank the design points perfectly (tau = 1.0) but leave the
-    // weighted CPI *level* 16–64% off the exhaustive mean. At the full
+    // coarsest clean split (2 blobs here), which ranks the design points
+    // perfectly (tau = 1.0) but leaves the weighted CPI *level* far off
+    // the exhaustive mean. At the full
     // budget the medoids tile behaviour space finely enough that the
     // level lands within ~1% too.
     let budget = suite.len() / 4;

@@ -170,16 +170,25 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts. Recursion is bounded
+/// by it, so hostile input such as a line of `[` is an error rather than
+/// a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -245,49 +254,65 @@ impl<'a> Parser<'a> {
                 }
             }
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => {
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
+            _ => self.parse_number(),
+        }
+    }
+
+    /// The rest of an array, after its `[`.
+    fn parse_array(&mut self) -> Result<Value> {
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
+                _ => return Err(self.error("expected `,` or `]`")),
             }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    /// The rest of an object, after its `{`.
+    fn parse_object(&mut self) -> Result<Value> {
+        let mut fields = Vec::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            fields.push((key, value));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Object(fields));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
+                _ => return Err(self.error("expected `,` or `}`")),
             }
-            _ => self.parse_number(),
         }
     }
 
@@ -341,12 +366,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one slice.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -434,6 +462,52 @@ mod tests {
         let s = "line\n\"quoted\"\\x".to_string();
         let round: String = from_str(&to_string(&s).unwrap()).unwrap();
         assert_eq!(s, round);
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip_between_escapes() {
+        let s = "héllo \"wörld\" — \\ 日本語\t✓".to_string();
+        let round: String = from_str(&to_string(&s).unwrap()).unwrap();
+        assert_eq!(s, round);
+        let unterminated = from_str::<String>("\"ünterminated");
+        assert!(unterminated.is_err());
+    }
+
+    #[test]
+    fn string_parsing_is_linear() {
+        let best_of_5 = |bytes: usize| {
+            let json = to_string(&"x".repeat(bytes)).unwrap();
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let parsed: String = from_str(&json).unwrap();
+                    assert_eq!(parsed.len(), bytes);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let small = best_of_5(200_000);
+        let large = best_of_5(400_000);
+        assert!(
+            large.as_secs_f64() <= 2.5 * small.as_secs_f64(),
+            "400 KB took {large:?}, 200 KB took {small:?}"
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&over).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
     }
 
     #[test]

@@ -28,138 +28,16 @@
 //! oracle: the engine produces identical architectural state, identical
 //! [`TraceEvent`] streams (via [`BlockEngine::run_with`]), identical
 //! [`VmError`]s, and identical [`RunOutcome`]s, which the test suite
-//! asserts on every bundled workload. Set `MIM_BLOCK_ENGINE=off` (or call
-//! [`set_block_engine`]) to force downstream consumers back onto the
-//! interpreter.
+//! asserts on every bundled workload. Consumers that need the oracle
+//! construct a [`Vm`](crate::Vm) explicitly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 
 use crate::error::VmError;
 use crate::inst::{Cond, Inst, InstClass, Opcode};
 use crate::program::{Program, WORD_BYTES};
 use crate::reg::{Reg, NUM_REGS};
-use crate::vm::{count_functional_execution, RunOutcome, TraceEvent, Vm};
-
-// ---------------------------------------------------------------------------
-// Engine selection (mirrors mim-obs's `MIM_OBS` switch)
-// ---------------------------------------------------------------------------
-
-/// Whether downstream consumers (trace recording, profiling) should use
-/// the block engine. Defaults to on; `MIM_BLOCK_ENGINE=off` (or `0` /
-/// `false`) in the environment, or [`set_block_engine`], forces the
-/// interpreter path.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENABLED_ENV: Once = Once::new();
-
-fn apply_engine_env() {
-    ENABLED_ENV.call_once(|| {
-        if matches!(
-            std::env::var("MIM_BLOCK_ENGINE").as_deref(),
-            Ok("off" | "0" | "false")
-        ) {
-            ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-}
-
-/// True when the block-compiled engine is the preferred functional
-/// backend (the default). Controlled by the `MIM_BLOCK_ENGINE`
-/// environment variable (`off`/`0`/`false` disable it) and overridable at
-/// runtime with [`set_block_engine`].
-///
-/// Consumers honoring this switch produce byte-identical results either
-/// way — it selects an execution strategy, never semantics.
-pub fn block_engine_enabled() -> bool {
-    apply_engine_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the block engine at runtime (overrides the
-/// `MIM_BLOCK_ENGINE` environment variable).
-pub fn set_block_engine(enabled: bool) {
-    apply_engine_env();
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// The shared execution trait
-// ---------------------------------------------------------------------------
-
-/// Object-safe interface over the two functional backends — the
-/// interpreting [`Vm`] and the block-compiled [`BlockEngine`].
-///
-/// Consumers that only need "execute this program and show me each
-/// retired instruction" (trace recording front-ends, differential tests)
-/// are written against this trait, so switching backends is a
-/// constructor-site decision, not a rewrite.
-pub trait Executor {
-    /// Runs until `halt` or until `limit` instructions have retired,
-    /// invoking `observer` for every retired instruction — the dynamic
-    /// contract of [`Vm::run_with`], regardless of backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] raised during execution.
-    fn run_events(
-        &mut self,
-        limit: Option<u64>,
-        observer: &mut dyn FnMut(&TraceEvent),
-    ) -> Result<RunOutcome, VmError>;
-
-    /// Current value of register `r`.
-    fn reg(&self, r: Reg) -> i64;
-
-    /// Sets register `r` (parameterizing kernels, tests).
-    fn set_reg(&mut self, r: Reg, value: i64);
-
-    /// Read-only view of data memory, in words.
-    fn memory(&self) -> &[i64];
-
-    /// Current program counter.
-    fn pc(&self) -> u32;
-
-    /// True once a `halt` instruction has executed.
-    fn is_halted(&self) -> bool;
-
-    /// Number of instructions retired so far (excluding `halt`).
-    fn retired(&self) -> u64;
-}
-
-impl Executor for Vm<'_> {
-    fn run_events(
-        &mut self,
-        limit: Option<u64>,
-        observer: &mut dyn FnMut(&TraceEvent),
-    ) -> Result<RunOutcome, VmError> {
-        self.run_with(limit, |ev| observer(ev))
-    }
-
-    fn reg(&self, r: Reg) -> i64 {
-        Vm::reg(self, r)
-    }
-
-    fn set_reg(&mut self, r: Reg, value: i64) {
-        Vm::set_reg(self, r, value);
-    }
-
-    fn memory(&self) -> &[i64] {
-        Vm::memory(self)
-    }
-
-    fn pc(&self) -> u32 {
-        Vm::pc(self)
-    }
-
-    fn is_halted(&self) -> bool {
-        Vm::is_halted(self)
-    }
-
-    fn retired(&self) -> u64 {
-        Vm::retired(self)
-    }
-}
+use crate::vm::{count_functional_execution, RunOutcome, TraceEvent};
 
 // ---------------------------------------------------------------------------
 // Hooks
@@ -497,7 +375,7 @@ impl<'p> BlockCompiler<'p> {
 
     /// Compiles the basic block entered at `entry` (which must be inside
     /// the program text): instructions up to and including the first
-    /// control-flow instruction or `halt`, split at [`MAX_BLOCK_OPS`].
+    /// control-flow instruction or `halt`, split at `MAX_BLOCK_OPS`.
     ///
     /// # Panics
     ///
@@ -742,7 +620,7 @@ impl BlockCache {
 // ---------------------------------------------------------------------------
 
 /// Block-compiled functional execution engine: interprets a program's
-/// architectural semantics exactly like [`Vm`], but through the
+/// architectural semantics exactly like [`Vm`](crate::Vm), but through the
 /// [`BlockCache`] and a hook-driven dispatch loop instead of a per-step
 /// decode.
 ///
@@ -876,7 +754,7 @@ impl<'p> BlockEngine<'p> {
     ///
     /// Counts as one functional execution pass
     /// ([`functional_executions`](crate::functional_executions)), exactly
-    /// like [`Vm::run_with`].
+    /// like [`Vm::run_with`](crate::Vm::run_with).
     ///
     /// # Errors
     ///
@@ -1527,7 +1405,7 @@ impl<'p> BlockEngine<'p> {
     /// Cold tail of [`dispatch`](Self::dispatch): fewer budget steps
     /// remain than the next block needs to run whole, so the window is
     /// finished one instruction at a time straight off the program text,
-    /// with [`Vm::step`]-identical semantics and the same per-instruction
+    /// with [`Vm::step`](crate::Vm::step)-identical semantics and the same per-instruction
     /// hook protocol (no `begin_block` — no block is entered). Bounded:
     /// fewer than [`MAX_BLOCK_OPS`]` + 1` steps, at most once per run.
     #[cold]
@@ -1675,40 +1553,6 @@ fn checked_word(mem: &[i64], addr: u64) -> Result<usize, MemFault> {
     Ok(idx)
 }
 
-impl Executor for BlockEngine<'_> {
-    fn run_events(
-        &mut self,
-        limit: Option<u64>,
-        observer: &mut dyn FnMut(&TraceEvent),
-    ) -> Result<RunOutcome, VmError> {
-        self.run_with(limit, |ev| observer(ev))
-    }
-
-    fn reg(&self, r: Reg) -> i64 {
-        BlockEngine::reg(self, r)
-    }
-
-    fn set_reg(&mut self, r: Reg, value: i64) {
-        BlockEngine::set_reg(self, r, value);
-    }
-
-    fn memory(&self) -> &[i64] {
-        BlockEngine::memory(self)
-    }
-
-    fn pc(&self) -> u32 {
-        BlockEngine::pc(self)
-    }
-
-    fn is_halted(&self) -> bool {
-        BlockEngine::is_halted(self)
-    }
-
-    fn retired(&self) -> u64 {
-        BlockEngine::retired(self)
-    }
-}
-
 /// Placeholder the event adapter starts from (overwritten by the first
 /// `before_instruction`).
 const IDLE_EVENT: TraceEvent = TraceEvent {
@@ -1761,6 +1605,7 @@ impl BlockHooks for EventHooks<'_> {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::vm::Vm;
 
     /// A kernel covering every event shape: ALU, mem, taken/untaken
     /// branches, jump, mul/div.
@@ -2056,32 +1901,5 @@ mod tests {
         let (a, ..) = block_events(&p, None);
         let (bevs, ..) = block_events(&p, None);
         assert_eq!(a, bevs);
-    }
-
-    #[test]
-    fn engine_toggle_round_trips() {
-        // Cannot assert the default here (other tests flip the switch in
-        // parallel); assert the setter is authoritative.
-        let was = block_engine_enabled();
-        set_block_engine(false);
-        assert!(!block_engine_enabled());
-        set_block_engine(true);
-        assert!(block_engine_enabled());
-        set_block_engine(was);
-    }
-
-    #[test]
-    fn executor_trait_is_object_safe_over_both_backends() {
-        let p = kernel();
-        let mut vm = Vm::new(&p);
-        let mut engine = BlockEngine::new(&p);
-        let backends: [&mut dyn Executor; 2] = [&mut vm, &mut engine];
-        let mut counts = Vec::new();
-        for backend in backends {
-            let mut n = 0u64;
-            backend.run_events(None, &mut |_| n += 1).unwrap();
-            counts.push((n, backend.retired(), backend.is_halted()));
-        }
-        assert_eq!(counts[0], counts[1]);
     }
 }

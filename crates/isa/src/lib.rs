@@ -10,8 +10,7 @@
 //!   [`Program`] and emits one [`TraceEvent`] per dynamic instruction,
 //! * [`BlockEngine`] — a block-compiled (DBT-style) functional backend
 //!   producing bit-identical results at a multiple of the interpreter's
-//!   throughput, with [`BlockHooks`] for timing-tool observation; the
-//!   [`Executor`] trait abstracts over the two backends.
+//!   throughput, with [`BlockHooks`] for timing-tool observation.
 //!
 //! The trace events drive both the single-pass profiler (`mim-profile`) and
 //! the cycle-accurate pipeline simulator (`mim-pipeline`); the ISA is the
@@ -19,8 +18,7 @@
 //! M5 simulator. The interpreter and the block engine implement the same
 //! architectural semantics — [`Vm`] remains the reference (and the
 //! differential oracle in tests); [`BlockEngine`] is the throughput
-//! backend that recording and profiling use by default (see
-//! [`block_engine_enabled`]).
+//! backend that recording and profiling run on.
 //!
 //! ## Example
 //!
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod asm;
 mod block;
 mod builder;
 mod disasm;
@@ -63,11 +60,7 @@ mod program;
 mod reg;
 mod vm;
 
-pub use asm::{assemble, disassemble, AsmError};
-pub use block::{
-    block_engine_enabled, set_block_engine, Block, BlockCache, BlockCompiler, BlockEngine,
-    BlockHooks, Executor, NoHooks,
-};
+pub use block::{Block, BlockCache, BlockCompiler, BlockEngine, BlockHooks, NoHooks};
 pub use builder::{Label, ProgramBuilder};
 pub use error::VmError;
 pub use inst::{Cond, Inst, InstClass, Opcode};

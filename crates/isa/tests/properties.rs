@@ -1,7 +1,7 @@
-//! Property-based tests for the ISA: assembler/disassembler round trips
-//! and VM execution invariants over random programs.
+//! Property-based tests for the ISA: VM execution invariants over random
+//! programs.
 
-use mim_isa::{assemble, disassemble, Program, ProgramBuilder, Reg, Vm};
+use mim_isa::{Program, ProgramBuilder, Reg, Vm};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -111,19 +111,6 @@ fn build(ops: &[Op]) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// assemble(disassemble(p)) reproduces the exact instruction stream
-    /// and data segment.
-    #[test]
-    fn disassembly_round_trips(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        // rem with a potentially-overwritten r1 could fault at run time,
-        // but round-tripping is purely syntactic and must always work.
-        let p = build(&ops);
-        let text = disassemble(&p);
-        let round = assemble("random", &text).unwrap();
-        prop_assert_eq!(p.text(), round.text());
-        prop_assert_eq!(p.data(), round.data());
-    }
-
     /// Two runs of the VM over the same program are bit-identical.
     #[test]
     fn vm_is_deterministic(ops in proptest::collection::vec(op_strategy(), 1..150)) {
@@ -160,21 +147,6 @@ proptest! {
             prop_assert!(outcome.halted(), "forward control flow must reach halt");
             prop_assert!(outcome.instructions() < p.len() as u64);
         }
-    }
-
-    /// asm -> disasm -> asm is a fixed point: assembling the disassembly
-    /// and disassembling again reproduces the identical source text (so
-    /// `.s` files, including branch targets, survive arbitrary round
-    /// trips).
-    #[test]
-    fn asm_disasm_asm_is_a_fixed_point(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        let p = build(&ops);
-        let text1 = disassemble(&p);
-        let p2 = assemble("random", &text1).unwrap();
-        let text2 = disassemble(&p2);
-        prop_assert_eq!(&text1, &text2);
-        prop_assert_eq!(p.text(), p2.text());
-        prop_assert_eq!(p.data(), p2.data());
     }
 
     /// Trace events are well-formed: memory ops carry addresses, control

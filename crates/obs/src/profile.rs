@@ -166,8 +166,9 @@ impl State {
     }
 }
 
-/// A [`SpanSink`] aggregating spans into a call-tree profile (see the
-/// [module docs](self)).
+/// A [`SpanSink`] aggregating spans into a deterministic call-tree
+/// profile, exported as Chrome trace-event JSON, collapsed stacks, a
+/// [`ProfileNode`] tree or a per-field [`breakdown`](ProfileSink::breakdown).
 ///
 /// Optionally [`with_export`](ProfileSink::with_export) rewrites a file
 /// whenever the last open span closes — the `MIM_SPANS=chrome:<path>` /

@@ -4,7 +4,7 @@ use mim_bpred::{MultiPredictor, PredictorConfig, PredictorStats};
 use mim_cache::{CacheConfig, HierarchyConfig, MemAccessKind, MissCounts, MultiConfig};
 use mim_core::{BranchStats, InstMix, MachineConfig, ModelInputs};
 use mim_isa::{BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
-use mim_trace::{LiveVm, TraceError, TraceSource};
+use mim_trace::{TraceError, TraceSource};
 use serde::{Deserialize, Serialize};
 
 use crate::deps::DepTracker;
@@ -151,12 +151,12 @@ impl SweepProfiler {
     ///
     /// `limit` bounds the number of retired instructions (useful for
     /// sampling long workloads); `None` runs to completion. The pass runs
-    /// on the block-compiled engine by default — the profiler's collector
-    /// is a [`BlockHooks`] set, so no per-event
-    /// [`TraceEvent`] reconstruction happens between execution and the
-    /// cache/predictor models. With the block engine disabled
-    /// ([`mim_isa::block_engine_enabled`]) it falls back to the per-step
-    /// interpreter; the resulting profile is identical either way.
+    /// on the block-compiled engine — the profiler's collector is a
+    /// [`BlockHooks`] set, so no per-event [`TraceEvent`] reconstruction
+    /// happens between execution and the cache/predictor models.
+    /// [`profile_source`](SweepProfiler::profile_source) over
+    /// [`LiveVm::interpreted`](mim_trace::LiveVm::interpreted) yields the
+    /// identical profile from the per-step interpreter.
     ///
     /// Design-space sweeps should record the workload once
     /// (`mim_trace::Trace::record`) and call
@@ -171,11 +171,6 @@ impl SweepProfiler {
         program: &Program,
         limit: Option<u64>,
     ) -> Result<WorkloadProfile, VmError> {
-        if !mim_isa::block_engine_enabled() {
-            return self
-                .profile_source(&mut LiveVm::interpreted(program).with_limit(limit))
-                .map_err(TraceError::into_vm);
-        }
         let mut collector = self.collector();
         let mut engine = BlockEngine::new(program);
         engine.run_hooks(limit, &mut collector)?;

@@ -1,14 +1,11 @@
 //! Backend-parity sweep over every bundled workload: the block-compiled
 //! engine and the per-step interpreter must produce byte-identical
-//! recordings and identical `WorkloadProfile`s.
-//!
-//! One `#[test]` flips the process-global engine toggle sequentially, so
-//! this stays in its own integration-test binary.
+//! recordings, identical live event streams and identical
+//! `WorkloadProfile`s.
 
 use mim_core::MachineConfig;
-use mim_isa::set_block_engine;
 use mim_profile::SweepProfiler;
-use mim_trace::Trace;
+use mim_trace::{LiveVm, Trace, TraceSource};
 use mim_workloads::{mibench, spec, WorkloadSize};
 
 #[test]
@@ -20,7 +17,7 @@ fn every_bundled_workload_is_backend_invariant() {
         vec![machine.predictor.clone()],
     );
     let workloads: Vec<_> = mibench::all().into_iter().chain(spec::all()).collect();
-    assert!(workloads.len() >= 20, "expected the full bundled set");
+    assert_eq!(workloads.len(), 25, "expected the full bundled set");
 
     for w in &workloads {
         let p = w.program(WorkloadSize::Tiny);
@@ -35,12 +32,21 @@ fn every_bundled_workload_is_backend_invariant() {
             w.name()
         );
 
+        // Live-stream parity: same event count and outcome.
+        let mut block_events = 0u64;
+        let block_outcome = LiveVm::new(&p).drive(&mut |_| block_events += 1).unwrap();
+        let mut interp_events = 0u64;
+        let interp_outcome = LiveVm::interpreted(&p)
+            .drive(&mut |_| interp_events += 1)
+            .unwrap();
+        assert_eq!(block_events, interp_events, "event count on {}", w.name());
+        assert_eq!(block_outcome, interp_outcome, "outcome on {}", w.name());
+
         // Profile parity: block-hook collection vs interpreter observer.
-        set_block_engine(true);
         let block_profile = profiler.profile(&p, None).unwrap();
-        set_block_engine(false);
-        let interp_profile = profiler.profile(&p, None).unwrap();
-        set_block_engine(true);
+        let interp_profile = profiler
+            .profile_source(&mut LiveVm::interpreted(&p))
+            .unwrap();
         assert_eq!(
             serde_json::to_string(&block_profile).unwrap(),
             serde_json::to_string(&interp_profile).unwrap(),

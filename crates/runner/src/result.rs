@@ -58,7 +58,8 @@ pub struct BranchSummary {
 
 /// Sampling statistics attached to results from the sampled simulator.
 ///
-/// Mirrors [`mim_pipeline::SampledStats`] in serializable form: how much
+/// Mirrors [`SimResult::sampling`](mim_pipeline::SimResult::sampling) in
+/// serializable form: how much
 /// of the stream was measured in detail and how tight the CLT interval
 /// around the reported CPI is.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,17 +1,15 @@
 //! Deterministic clustering over signature feature vectors.
 //!
-//! Two algorithms behind one [`ClusterAlgorithm`] interface: seeded
-//! [`KMedoids`] (PAM-style alternation) and average-linkage
-//! [`Agglomerative`] hierarchical clustering with a [`Dendrogram`] cut.
-//! Both are **order-canonical**: points are processed in name order
+//! Seeded [`KMedoids`] (PAM-style alternation) over Euclidean distance.
+//! It is **order-canonical**: points are processed in name order
 //! internally, every tie is broken by name, and clusters come back
 //! ordered by medoid name — so the same suite clusters identically no
 //! matter how the caller happened to enumerate it, and a fixed seed
 //! reproduces byte-identical reports.
 
+use mim_core::SplitMix64;
 use serde::{Deserialize, Serialize};
 
-use crate::distance::Distance;
 use crate::error::SelectError;
 
 /// A named point in signature feature space.
@@ -52,51 +50,17 @@ pub struct Clusters {
     pub medoids: Vec<usize>,
 }
 
-/// A clustering algorithm over feature points.
-pub trait ClusterAlgorithm {
-    /// Display name recorded in reports.
-    fn name(&self) -> String;
-
-    /// Partitions `points` into exactly `k` non-empty clusters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SelectError`] for an empty input, duplicate names,
-    /// `k == 0`, or `k` exceeding the point count.
-    fn cluster(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        k: usize,
-    ) -> Result<Clusters, SelectError>;
-
-    /// Partitions the same points at several candidate `k`s, sharing
-    /// whatever `k`-independent preparation the algorithm needs (the
-    /// distance matrix; for hierarchical clustering, the whole merge
-    /// tree) — the auto-`k` search path. The default just loops over
-    /// [`cluster`](ClusterAlgorithm::cluster).
-    ///
-    /// # Errors
-    ///
-    /// As [`cluster`](ClusterAlgorithm::cluster), for the first failing `k`.
-    fn cluster_many(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        ks: &[usize],
-    ) -> Result<Vec<Clusters>, SelectError> {
-        ks.iter()
-            .map(|&k| self.cluster(points, distance, k))
-            .collect()
-    }
+/// Straight-line (L2) distance between two normalized feature vectors.
+fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
-/// The workspace's deterministic random stream: the seed fully
-/// determines k-medoids initialization.
-use mim_core::SplitMix64;
-
-/// The name-sorted view every algorithm operates on, plus the full
-/// pairwise distance matrix (suites are tens-to-hundreds of workloads, so
+/// The name-sorted view k-medoids operates on, plus the full pairwise
+/// Euclidean distance matrix (suites are tens-to-hundreds of workloads, so
 /// the O(n²) matrix is the cheap part).
 struct Prepared {
     /// `order[s]` = input index of the s-th point in name order.
@@ -107,12 +71,11 @@ struct Prepared {
 }
 
 impl Prepared {
-    fn build(points: &[FeaturePoint], distance: &Distance) -> Result<Prepared, SelectError> {
+    fn build(points: &[FeaturePoint]) -> Result<Prepared, SelectError> {
         if points.is_empty() {
             return Err(SelectError::config("no points to cluster"));
         }
         let features = points[0].features.len();
-        distance.validate(features)?;
         for p in points {
             if p.features.len() != features {
                 return Err(SelectError::config(format!(
@@ -142,7 +105,7 @@ impl Prepared {
         let mut matrix = vec![0.0; n * n];
         for s in 0..n {
             for t in (s + 1)..n {
-                let d = distance.between(&points[order[s]].features, &points[order[t]].features);
+                let d = euclidean(&points[order[s]].features, &points[order[t]].features);
                 matrix[s * n + t] = d;
                 matrix[t * n + s] = d;
             }
@@ -207,7 +170,7 @@ impl Prepared {
 /// # Example
 ///
 /// ```
-/// use mim_select::{ClusterAlgorithm, Distance, FeaturePoint, KMedoids};
+/// use mim_select::{FeaturePoint, KMedoids};
 ///
 /// let points = vec![
 ///     FeaturePoint::new("a1", vec![0.0, 0.0]),
@@ -215,7 +178,7 @@ impl Prepared {
 ///     FeaturePoint::new("b1", vec![1.0, 1.0]),
 ///     FeaturePoint::new("b2", vec![0.9, 1.0]),
 /// ];
-/// let clusters = KMedoids::new().cluster(&points, &Distance::Euclidean, 2).unwrap();
+/// let clusters = KMedoids::new().cluster(&points, 2).unwrap();
 /// assert_eq!(clusters.k, 2);
 /// assert_eq!(clusters.assignments[0], clusters.assignments[1]);
 /// assert_ne!(clusters.assignments[0], clusters.assignments[2]);
@@ -245,6 +208,22 @@ impl KMedoids {
     pub fn seed(mut self, seed: u64) -> KMedoids {
         self.seed = seed;
         self
+    }
+
+    /// Display name recorded in reports.
+    pub fn name(&self) -> String {
+        format!("kmedoids-s{}", self.seed)
+    }
+
+    /// Partitions `points` into exactly `k` non-empty clusters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SelectError`] for an empty input, duplicate names,
+    /// ragged or non-finite features, `k == 0`, or `k` exceeding the
+    /// point count.
+    pub fn cluster(&self, points: &[FeaturePoint], k: usize) -> Result<Clusters, SelectError> {
+        self.cluster_prepared(&Prepared::build(points)?, k)
     }
 
     /// The PAM alternation over an already-built preparation.
@@ -311,279 +290,6 @@ impl KMedoids {
     }
 }
 
-impl ClusterAlgorithm for KMedoids {
-    fn name(&self) -> String {
-        format!("kmedoids-s{}", self.seed)
-    }
-
-    fn cluster(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        k: usize,
-    ) -> Result<Clusters, SelectError> {
-        self.cluster_prepared(&Prepared::build(points, distance)?, k)
-    }
-
-    fn cluster_many(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        ks: &[usize],
-    ) -> Result<Vec<Clusters>, SelectError> {
-        let prepared = Prepared::build(points, distance)?;
-        ks.iter()
-            .map(|&k| self.cluster_prepared(&prepared, k))
-            .collect()
-    }
-}
-
-/// One merge step of a hierarchical clustering: nodes `a` and `b` fuse at
-/// the given average-linkage distance. Leaves are nodes `0..n`; the
-/// `i`-th merge creates node `n + i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Merge {
-    /// First fused node (the one containing the name-earlier leaf).
-    pub a: usize,
-    /// Second fused node.
-    pub b: usize,
-    /// Average-linkage distance at which the fusion happened.
-    pub distance: f64,
-}
-
-/// The full merge tree of an agglomerative clustering, cuttable at any
-/// `k`. Leaf ids index the *input* point slice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Dendrogram {
-    n: usize,
-    /// Input index of each sorted-view leaf (leaf id `s` is input point
-    /// `order[s]`).
-    order: Vec<usize>,
-    merges: Vec<Merge>,
-}
-
-impl Dendrogram {
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for a dendrogram over zero points (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The merge sequence, in fusion order (non-decreasing linkage
-    /// distance is *not* guaranteed by average linkage, but determinism
-    /// is).
-    pub fn merges(&self) -> &[Merge] {
-        &self.merges
-    }
-
-    /// Cuts the tree into `k` clusters: applies the first `n - k` merges
-    /// and returns the surviving groups as input-index member lists,
-    /// each sorted by name, grouped in name order of their earliest
-    /// member.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SelectError`] unless `1 <= k <= n`.
-    pub fn cut(&self, k: usize) -> Result<Vec<Vec<usize>>, SelectError> {
-        Ok(self
-            .cut_sorted(k)?
-            .into_iter()
-            .map(|members| members.into_iter().map(|s| self.order[s]).collect())
-            .collect())
-    }
-
-    /// [`cut`](Dendrogram::cut) in sorted-view leaf indices (the space
-    /// `Prepared` works in), saving the input-index round trip for
-    /// internal callers.
-    fn cut_sorted(&self, k: usize) -> Result<Vec<Vec<usize>>, SelectError> {
-        if k == 0 || k > self.n {
-            return Err(SelectError::config(format!(
-                "cut at k = {k} on a {}-leaf dendrogram",
-                self.n
-            )));
-        }
-        // Union-find over node ids.
-        let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
-        fn root(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for (step, merge) in self.merges.iter().take(self.n - k).enumerate() {
-            let node = self.n + step;
-            let ra = root(&mut parent, merge.a);
-            let rb = root(&mut parent, merge.b);
-            parent[ra] = node;
-            parent[rb] = node;
-        }
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for s in 0..self.n {
-            groups.entry(root(&mut parent, s)).or_default().push(s);
-        }
-        // Canonical group order: by earliest (name-first) member.
-        let mut groups: Vec<Vec<usize>> = groups.into_values().collect();
-        groups.sort_by_key(|members| members[0]);
-        Ok(groups)
-    }
-}
-
-/// Average-linkage (UPGMA) agglomerative hierarchical clustering with
-/// Lance–Williams updates and name-ordered tie-breaking. Produces a
-/// [`Dendrogram`]; [`ClusterAlgorithm::cluster`] cuts it at `k` and
-/// derives medoids per cluster.
-///
-/// # Example
-///
-/// ```
-/// use mim_select::{Agglomerative, ClusterAlgorithm, Distance, FeaturePoint};
-///
-/// let points = vec![
-///     FeaturePoint::new("a", vec![0.0]),
-///     FeaturePoint::new("b", vec![0.1]),
-///     FeaturePoint::new("c", vec![5.0]),
-/// ];
-/// let dendrogram = Agglomerative::new().dendrogram(&points, &Distance::Euclidean).unwrap();
-/// assert_eq!(dendrogram.merges().len(), 2);
-/// let cut = dendrogram.cut(2).unwrap();
-/// assert_eq!(cut, vec![vec![0, 1], vec![2]]); // {a,b} fuse first
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Agglomerative;
-
-impl Agglomerative {
-    /// An average-linkage instance.
-    pub fn new() -> Agglomerative {
-        Agglomerative
-    }
-
-    /// Builds the full merge tree over the points.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SelectError`] for an empty input or duplicate names.
-    pub fn dendrogram(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-    ) -> Result<Dendrogram, SelectError> {
-        Ok(Agglomerative::dendrogram_from(&Prepared::build(
-            points, distance,
-        )?))
-    }
-
-    /// The merge loop over an already-built preparation.
-    fn dendrogram_from(prepared: &Prepared) -> Dendrogram {
-        let n = prepared.n;
-        // Active-slot linkage matrix, updated with Lance–Williams for
-        // average linkage: d(a∪b, c) = (|a| d(a,c) + |b| d(b,c)) / |a∪b|.
-        let mut linkage = prepared.matrix.clone();
-        let mut size = vec![1usize; n];
-        let mut node = (0..n).collect::<Vec<usize>>();
-        let mut min_leaf = (0..n).collect::<Vec<usize>>();
-        let mut active = vec![true; n];
-        let mut merges = Vec::with_capacity(n.saturating_sub(1));
-        for step in 0..n.saturating_sub(1) {
-            // The closest active pair; ties toward the name-earliest pair
-            // (keyed by the earliest leaves the two clusters contain).
-            type PairKey = (f64, usize, usize);
-            let mut best: Option<(PairKey, (usize, usize))> = None;
-            for i in 0..n {
-                if !active[i] {
-                    continue;
-                }
-                for j in (i + 1)..n {
-                    if !active[j] {
-                        continue;
-                    }
-                    let d = linkage[i * n + j];
-                    let key = (
-                        d,
-                        min_leaf[i].min(min_leaf[j]),
-                        min_leaf[i].max(min_leaf[j]),
-                    );
-                    if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                        best = Some((key, (i, j)));
-                    }
-                }
-            }
-            let (_, (i, j)) = best.expect("at least one active pair remains");
-            let d = linkage[i * n + j];
-            merges.push(Merge {
-                a: node[i],
-                b: node[j],
-                distance: d,
-            });
-            // Fuse j into i.
-            let total = (size[i] + size[j]) as f64;
-            for c in 0..n {
-                if !active[c] || c == i || c == j {
-                    continue;
-                }
-                let fused = (size[i] as f64 * linkage[i * n + c]
-                    + size[j] as f64 * linkage[j * n + c])
-                    / total;
-                linkage[i * n + c] = fused;
-                linkage[c * n + i] = fused;
-            }
-            size[i] += size[j];
-            min_leaf[i] = min_leaf[i].min(min_leaf[j]);
-            node[i] = n + step;
-            active[j] = false;
-        }
-        Dendrogram {
-            n,
-            order: prepared.order.clone(),
-            merges,
-        }
-    }
-
-    /// Cuts a prepared dendrogram at `k` and derives per-cluster medoids.
-    fn cut_prepared(
-        prepared: &Prepared,
-        dendrogram: &Dendrogram,
-        k: usize,
-    ) -> Result<Clusters, SelectError> {
-        Ok(prepared.finish(dendrogram.cut_sorted(k)?))
-    }
-}
-
-impl ClusterAlgorithm for Agglomerative {
-    fn name(&self) -> String {
-        "agglomerative-avg".to_string()
-    }
-
-    fn cluster(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        k: usize,
-    ) -> Result<Clusters, SelectError> {
-        let prepared = Prepared::build(points, distance)?;
-        let dendrogram = Agglomerative::dendrogram_from(&prepared);
-        Agglomerative::cut_prepared(&prepared, &dendrogram, k)
-    }
-
-    fn cluster_many(
-        &self,
-        points: &[FeaturePoint],
-        distance: &Distance,
-        ks: &[usize],
-    ) -> Result<Vec<Clusters>, SelectError> {
-        // The merge tree is k-independent: build it once, cut per k.
-        let prepared = Prepared::build(points, distance)?;
-        let dendrogram = Agglomerative::dendrogram_from(&prepared);
-        ks.iter()
-            .map(|&k| Agglomerative::cut_prepared(&prepared, &dendrogram, k))
-            .collect()
-    }
-}
-
 /// Mean silhouette coefficient of a clustering: `(b − a) / max(a, b)`
 /// per point, where `a` is the mean distance to the point's own cluster
 /// and `b` the smallest mean distance to another cluster. Always in
@@ -591,8 +297,8 @@ impl ClusterAlgorithm for Agglomerative {
 /// partition scores 0 by convention (as does degenerate input a
 /// clustering could never have produced — duplicate names, ragged or
 /// non-finite features).
-pub fn silhouette(points: &[FeaturePoint], distance: &Distance, clusters: &Clusters) -> f64 {
-    match Prepared::build(points, distance) {
+pub fn silhouette(points: &[FeaturePoint], clusters: &Clusters) -> f64 {
+    match Prepared::build(points) {
         Ok(prepared) => silhouette_prepared(&prepared, clusters),
         Err(_) => 0.0,
     }
@@ -643,32 +349,6 @@ fn silhouette_prepared(prepared: &Prepared, clusters: &Clusters) -> f64 {
     total / n as f64
 }
 
-/// BIC-style score of a clustering (lower is better): an x-means-like
-/// spherical-Gaussian approximation where the per-cluster variance comes
-/// from medoid distances. Not a calibrated Bayesian quantity — a
-/// monotone model-complexity trade-off for picking `k`.
-pub fn bic(points: &[FeaturePoint], distance: &Distance, clusters: &Clusters) -> f64 {
-    let n = points.len() as f64;
-    let d = points.first().map_or(1, |p| p.features.len()) as f64;
-    let k = clusters.k as f64;
-    let mut squared = 0.0;
-    for (i, point) in points.iter().enumerate() {
-        let medoid = clusters.medoids[clusters.assignments[i]];
-        let dist = distance.between(&point.features, &points[medoid].features);
-        squared += dist * dist;
-    }
-    let variance = (squared / (n - k).max(1.0)).max(1e-12);
-    let mut log_likelihood = -n * (2.0 * std::f64::consts::PI * variance).ln() * d / 2.0
-        - (n - k) * d / 2.0
-        - n * n.ln();
-    for members in &clusters.members {
-        let nc = members.len() as f64;
-        log_likelihood += nc * nc.ln();
-    }
-    let parameters = k * (d + 1.0);
-    parameters * n.ln() - 2.0 * log_likelihood
-}
-
 /// How `k` is chosen.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum KSelection {
@@ -681,51 +361,30 @@ pub enum KSelection {
         /// Largest `k` to consider (0 = derive from the budget).
         max_k: usize,
     },
-    /// Minimize the [BIC-style score](bic) over `1 ..= max_k` (`max_k =
-    /// 0` as above); ties prefer fewer clusters.
-    Bic {
-        /// Largest `k` to consider (0 = derive from the budget).
-        max_k: usize,
-    },
 }
 
-/// Runs the algorithm for the `k` the selection policy picks (never more
-/// than `cap`), returning the winning clustering and its silhouette.
+/// Runs k-medoids for the `k` the selection policy picks (never more than
+/// `cap`), returning the winning clustering and its silhouette. One
+/// distance matrix serves every candidate `k`.
 ///
 /// # Errors
 ///
 /// Propagates clustering errors; `cap == 0` is a configuration error.
 pub fn choose_k(
-    algorithm: &dyn ClusterAlgorithm,
+    kmedoids: &KMedoids,
     points: &[FeaturePoint],
-    distance: &Distance,
     selection: &KSelection,
     cap: usize,
 ) -> Result<(Clusters, f64), SelectError> {
     if cap == 0 {
         return Err(SelectError::config("subset budget allows zero clusters"));
     }
-    let n = points.len();
-    let cap = cap.min(n);
-    // One shared preparation scores every candidate clustering; the
-    // algorithms additionally share their own `k`-independent work
-    // (distance matrix, merge tree) through `cluster_many`.
-    let prepared = Prepared::build(points, distance)?;
+    let cap = cap.min(points.len());
+    let prepared = Prepared::build(points)?;
     let run = |k: usize| -> Result<(Clusters, f64), SelectError> {
-        let clusters = algorithm.cluster(points, distance, k)?;
+        let clusters = kmedoids.cluster_prepared(&prepared, k)?;
         let score = silhouette_prepared(&prepared, &clusters);
         Ok((clusters, score))
-    };
-    let sweep = |ks: std::ops::RangeInclusive<usize>| -> Result<Vec<(Clusters, f64)>, SelectError> {
-        let ks: Vec<usize> = ks.collect();
-        Ok(algorithm
-            .cluster_many(points, distance, &ks)?
-            .into_iter()
-            .map(|clusters| {
-                let score = silhouette_prepared(&prepared, &clusters);
-                (clusters, score)
-            })
-            .collect())
     };
     match *selection {
         KSelection::Fixed(k) => {
@@ -740,24 +399,13 @@ pub fn choose_k(
                 return run(hi.max(1));
             }
             let mut best: Option<(Clusters, f64)> = None;
-            for (clusters, score) in sweep(2..=hi)? {
+            for k in 2..=hi {
+                let (clusters, score) = run(k)?;
                 if best.as_ref().is_none_or(|(_, s)| score > *s) {
                     best = Some((clusters, score));
                 }
             }
             Ok(best.expect("2..=hi is non-empty"))
-        }
-        KSelection::Bic { max_k } => {
-            let hi = if max_k == 0 { cap } else { max_k.min(cap) };
-            let mut best: Option<(Clusters, f64, f64)> = None;
-            for (clusters, score) in sweep(1..=hi)? {
-                let b = bic(points, distance, &clusters);
-                if best.as_ref().is_none_or(|(_, _, bb)| b < *bb) {
-                    best = Some((clusters, score, b));
-                }
-            }
-            let (clusters, score, _) = best.expect("1..=hi is non-empty");
-            Ok((clusters, score))
         }
     }
 }
@@ -780,9 +428,7 @@ mod tests {
     #[test]
     fn kmedoids_recovers_blobs() {
         let points = blobs();
-        let clusters = KMedoids::new()
-            .cluster(&points, &Distance::Euclidean, 3)
-            .unwrap();
+        let clusters = KMedoids::new().cluster(&points, 3).unwrap();
         assert_eq!(clusters.k, 3);
         assert_eq!(clusters.assignments[0], clusters.assignments[1]);
         assert_eq!(clusters.assignments[0], clusters.assignments[2]);
@@ -796,91 +442,31 @@ mod tests {
     }
 
     #[test]
-    fn agglomerative_matches_on_blobs_and_cut_is_nested() {
-        let points = blobs();
-        let agglomerative = Agglomerative::new();
-        let clusters = agglomerative
-            .cluster(&points, &Distance::Euclidean, 3)
-            .unwrap();
-        assert_eq!(clusters.k, 3);
-        assert_eq!(clusters.assignments[0], clusters.assignments[1]);
-        assert_eq!(clusters.assignments[3], clusters.assignments[4]);
-        // Cuts are nested: the k=2 partition merges two of the k=3 groups.
-        let dendrogram = agglomerative
-            .dendrogram(&points, &Distance::Euclidean)
-            .unwrap();
-        let at3 = dendrogram.cut(3).unwrap();
-        let at2 = dendrogram.cut(2).unwrap();
-        assert_eq!(at3.len(), 3);
-        assert_eq!(at2.len(), 2);
-        for fine in &at3 {
-            assert!(
-                at2.iter()
-                    .any(|coarse| fine.iter().all(|m| coarse.contains(m))),
-                "k=3 group {fine:?} split across the k=2 partition {at2:?}"
-            );
-        }
-        assert!(dendrogram.cut(0).is_err());
-        assert!(dendrogram.cut(7).is_err());
-    }
-
-    #[test]
     fn silhouette_prefers_the_true_k() {
         let points = blobs();
         let algorithm = KMedoids::new();
-        let (clusters, score) = choose_k(
-            &algorithm,
-            &points,
-            &Distance::Euclidean,
-            &KSelection::Silhouette { max_k: 5 },
-            5,
-        )
-        .unwrap();
+        let (clusters, score) =
+            choose_k(&algorithm, &points, &KSelection::Silhouette { max_k: 5 }, 5).unwrap();
         assert_eq!(clusters.k, 3, "three well-separated blobs");
         assert!(score > 0.5, "clean separation scores high: {score}");
     }
 
     #[test]
-    fn bic_selection_stays_reasonable() {
-        let points = blobs();
-        let algorithm = KMedoids::new();
-        let (clusters, _) = choose_k(
-            &algorithm,
-            &points,
-            &Distance::Euclidean,
-            &KSelection::Bic { max_k: 5 },
-            5,
-        )
-        .unwrap();
-        assert!((2..=4).contains(&clusters.k), "picked k = {}", clusters.k);
-    }
-
-    #[test]
     fn degenerate_inputs_are_rejected() {
         let points = blobs();
-        assert!(KMedoids::new()
-            .cluster(&points, &Distance::Euclidean, 0)
-            .is_err());
-        assert!(KMedoids::new()
-            .cluster(&points, &Distance::Euclidean, 7)
-            .is_err());
-        assert!(KMedoids::new()
-            .cluster(&[], &Distance::Euclidean, 1)
-            .is_err());
+        assert!(KMedoids::new().cluster(&points, 0).is_err());
+        assert!(KMedoids::new().cluster(&points, 7).is_err());
+        assert!(KMedoids::new().cluster(&[], 1).is_err());
         let duplicate = vec![
             FeaturePoint::new("x", vec![0.0]),
             FeaturePoint::new("x", vec![1.0]),
         ];
-        assert!(KMedoids::new()
-            .cluster(&duplicate, &Distance::Euclidean, 1)
-            .is_err());
+        assert!(KMedoids::new().cluster(&duplicate, 1).is_err());
         let ragged = vec![
             FeaturePoint::new("x", vec![0.0]),
             FeaturePoint::new("y", vec![1.0, 2.0]),
         ];
-        assert!(Agglomerative::new()
-            .cluster(&ragged, &Distance::Euclidean, 1)
-            .is_err());
+        assert!(KMedoids::new().cluster(&ragged, 1).is_err());
     }
 
     #[test]
@@ -891,9 +477,7 @@ mod tests {
             FeaturePoint::new("p3", vec![0.5, 0.5]),
         ];
         for k in 1..=3 {
-            let clusters = KMedoids::new()
-                .cluster(&points, &Distance::Euclidean, k)
-                .unwrap();
+            let clusters = KMedoids::new().cluster(&points, k).unwrap();
             assert_eq!(clusters.k, k);
             assert!(clusters.members.iter().all(|m| !m.is_empty()));
         }

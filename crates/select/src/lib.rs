@@ -15,12 +15,9 @@
 //!   [`WorkloadProfile`](mim_profile::WorkloadProfile) every sweep
 //!   already produces — characterization adds **zero** extra functional
 //!   executions.
-//! * [`Distance`] — pluggable metrics (Euclidean / Manhattan / weighted)
-//!   over the deterministic normalized feature vector.
-//! * [`KMedoids`] / [`Agglomerative`] — deterministic clustering behind
-//!   the [`ClusterAlgorithm`] trait: seeded PAM-style k-medoids, and
-//!   average-linkage hierarchical clustering with a [`Dendrogram`] cut;
-//!   [`KSelection`] picks `k` by silhouette or a BIC-style score.
+//! * [`KMedoids`] — deterministic, seeded PAM-style k-medoids over
+//!   Euclidean distance on the normalized feature vector; [`KSelection`]
+//!   picks `k` by silhouette or fixes it.
 //! * [`RepresentativeSet`] — one medoid per cluster with cluster-share
 //!   weights (summing to 1), the stand-in for the whole suite.
 //! * [`SubsetRun`] — the driver: characterize, cluster, sweep the design
@@ -61,18 +58,13 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod distance;
 mod error;
 mod representative;
 mod signature;
 mod subset;
 
-pub use cluster::{
-    bic, choose_k, silhouette, Agglomerative, ClusterAlgorithm, Clusters, Dendrogram, FeaturePoint,
-    KMedoids, KSelection, Merge,
-};
-pub use distance::Distance;
+pub use cluster::{choose_k, silhouette, Clusters, FeaturePoint, KMedoids, KSelection};
 pub use error::SelectError;
-pub use representative::{Method, Representative, RepresentativeSet, Selection};
+pub use representative::{Representative, RepresentativeSet, Selection};
 pub use signature::Signature;
 pub use subset::{SimProbe, SubsetFrontier, SubsetReport, SubsetRun, SubsetTiming, SubsetVerify};

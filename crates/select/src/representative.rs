@@ -2,34 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{
-    choose_k, Agglomerative, ClusterAlgorithm, FeaturePoint, KMedoids, KSelection,
-};
-use crate::distance::Distance;
+use crate::cluster::{choose_k, FeaturePoint, KMedoids, KSelection};
 use crate::error::SelectError;
 use crate::signature::Signature;
 
-/// Which clustering algorithm drives the selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Method {
-    /// Seeded deterministic k-medoids.
-    KMedoids {
-        /// Initialization seed.
-        seed: u64,
-    },
-    /// Average-linkage agglomerative hierarchical clustering with a
-    /// dendrogram cut at the selected `k`.
-    Agglomerative,
-}
-
-/// The full selection policy: how signatures are compared, clustered,
-/// and how many clusters to keep.
+/// The selection policy: seeded k-medoids over Euclidean distance, with
+/// `k` chosen by [`KSelection`] under a subset-size cap.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Selection {
-    /// Distance over normalized feature vectors.
-    pub distance: Distance,
-    /// Clustering algorithm.
-    pub method: Method,
     /// How `k` is chosen.
     pub k: KSelection,
     /// Hard cap on the representative fraction of the suite (the paper's
@@ -41,23 +21,11 @@ pub struct Selection {
 }
 
 impl Default for Selection {
-    /// Euclidean k-medoids with silhouette-selected `k`, capped at 25%
-    /// of the suite.
+    /// Silhouette-selected `k`, capped at 25% of the suite.
     fn default() -> Selection {
         Selection {
-            distance: Distance::Euclidean,
-            method: Method::KMedoids { seed: 0x6d69_6d53 },
             k: KSelection::Silhouette { max_k: 0 },
             max_fraction: 0.25,
-        }
-    }
-}
-
-impl Selection {
-    fn algorithm(&self) -> Box<dyn ClusterAlgorithm> {
-        match self.method {
-            Method::KMedoids { seed } => Box::new(KMedoids::new().seed(seed)),
-            Method::Agglomerative => Box::new(Agglomerative::new()),
         }
     }
 }
@@ -101,9 +69,10 @@ pub struct Representative {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepresentativeSet {
-    /// Clustering algorithm used (display name).
+    /// Clustering algorithm used (display name, e.g.
+    /// `kmedoids-s1835625811`).
     pub method: String,
-    /// Distance used (display name).
+    /// Distance used (always `euclidean`).
     pub distance: String,
     /// Number of clusters (= number of representatives).
     pub k: usize,
@@ -119,8 +88,8 @@ impl RepresentativeSet {
     ///
     /// # Errors
     ///
-    /// Returns a [`SelectError`] for an empty suite, duplicate names, a
-    /// malformed distance, or an unsatisfiable `k` policy.
+    /// Returns a [`SelectError`] for an empty suite, duplicate names, or
+    /// an unsatisfiable `k` policy.
     pub fn select(
         signatures: &[Signature],
         selection: &Selection,
@@ -140,14 +109,8 @@ impl RepresentativeSet {
             .iter()
             .map(|s| FeaturePoint::new(s.name.clone(), s.feature_vector()))
             .collect();
-        let algorithm = selection.algorithm();
-        let (clusters, silhouette) = choose_k(
-            algorithm.as_ref(),
-            &points,
-            &selection.distance,
-            &selection.k,
-            cap,
-        )?;
+        let kmedoids = KMedoids::new();
+        let (clusters, silhouette) = choose_k(&kmedoids, &points, &selection.k, cap)?;
         let representatives = clusters
             .members
             .iter()
@@ -162,8 +125,8 @@ impl RepresentativeSet {
             })
             .collect();
         Ok(RepresentativeSet {
-            method: algorithm.name(),
-            distance: selection.distance.name(),
+            method: kmedoids.name(),
+            distance: "euclidean".to_string(),
             k: clusters.k,
             silhouette,
             representatives,
@@ -263,7 +226,6 @@ mod tests {
             &Selection {
                 k: KSelection::Fixed(3),
                 max_fraction: 0.5,
-                ..Selection::default()
             },
         )
         .unwrap();
@@ -288,7 +250,6 @@ mod tests {
             &Selection {
                 k: KSelection::Fixed(6),
                 max_fraction: 0.25,
-                ..Selection::default()
             },
         )
         .unwrap();
@@ -304,29 +265,10 @@ mod tests {
             &Selection {
                 k: KSelection::Fixed(3),
                 max_fraction: 0.5,
-                ..Selection::default()
             },
         )
         .unwrap();
         // A constant metric extrapolates to itself.
         assert!((set.weighted_mean(|_| 2.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn agglomerative_method_is_available() {
-        let signatures = suite();
-        let set = RepresentativeSet::select(
-            &signatures,
-            &Selection {
-                method: Method::Agglomerative,
-                k: KSelection::Silhouette { max_k: 4 },
-                max_fraction: 0.5,
-                ..Selection::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(set.method, "agglomerative-avg");
-        assert!((2..=4).contains(&set.k));
-        assert!((-1.0..=1.0).contains(&set.silhouette));
     }
 }

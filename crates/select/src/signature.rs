@@ -41,7 +41,7 @@ const LOG_CAP: f64 = 32.0;
 /// All rates are fractions in `[0, 1]`; distances are in dynamic
 /// instructions; reuse distances are in distinct 64-byte lines. The
 /// derived [`feature_vector`](Signature::feature_vector) is deterministic
-/// and normalized, ready for any [`Distance`](crate::Distance).
+/// and normalized, ready for clustering.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Signature {
     /// Workload name (the report key).

@@ -256,8 +256,7 @@ impl SubsetRun {
         self
     }
 
-    /// Replaces the selection policy (distance, clustering method, `k`
-    /// policy, subset-size cap).
+    /// Replaces the selection policy (`k` policy, subset-size cap).
     pub fn selection(mut self, selection: Selection) -> SubsetRun {
         self.selection = selection;
         self

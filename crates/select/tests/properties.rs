@@ -3,8 +3,8 @@
 //! silhouette bounds.
 
 use mim_select::{
-    silhouette, Agglomerative, ClusterAlgorithm, Clusters, Distance, FeaturePoint, KMedoids,
-    KSelection, RepresentativeSet, Selection, Signature,
+    silhouette, Clusters, FeaturePoint, KMedoids, KSelection, RepresentativeSet, Selection,
+    Signature,
 };
 use proptest::prelude::*;
 
@@ -64,9 +64,9 @@ proptest! {
         let points = points_from(&raw);
         let k = k.min(points.len());
         let algorithm = KMedoids::new().seed(42);
-        let first = algorithm.cluster(&points, &Distance::Euclidean, k).unwrap();
+        let first = algorithm.cluster(&points, k).unwrap();
         // Byte determinism: the identical call yields identical JSON.
-        let again = algorithm.cluster(&points, &Distance::Euclidean, k).unwrap();
+        let again = algorithm.cluster(&points, k).unwrap();
         prop_assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -80,27 +80,7 @@ proptest! {
         // Permutation invariance: clustering the shuffled suite yields
         // the same medoid names and member name-sets.
         let permuted = shuffled(&points, shuffle_seed);
-        let second = algorithm.cluster(&permuted, &Distance::Euclidean, k).unwrap();
-        prop_assert_eq!(canonical(&points, &first), canonical(&permuted, &second));
-    }
-
-    /// The same invariants for the agglomerative dendrogram cut.
-    #[test]
-    fn agglomerative_is_permutation_invariant(
-        raw in proptest::collection::vec((0u32..9, 0u32..9, 0u32..9), 2..24),
-        k in 1usize..5,
-        shuffle_seed in 0u64..1_000_000,
-    ) {
-        let points = points_from(&raw);
-        let k = k.min(points.len());
-        let algorithm = Agglomerative::new();
-        let first = algorithm.cluster(&points, &Distance::Manhattan, k).unwrap();
-        prop_assert_eq!(first.members.len(), k);
-        for members in &first.members {
-            prop_assert!(!members.is_empty());
-        }
-        let permuted = shuffled(&points, shuffle_seed);
-        let second = algorithm.cluster(&permuted, &Distance::Manhattan, k).unwrap();
+        let second = algorithm.cluster(&permuted, k).unwrap();
         prop_assert_eq!(canonical(&points, &first), canonical(&permuted, &second));
     }
 
@@ -112,8 +92,8 @@ proptest! {
     ) {
         let points = points_from(&raw);
         let k = k.min(points.len());
-        let clusters = KMedoids::new().cluster(&points, &Distance::Euclidean, k).unwrap();
-        let score = silhouette(&points, &Distance::Euclidean, &clusters);
+        let clusters = KMedoids::new().cluster(&points, k).unwrap();
+        let score = silhouette(&points, &clusters);
         prop_assert!((-1.0..=1.0).contains(&score), "silhouette {}", score);
     }
 
@@ -151,7 +131,6 @@ proptest! {
         let selection = Selection {
             k: KSelection::Fixed(fixed_k),
             max_fraction: 0.5,
-            ..Selection::default()
         };
         let set = RepresentativeSet::select(&signatures, &selection).unwrap();
         let total: f64 = set.weights().iter().sum();

@@ -113,7 +113,6 @@ fn subset_run_extrapolates_with_small_error_on_mibench() {
         .selection(Selection {
             k: KSelection::Silhouette { max_k: 0 },
             max_fraction: 0.3,
-            ..Selection::default()
         })
         .verify(true)
         .sim_probes(1)
@@ -185,9 +184,8 @@ fn behaviour_grid_flows_through_selection() {
         .workloads(grid.workload_specs())
         .size(WorkloadSize::Tiny)
         .selection(Selection {
-            k: KSelection::Bic { max_k: 4 },
+            k: KSelection::Silhouette { max_k: 4 },
             max_fraction: 0.25,
-            ..Selection::default()
         })
         .frontier(false)
         .threads(2)

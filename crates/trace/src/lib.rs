@@ -31,7 +31,9 @@
 //! ([`Trace::record`]'s two streams map directly onto its
 //! `cond_branch`/`mem_access` hooks, which write the encoded streams as
 //! the program runs), held to ≥5× the per-step interpreter's
-//! throughput; replay then streams events faster than interpreted
+//! throughput. [`Trace::record_interpreted`] and [`LiveVm::interpreted`]
+//! run that interpreter instead: the byte-identical oracle the engine is
+//! tested against. Replay then streams events faster than interpreted
 //! re-execution (no register file, no data memory, no ALU). Both are
 //! measured by the `trace_replay_throughput` bench in `mim-bench` and
 //! tracked in `BENCH_trace.json` — and, the bigger win, a design-space

@@ -95,10 +95,9 @@ enum Backend<'p> {
 /// This is the only [`TraceSource`] that actually executes the program;
 /// it backs the legacy program-based entry points
 /// (`PipelineSim::simulate`, `SweepProfiler::profile`) and
-/// [`Trace::record`](crate::Trace::record). By default it runs on the block-compiled
-/// [`BlockEngine`]; [`LiveVm::interpreted`] (or
-/// `MIM_BLOCK_ENGINE=off`, see [`mim_isa::block_engine_enabled`]) forces
-/// the per-step interpreter, which emits the byte-identical stream at a
+/// [`Trace::record`](crate::Trace::record). [`LiveVm::new`] runs on the
+/// block-compiled [`BlockEngine`]; [`LiveVm::interpreted`] runs the
+/// per-step interpreter, which emits the byte-identical stream at a
 /// fraction of the throughput and serves as the differential oracle.
 pub struct LiveVm<'p> {
     program: &'p Program,
@@ -107,24 +106,18 @@ pub struct LiveVm<'p> {
 }
 
 impl<'p> LiveVm<'p> {
-    /// A live source over a fresh functional engine for `program`,
-    /// unlimited. Uses the block-compiled engine unless the block engine
-    /// has been disabled ([`mim_isa::block_engine_enabled`]).
+    /// A live source over a fresh block-compiled engine for `program`,
+    /// unlimited.
     pub fn new(program: &'p Program) -> LiveVm<'p> {
-        let backend = if mim_isa::block_engine_enabled() {
-            Backend::Block(BlockEngine::new(program))
-        } else {
-            Backend::Interp(Vm::new(program))
-        };
         LiveVm {
             program,
-            backend,
+            backend: Backend::Block(BlockEngine::new(program)),
             limit: None,
         }
     }
 
-    /// A live source pinned to the per-step interpreter regardless of the
-    /// engine toggle — the differential oracle, and the baseline the
+    /// A live source over the per-step interpreter — the differential
+    /// oracle, and the baseline the
     /// `trace_replay` bench measures block-engine speedup against.
     pub fn interpreted(program: &'p Program) -> LiveVm<'p> {
         LiveVm {

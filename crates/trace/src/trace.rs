@@ -76,24 +76,19 @@ impl Trace {
     ///
     /// This is the **only** place the trace layer executes the program;
     /// every downstream consumer replays the recording instead. The
-    /// execution runs on the block-compiled [`BlockEngine`] by default —
-    /// the trace's two streams (branch direction bits, effective
+    /// execution runs on the block-compiled [`BlockEngine`] — the trace's two streams (branch direction bits, effective
     /// addresses) map one-to-one onto the engine's
     /// [`cond_branch`](BlockHooks::cond_branch) and
     /// [`mem_access`](BlockHooks::mem_access) hooks, so recording pays no
     /// per-event [`TraceEvent`] reconstruction and writes the encoded
-    /// streams as the program runs. With the block engine disabled
-    /// ([`mim_isa::block_engine_enabled`]) this falls back to
-    /// [`record_interpreted`](Trace::record_interpreted); the produced
-    /// trace is byte-identical either way.
+    /// streams as the program runs.
+    /// [`record_interpreted`](Trace::record_interpreted) is its
+    /// byte-identical oracle.
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] raised during execution.
     pub fn record(program: &Program, limit: Option<u64>) -> Result<Trace, VmError> {
-        if !mim_isa::block_engine_enabled() {
-            return Trace::record_interpreted(program, limit);
-        }
         let mut recorder = Recorder::new(program);
         let outcome = BlockEngine::new(program).run_hooks(limit, &mut recorder)?;
         Ok(recorder.finish(outcome))

@@ -37,8 +37,7 @@
 //! * [`select`] — **workload characterization and representative-input
 //!   selection**: microarchitecture-independent
 //!   [`Signature`](mim_select::Signature)s, deterministic clustering
-//!   (seeded k-medoids, agglomerative + dendrogram cut, silhouette/BIC
-//!   auto-`k`), weighted
+//!   (seeded k-medoids with silhouette auto-`k`), weighted
 //!   [`RepresentativeSet`](mim_select::RepresentativeSet)s, and
 //!   [`SubsetRun`](mim_select::SubsetRun)s that sweep a design space on
 //!   the medoids only and report extrapolated metrics with a
@@ -103,9 +102,8 @@
 //! ```
 //!
 //! The underlying subsystems remain directly usable (see
-//! [`profile::Profiler`](mim_profile::Profiler),
-//! [`core::MechanisticModel`](mim_core::MechanisticModel),
-//! [`pipeline::PipelineSim`](mim_pipeline::PipelineSim)) — the runner is
+//! [`profile::Profiler`], [`core::MechanisticModel`],
+//! [`pipeline::PipelineSim`]) — the runner is
 //! composition, not a wall.
 
 pub use mim_bpred as bpred;
@@ -138,9 +136,7 @@ pub mod prelude {
         CellMemo, EvalKind, EvalResult, Evaluator, Experiment, ExperimentReport, ModelEvaluator,
         OooEvaluator, SimEvaluator, StoreStats, WorkloadSpec, WorkloadStore,
     };
-    pub use mim_select::{
-        Distance, RepresentativeSet, Selection, Signature, SubsetReport, SubsetRun,
-    };
+    pub use mim_select::{RepresentativeSet, Selection, Signature, SubsetReport, SubsetRun};
     pub use mim_serve::{Client, Engine, JobSpec, Server};
     pub use mim_trace::{LiveVm, Sampling, Trace, TraceSource};
     pub use mim_validate::{BehaviorSpace, DifferentialRun, ErrorTerm, ValidationReport};
