@@ -1,15 +1,13 @@
 //! `select_speedup`: the subset-sweep economy, measured.
 //!
 //! Quantifies what representative-input selection buys: a design-space
-//! sweep over the ≤25% weighted subset versus the exhaustive suite, plus
-//! the per-workload cost of signature extraction. Writes the measured
-//! speedup and fidelity to `BENCH_select.json` at the workspace root so
-//! the perf trajectory is tracked across PRs.
+//! sweep over the ≤25% weighted subset versus the exhaustive suite.
+//! Writes the measured speedup and subset size to `BENCH_select.json` at
+//! the workspace root so the perf trajectory is tracked across PRs.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mim_core::{DesignSpace, MachineConfig};
 use mim_runner::{EvalKind, Experiment, WorkloadSpec, WorkloadStore};
 use mim_select::{KSelection, RepresentativeSet, Selection, Signature};
@@ -46,21 +44,9 @@ fn sweep_seconds(specs: &[WorkloadSpec], store: &WorkloadStore) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-fn bench_select_speedup(c: &mut Criterion) {
+fn main() {
     let suite = corpus();
     let store = WorkloadStore::new();
-
-    // Criterion view: signature extraction and selection on warm caches.
-    let spec = WorkloadSpec::from(mibench::sha());
-    Signature::extract(&store, &spec, WorkloadSize::Tiny, None).expect("warm");
-    let mut group = c.benchmark_group("select");
-    group.bench_function("signature_extract_warm", |b| {
-        b.iter(|| {
-            black_box(
-                Signature::extract(&store, &spec, WorkloadSize::Tiny, None).expect("signature"),
-            )
-        })
-    });
     let signatures: Vec<Signature> = suite
         .iter()
         .map(|w| Signature::extract(&store, w, WorkloadSize::Tiny, None).expect("signature"))
@@ -69,10 +55,6 @@ fn bench_select_speedup(c: &mut Criterion) {
         k: KSelection::Fixed(suite.len() / 4),
         ..Selection::default()
     };
-    group.bench_function("cluster_and_select_83", |b| {
-        b.iter(|| black_box(RepresentativeSet::select(&signatures, &selection).expect("select")))
-    });
-    group.finish();
 
     // Steady-state economy measurement: one cold sweep each way, on
     // separate stores so the subset pays its own profiling like a real
@@ -113,18 +95,9 @@ fn bench_select_speedup(c: &mut Criterion) {
         subset_sweep_seconds: subset_seconds,
         sweep_speedup: exhaustive_seconds / subset_seconds.max(1e-9),
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_select.json");
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&record).expect("serialize"),
-    )
-    .expect("write BENCH_select.json");
+    mim_bench::write_bench_record("select", &record).expect("write BENCH_select.json");
     println!(
-        "subset sweep {subset_seconds:.2}s vs exhaustive {exhaustive_seconds:.2}s \
-         ({:.1}x) -> BENCH_select.json",
+        "subset sweep {subset_seconds:.2}s vs exhaustive {exhaustive_seconds:.2}s ({:.1}x)",
         exhaustive_seconds / subset_seconds.max(1e-9),
     );
 }
-
-criterion_group!(benches, bench_select_speedup);
-criterion_main!(benches);

@@ -6,24 +6,24 @@
 //!
 //! * **cell reuse** — overlapping sweeps coalesce onto one computation per
 //!   (workload, machine, evaluator) cell: ≥ 80% cell-level cache hits;
-//! * **determinism** — the same job yields byte-identical report payloads
-//!   across runs and across worker counts (1 vs 4);
 //! * **warm restarts** — a fresh engine over the same persistent store
 //!   performs zero functional executions for previously-seen cells;
-//! * **cheap telemetry** — the same storm with latency timestamping
-//!   globally off (`mim_obs::set_timing(false)`) produces byte-identical
-//!   reports, and turning instrumentation on costs ≤ 5% throughput.
+//! * **cheap telemetry** — turning latency timestamping on
+//!   (`mim_obs::set_timing`) costs ≤ 5% throughput, and so does per-job
+//!   profile capture.
+//!
+//! That reports stay byte-identical across worker counts, restarts,
+//! timing and capture is asserted by the `mim-serve` determinism test
+//! (`crates/serve/tests/determinism.rs`), not here.
 //!
 //! The measured numbers — including p50/p99 job latency scraped from the
 //! engine's `mim-obs` registry — land in `BENCH_serve.json` at the
 //! workspace root so the perf trajectory is tracked across PRs.
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mim_serve::{CellMemo, Client, Engine, JobSpec, Server, WorkloadStore};
 use serde::{Serialize, Value};
 
@@ -76,9 +76,8 @@ fn stat(stats: &Value, section: &str, key: &str) -> u64 {
 }
 
 /// One full load run: boot a server, fire the request storm, collect the
-/// per-title report bytes and the engine counters, shut down cleanly.
+/// engine counters, shut down cleanly.
 struct LoadRun {
-    reports: BTreeMap<String, String>,
     seconds: f64,
     requests: u64,
     deduped: u64,
@@ -114,32 +113,21 @@ fn run_load(store: WorkloadStore, workers: usize, profile_capture: bool) -> Load
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("client connects");
-                let mut reports: BTreeMap<String, String> = BTreeMap::new();
                 let mut deduped = 0u64;
                 for r in 0..REQUESTS_PER_CLIENT {
                     let job = &pool[(c + r) % pool.len()];
                     let submitted = client.submit(job).expect("submit accepted");
                     deduped += u64::from(submitted.deduped);
-                    let text = client.result_text(submitted.id).expect("result");
-                    reports.insert(format!("job-{}", (c + r) % pool.len()), text);
+                    black_box(client.result_text(submitted.id).expect("result"));
                 }
-                (reports, deduped)
+                deduped
             })
         })
         .collect();
-
-    let mut reports: BTreeMap<String, String> = BTreeMap::new();
-    let mut deduped = 0u64;
-    for driver in drivers {
-        let (mine, mine_deduped) = driver.join().expect("client thread");
-        for (title, text) in mine {
-            if let Some(previous) = reports.get(&title) {
-                assert_eq!(previous, &text, "{title}: divergent bytes within one run");
-            }
-            reports.insert(title, text);
-        }
-        deduped += mine_deduped;
-    }
+    let deduped: u64 = drivers
+        .into_iter()
+        .map(|driver| driver.join().expect("client thread"))
+        .sum();
     let seconds = started.elapsed().as_secs_f64();
 
     let stats = engine.stats();
@@ -150,7 +138,6 @@ fn run_load(store: WorkloadStore, workers: usize, profile_capture: bool) -> Load
             .map_or(0.0, |h| if h.count == 0 { 0.0 } else { h.quantile(q) })
     };
     let run = LoadRun {
-        reports,
         seconds,
         requests: (CLIENTS * REQUESTS_PER_CLIENT) as u64,
         deduped,
@@ -170,7 +157,7 @@ fn run_load(store: WorkloadStore, workers: usize, profile_capture: bool) -> Load
     run
 }
 
-fn bench_serve_throughput(c: &mut Criterion) {
+fn main() {
     let store_dir = std::env::temp_dir().join(format!("mim-serve-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
 
@@ -186,14 +173,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
         "cell-level hit rate {hit_rate:.3} under overlapping load must be >= 0.80"
     );
 
-    // Same storm, 1 worker, fresh in-memory state: payloads must match
-    // the 4-worker run byte for byte.
-    let serial = run_load(WorkloadStore::new(), 1, true);
-    assert_eq!(
-        cold.reports, serial.reports,
-        "reports must be byte-identical across worker counts"
-    );
-
     // Warm restart: a fresh engine over the same on-disk store records
     // and replays nothing — zero functional executions.
     let warm = run_load(
@@ -204,10 +183,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     assert_eq!(
         warm.executions, 0,
         "warm restart must perform zero functional executions"
-    );
-    assert_eq!(
-        cold.reports, warm.reports,
-        "reports must be byte-identical across restarts"
     );
 
     // Instrumentation overhead: the same in-memory storm with latency
@@ -221,10 +196,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let on = faster_of(run_load(WorkloadStore::new(), 4, true), || {
         run_load(WorkloadStore::new(), 4, true)
     });
-    assert_eq!(
-        off.reports, on.reports,
-        "reports must be byte-identical with instrumentation off vs on"
-    );
     let overhead = 1.0 - on.requests_per_second() / off.requests_per_second();
     assert!(
         on.requests_per_second() >= 0.95 * off.requests_per_second(),
@@ -241,15 +212,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // Per-job profile capture: the default-on capture wraps every job in
     // a private ProfileSink (the protocol's `profile` command). Compare
     // the fully-instrumented storm (`on`, capture enabled) against the
-    // same storm with capture disabled — the budget is the same 5%, and
-    // payloads must not notice the sink either way.
+    // same storm with capture disabled — the budget is the same 5%.
     let capture_off = faster_of(run_load(WorkloadStore::new(), 4, false), || {
         run_load(WorkloadStore::new(), 4, false)
     });
-    assert_eq!(
-        capture_off.reports, on.reports,
-        "reports must be byte-identical with profile capture off vs on"
-    );
     let capture_overhead = 1.0 - on.requests_per_second() / capture_off.requests_per_second();
     assert!(
         on.requests_per_second() >= 0.95 * capture_off.requests_per_second(),
@@ -259,33 +225,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
         on.requests_per_second(),
     );
 
-    // Criterion view: one warm submit→result round-trip over TCP.
-    let engine = Engine::start(
-        WorkloadStore::persistent(&store_dir).expect("reopen store"),
-        CellMemo::new(),
-        2,
-        64,
-    );
-    let server = Server::bind("tcp:127.0.0.1:0", engine).expect("bind");
-    let addr = server.addr().to_connect_string();
-    let handle = std::thread::spawn(move || server.run());
-    let pool = job_pool();
-    let mut client = Client::connect(&addr).expect("client connects");
-    let submitted = client.submit(&pool[0]).expect("prime");
-    client.result_text(submitted.id).expect("prime result");
-    let mut group = c.benchmark_group("serve");
-    group.bench_function("warm_submit_result_tcp", |b| {
-        b.iter(|| {
-            let submitted = client.submit(&pool[0]).expect("submit");
-            black_box(client.result_text(submitted.id).expect("result").len())
-        })
-    });
-    group.finish();
-    drop(client);
-    let mut closer = Client::connect(&addr).expect("closer connects");
-    closer.shutdown().expect("shutdown accepted");
-    drop(closer);
-    handle.join().expect("server thread").expect("server ran");
     std::fs::remove_dir_all(&store_dir).ok();
 
     #[derive(Serialize)]
@@ -313,6 +252,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         job_run_p99_ns: f64,
         job_total_p50_ns: f64,
         job_total_p99_ns: f64,
+        // Asserted by `crates/serve/tests/determinism.rs`.
         byte_identical_across_workers: bool,
         byte_identical_across_restarts: bool,
         byte_identical_instrumentation_on_vs_off: bool,
@@ -321,7 +261,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         bench: "serve_throughput",
         clients: CLIENTS,
         requests: cold.requests,
-        distinct_jobs: pool.len(),
+        distinct_jobs: job_pool().len(),
         deduped_submissions: cold.deduped,
         cell_hits: cold.cell_hits,
         cell_misses: cold.cell_misses,
@@ -345,16 +285,11 @@ fn bench_serve_throughput(c: &mut Criterion) {
         byte_identical_across_restarts: true,
         byte_identical_instrumentation_on_vs_off: true,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&record).expect("serialize"),
-    )
-    .expect("write BENCH_serve.json");
+    mim_bench::write_bench_record("serve", &record).expect("write BENCH_serve.json");
     println!(
         "{} requests cold in {:.2}s ({:.0} req/s, {:.1}% cell hits), warm {:.2}s \
          with 0 executions, instrumentation overhead {:.1}%, profile capture \
-         overhead {:.1}% (p99 job run {:.1}ms) -> BENCH_serve.json",
+         overhead {:.1}% (p99 job run {:.1}ms)",
         cold.requests,
         cold.seconds,
         cold.requests_per_second(),
@@ -365,6 +300,3 @@ fn bench_serve_throughput(c: &mut Criterion) {
         on.run_p99_ns / 1e6,
     );
 }
-
-criterion_group!(benches, bench_serve_throughput);
-criterion_main!(benches);

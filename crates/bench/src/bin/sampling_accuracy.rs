@@ -233,9 +233,6 @@ fn main() -> std::io::Result<()> {
         "streaming working set must undercut the materialized encoding"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sample.json");
-    let json = serde_json::to_string_pretty(&record).expect("serialize");
-    std::fs::write(path, json)?;
-    println!("[wrote BENCH_sample.json]");
+    mim_bench::write_bench_record("sample", &record)?;
     Ok(())
 }

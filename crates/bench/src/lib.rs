@@ -1,7 +1,6 @@
 //! # mim-bench — experiment harness
 //!
-//! One binary per table/figure of the ISPASS 2012 paper (see DESIGN.md for
-//! the experiment index):
+//! One binary per table/figure of the ISPASS 2012 paper:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -20,10 +19,14 @@
 //! design-point × evaluator) grid, and the binary post-processes the
 //! resulting [`ExperimentReport`](mim_runner::ExperimentReport) into the
 //! table/series the paper reports, writing a JSON record under the
-//! results directory. Criterion benches (`cargo bench -p mim-bench`)
-//! quantify the §5 claim that model evaluation is orders of magnitude
-//! faster than detailed simulation, and `sweep_throughput` measures the
-//! parallel speedup of `Experiment::threads`.
+//! results directory.
+//!
+//! Four gated programs measure the repo's speed claims and assert a floor
+//! on each: the `trace_replay`, `select_speedup` and `serve_throughput`
+//! benches (`cargo bench -p mim-bench --bench <name>`, each a plain
+//! `fn main()`) and the `sampling_accuracy` binary. Each writes its
+//! numbers through [`write_bench_record`] to a `BENCH_<name>.json` at the
+//! workspace root. Per-layer timings live in the `perfbench` package.
 
 #![forbid(unsafe_code)]
 
@@ -58,7 +61,22 @@ pub fn results_dir() -> PathBuf {
 pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
+    write_pretty(dir.join(format!("{name}.json")), value)
+}
+
+/// Serializes a gated program's `record` as pretty JSON into
+/// `BENCH_<name>.json` at the workspace root, where the repo tracks its
+/// perf trajectory, and returns the written path.
+///
+/// # Errors
+///
+/// Propagates I/O errors from writing the file.
+pub fn write_bench_record<T: Serialize + ?Sized>(name: &str, record: &T) -> io::Result<PathBuf> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    write_pretty(root.join(format!("BENCH_{name}.json")), record)
+}
+
+fn write_pretty<T: Serialize + ?Sized>(path: PathBuf, value: &T) -> io::Result<PathBuf> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     fs::write(&path, json)?;

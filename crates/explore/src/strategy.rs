@@ -382,33 +382,23 @@ impl SearchStrategy for GreedyAscent {
 pub struct Anneal {
     seed: u64,
     budget: usize,
-    t0: f64,
-    t1: f64,
 }
+
+/// Start and end temperatures of [`Anneal`]'s geometric cooling schedule,
+/// in scalarized log-score units.
+const START_TEMPERATURE: f64 = 0.5;
+const END_TEMPERATURE: f64 = 1e-3;
 
 impl Anneal {
     /// An annealer with the given seed and a 512-step budget.
     pub fn new(seed: u64) -> Anneal {
-        Anneal {
-            seed,
-            budget: 512,
-            t0: 0.5,
-            t1: 1e-3,
-        }
+        Anneal { seed, budget: 512 }
     }
 
     /// Sets the step budget (each step proposes one neighbor; distinct
     /// points evaluated is at most `budget + 1`).
     pub fn budget(mut self, budget: usize) -> Anneal {
         self.budget = budget.max(1);
-        self
-    }
-
-    /// Sets the start/end temperatures of the geometric cooling schedule
-    /// (in scalarized log-score units).
-    pub fn temperature(mut self, t0: f64, t1: f64) -> Anneal {
-        self.t0 = t0.max(1e-12);
-        self.t1 = t1.max(1e-12);
         self
     }
 }
@@ -442,7 +432,8 @@ impl SearchStrategy for Anneal {
             let index = space.index_of(candidate).expect("coords within axes");
             let score = scalarize(&space.evaluate(index)?, &weights);
             let delta = score - current;
-            let temperature = self.t0 * (self.t1 / self.t0).powf(step as f64 / self.budget as f64);
+            let temperature = START_TEMPERATURE
+                * (END_TEMPERATURE / START_TEMPERATURE).powf(step as f64 / self.budget as f64);
             if delta < 0.0 || rng.unit() < (-delta / temperature).exp() {
                 coords = candidate;
                 current = score;

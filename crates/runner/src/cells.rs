@@ -33,7 +33,7 @@ use crate::store::{Flight, Lru};
 
 /// Hit/miss/eviction counters of a [`CellMemo`] — reported by the serve
 /// layer's `stats` endpoint and asserted by the throughput bench's ≥80%
-/// cell-hit criterion.
+/// cell-hit gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellStats {
     /// Cell requests answered from memory (or by joining an in-flight

@@ -156,6 +156,13 @@ impl SubsetReport {
     }
 }
 
+/// Dominance slack granted to extrapolation error when extracting the
+/// subset's frontier-contender set, matching the hybrid workflow's 2%
+/// pruning margin. Near-tied exhaustive frontier points would drop out
+/// of an exact subset frontier, since the weighted scores carry the
+/// (quantified, typically sub-percent) extrapolation error.
+const FRONTIER_MARGIN: f64 = 0.02;
+
 /// Declarative builder for a representative-subset design-space sweep:
 /// characterize every workload, cluster, select weighted medoids, sweep
 /// the design space on the medoids only, and quantify what the economy
@@ -193,7 +200,6 @@ pub struct SubsetRun {
     kind: EvalKind,
     verify: bool,
     frontier: bool,
-    frontier_margin: f64,
     sim_probes: usize,
     threads: usize,
     cache: WorkloadStore,
@@ -213,7 +219,6 @@ impl SubsetRun {
             kind: EvalKind::Model,
             verify: false,
             frontier: true,
-            frontier_margin: 0.02,
             sim_probes: 0,
             threads: 0,
             cache: WorkloadStore::new(),
@@ -280,17 +285,6 @@ impl SubsetRun {
     /// Toggles the (delay, energy) frontier comparison (default on).
     pub fn frontier(mut self, frontier: bool) -> SubsetRun {
         self.frontier = frontier;
-        self
-    }
-
-    /// Dominance slack granted to extrapolation error when extracting
-    /// the subset's frontier-contender set (default 2%, matching the
-    /// hybrid workflow's pruning margin). Set to 0 for the exact subset
-    /// frontier — but expect near-tied exhaustive frontier points to
-    /// drop out, since the weighted scores carry the (quantified,
-    /// typically sub-percent) extrapolation error.
-    pub fn frontier_margin(mut self, margin: f64) -> SubsetRun {
-        self.frontier_margin = margin.max(0.0);
         self
     }
 
@@ -487,7 +481,7 @@ impl SubsetRun {
                 .collect();
             let subset_frontier = Frontier {
                 objectives: objectives.clone(),
-                points: pruned_indices(&scores, self.frontier_margin)
+                points: pruned_indices(&scores, FRONTIER_MARGIN)
                     .into_iter()
                     .map(|i| {
                         let point = &subset_exploration.evaluated[i];
@@ -510,7 +504,7 @@ impl SubsetRun {
             };
             Some(SubsetFrontier {
                 objectives,
-                margin: self.frontier_margin,
+                margin: FRONTIER_MARGIN,
                 subset: subset_frontier,
                 exhaustive,
                 recall,

@@ -16,6 +16,9 @@
 //! | `{"cmd":"watch","interval_ms":T,"count":K}` | `K` lines `{"ok":true,"seq":I,"metrics":{...delta...}}`, one per interval |
 //! | `{"cmd":"shutdown"}`                      | `{"ok":true}` then the server drains and exits |
 //!
+//! A request line longer than 1 MiB, or one that is not UTF-8, gets an
+//! error response; the connection stays open for the next line.
+//!
 //! The `result` payload is byte-deterministic: reports serialize wall
 //! clock-free and field-order-stable, so the same job spec yields the
 //! same bytes across runs, worker counts, and restarts.

@@ -1,7 +1,7 @@
 //! The socket front-end: TCP and unix-domain listeners speaking the
 //! line-delimited protocol, one handler thread per connection.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -13,6 +13,11 @@ use serde::Value;
 use crate::engine::Engine;
 use crate::error::ServeError;
 use crate::protocol::{error_response, ok_response, to_line, MetricsFormat, Request};
+
+/// The longest request line the server reads, in bytes. A longer line
+/// gets an error response and is discarded up to its newline, so one
+/// client cannot grow a handler's buffer without limit.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A bound server address, normalized back to string form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,25 +174,22 @@ where
     for<'a> &'a S: std::io::Read + Write,
 {
     let mut reader = BufReader::new(&stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        // `watch` is the protocol's one multi-line response: stream the
-        // delta lines here, then fall back to request/response mode.
-        if let Ok(Request::Watch { interval_ms, count }) = Request::parse(&line) {
-            if stream_watch(&stream, engine, interval_ms, count).is_err() {
-                return;
+        let (response, shutdown) = match read_request(&mut reader, &mut line) {
+            Ok(None) | Err(_) => return,
+            // `watch` is the protocol's one multi-line response: stream
+            // the delta lines here, then fall back to request/response
+            // mode.
+            Ok(Some(Ok(Request::Watch { interval_ms, count }))) => {
+                if stream_watch(&stream, engine, interval_ms, count).is_err() {
+                    return;
+                }
+                continue;
             }
-            continue;
-        }
-        let (response, shutdown) = respond(engine, &line);
+            Ok(Some(Ok(request))) => respond(engine, request),
+            Ok(Some(Err(message))) => (error_response(message), false),
+        };
         let mut writer = &stream;
         if writer
             .write_all((to_line(&response) + "\n").as_bytes())
@@ -204,13 +206,39 @@ where
     }
 }
 
-/// Computes the response for one request line; the boolean asks the
+/// Reads the next non-blank request line into `line` and parses it.
+/// `Ok(None)` means the client closed the connection. A line longer than
+/// [`MAX_REQUEST_BYTES`] is discarded up to its newline and, like a line
+/// that is not UTF-8, comes back as an error message to answer.
+fn read_request(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> io::Result<Option<Result<Request, String>>> {
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1; // room for the newline
+        if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+            return Ok(None);
+        }
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            return Ok(Some(Err(format!(
+                "request line exceeds {MAX_REQUEST_BYTES} bytes"
+            ))));
+        }
+        let text = match std::str::from_utf8(line) {
+            Ok(text) => text,
+            Err(e) => return Ok(Some(Err(format!("request is not valid UTF-8: {e}")))),
+        };
+        if !text.trim().is_empty() {
+            return Ok(Some(Request::parse(text)));
+        }
+    }
+}
+
+/// Computes the response for one parsed request; the boolean asks the
 /// caller to begin shutdown after writing it.
-fn respond(engine: &Engine, line: &str) -> (Value, bool) {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(message) => return (error_response(message), false),
-    };
+fn respond(engine: &Engine, request: Request) -> (Value, bool) {
     match request {
         Request::Submit(spec) => match engine.submit(*spec) {
             Ok((id, deduped)) => (
@@ -321,5 +349,30 @@ fn wake_acceptor(addr: &BoundAddr) {
         BoundAddr::Unix(path) => {
             UnixStream::connect(path).ok();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_lines_are_capped_at_max_request_bytes() {
+        let stats = br#"{"cmd":"stats"}"#;
+        let mut input = Vec::new();
+        for len in [MAX_REQUEST_BYTES, MAX_REQUEST_BYTES + 1] {
+            input.extend(std::iter::repeat_n(b' ', len - stats.len()));
+            input.extend_from_slice(stats);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(stats); // a last line without its newline
+        let mut reader = BufReader::new(input.as_slice());
+        let mut line = Vec::new();
+        let mut next = || read_request(&mut reader, &mut line).expect("in-memory read");
+        assert_eq!(next(), Some(Ok(Request::Stats)), "exactly at the cap");
+        let over = next().expect("a line").expect_err("one byte over the cap");
+        assert!(over.contains("exceeds"), "{over}");
+        assert_eq!(next(), Some(Ok(Request::Stats)), "the next line is intact");
+        assert_eq!(next(), None);
     }
 }

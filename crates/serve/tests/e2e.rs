@@ -1,6 +1,8 @@
 //! End-to-end protocol tests: a real server on a real socket, driven by
 //! the blocking [`Client`], over both transports.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread;
 
 use mim_serve::{CellMemo, Client, JobSpec, Server, WorkloadStore};
@@ -290,37 +292,46 @@ fn watch_streams_metric_deltas() {
 }
 
 #[test]
-fn result_bytes_identical_with_timing_off() {
-    // Same job, two fresh servers: one with latency timestamping on (the
-    // default), one with it globally off. Telemetry is out-of-band, so
-    // the result payloads must be byte-identical.
-    let spec = quick_experiment("timing");
-    let mut with_timing = String::new();
+fn hostile_lines_get_typed_errors_and_the_connection_survives() {
     with_server("tcp:127.0.0.1:0", |addr, _| {
-        let mut client = Client::connect(addr).expect("connect");
-        let submitted = client.submit(&spec).expect("submit");
-        with_timing = client.result_text(submitted.id).expect("result");
-    });
+        let stream =
+            TcpStream::connect(addr.strip_prefix("tcp:").expect("tcp address")).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut writer = stream;
+        let mut exchange = |line: &[u8]| -> Value {
+            writer.write_all(line).expect("send");
+            writer.write_all(b"\n").expect("send newline");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("read response");
+            serde_json::from_str(&response).expect("response is JSON")
+        };
+        let error = |response: &Value| -> String {
+            assert_eq!(
+                response.get("ok"),
+                Some(&Value::Bool(false)),
+                "{response:?}"
+            );
+            match response.get("error") {
+                Some(Value::Str(message)) => message.clone(),
+                other => panic!("error field missing: {other:?}"),
+            }
+        };
 
-    mim_obs::set_timing(false);
-    let mut without_timing = String::new();
-    let mut executions = 0;
-    with_server("tcp:127.0.0.1:0", |addr, engine| {
-        let mut client = Client::connect(addr).expect("connect");
-        let submitted = client.submit(&spec).expect("submit");
-        without_timing = client.result_text(submitted.id).expect("result");
-        executions = stat(
-            engine.stats().get("store").expect("store stats"),
-            "functional_executions",
-        );
-    });
-    mim_obs::set_timing(true);
+        // A line past the server's 1 MiB limit is answered, not buffered.
+        let oversized = exchange(&vec![b'a'; 2 << 20]);
+        assert!(error(&oversized).contains("exceeds"), "{oversized:?}");
+        // Nesting past the parser's depth limit.
+        let deep = exchange(&vec![b'['; 200_000]);
+        assert!(error(&deep).contains("malformed JSON"), "{deep:?}");
+        // Bytes that are not UTF-8.
+        let garbled = exchange(b"\xff\xfe{\"cmd\":\"stats\"}");
+        assert!(error(&garbled).contains("UTF-8"), "{garbled:?}");
 
-    assert_eq!(
-        with_timing, without_timing,
-        "telemetry must never leak into result payloads"
-    );
-    assert_eq!(executions, 1, "counters keep working with timing off");
+        // The same connection still serves requests.
+        let stats = exchange(br#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{stats:?}");
+        assert!(stats.get("stats").is_some());
+    });
 }
 
 /// Reads one numeric counter out of a stats sub-object.

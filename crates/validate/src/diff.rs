@@ -35,7 +35,7 @@ pub struct CellDiff {
     pub sim_cpi: f64,
     /// Signed relative CPI error, percent.
     pub error_percent: f64,
-    /// Per-term attribution (empty when attribution is disabled).
+    /// Per-term attribution.
     pub terms: Vec<TermError>,
     /// Interaction residual in CPI (error not separable by any single
     /// counterfactual).
@@ -230,7 +230,6 @@ pub struct DifferentialRun {
     limit: Option<u64>,
     budget_percent: f64,
     worst: usize,
-    attribution: bool,
 }
 
 impl DifferentialRun {
@@ -245,7 +244,6 @@ impl DifferentialRun {
             limit: None,
             budget_percent: 10.0,
             worst: 5,
-            attribution: true,
         }
     }
 
@@ -279,13 +277,6 @@ impl DifferentialRun {
     /// (default 5).
     pub fn worst(mut self, n: usize) -> DifferentialRun {
         self.worst = n;
-        self
-    }
-
-    /// Enables or disables per-term attribution (default on; disabling
-    /// skips the counterfactual simulation passes).
-    pub fn attribution(mut self, attribution: bool) -> DifferentialRun {
-        self.attribution = attribution;
         self
     }
 
@@ -329,42 +320,37 @@ impl DifferentialRun {
         // Counterfactual timing passes: every (behaviour, design, term)
         // replays the cell's recording under the term's idealization.
         // Flat task list, deterministic slot order, parallel execution.
-        let counterfactuals: Vec<[u64; 6]> = if self.attribution {
-            let mut tasks = Vec::with_capacity(n_behaviors * n_points * 6);
-            for wi in 0..n_behaviors {
-                for pi in 0..n_points {
-                    for term in ErrorTerm::MEASURED {
-                        tasks.push((wi, pi, term));
-                    }
+        let mut tasks = Vec::with_capacity(n_behaviors * n_points * 6);
+        for wi in 0..n_behaviors {
+            for pi in 0..n_points {
+                for term in ErrorTerm::MEASURED {
+                    tasks.push((wi, pi, term));
                 }
             }
-            let cycles: Vec<Result<u64, EvalError>> =
-                parallel_map(self.resolved_threads(), &tasks, |_, &(wi, pi, term)| {
-                    let spec = &specs[wi];
-                    let program = store.program(spec, size);
-                    let trace = store.trace(spec, size, self.limit)?;
-                    let mut replay = trace
-                        .replay(&program)
-                        .map_err(|e| EvalError::trace(spec.name(), "counterfactual", &e))?;
-                    let ideal = term.idealization().expect("measured term");
-                    let sim = PipelineSim::new(&points[pi].machine)
-                        .with_idealization(ideal)
-                        .simulate_source(&mut replay)
-                        .map_err(|e| EvalError::trace(spec.name(), "counterfactual", &e))?;
-                    Ok(sim.cycles)
-                });
-            let mut flat = Vec::with_capacity(n_behaviors * n_points);
-            for chunk in cycles.chunks(6) {
-                let mut arr = [0u64; 6];
-                for (slot, outcome) in arr.iter_mut().zip(chunk) {
-                    *slot = outcome.clone()?;
-                }
-                flat.push(arr);
+        }
+        let cycles: Vec<Result<u64, EvalError>> =
+            parallel_map(self.resolved_threads(), &tasks, |_, &(wi, pi, term)| {
+                let spec = &specs[wi];
+                let program = store.program(spec, size);
+                let trace = store.trace(spec, size, self.limit)?;
+                let mut replay = trace
+                    .replay(&program)
+                    .map_err(|e| EvalError::trace(spec.name(), "counterfactual", &e))?;
+                let ideal = term.idealization().expect("measured term");
+                let sim = PipelineSim::new(&points[pi].machine)
+                    .with_idealization(ideal)
+                    .simulate_source(&mut replay)
+                    .map_err(|e| EvalError::trace(spec.name(), "counterfactual", &e))?;
+                Ok(sim.cycles)
+            });
+        let mut counterfactuals: Vec<[u64; 6]> = Vec::with_capacity(n_behaviors * n_points);
+        for chunk in cycles.chunks(6) {
+            let mut arr = [0u64; 6];
+            for (slot, outcome) in arr.iter_mut().zip(chunk) {
+                *slot = outcome.clone()?;
             }
-            flat
-        } else {
-            Vec::new()
-        };
+            counterfactuals.push(arr);
+        }
 
         // Assemble cells, behaviour-major then design point.
         let mut cells = Vec::with_capacity(n_behaviors * n_points);
@@ -377,19 +363,14 @@ impl DifferentialRun {
                     .get(spec.name(), pi, "sim")
                     .expect("sim cell present");
                 let error_percent = 100.0 * (model_row.cpi - sim_row.cpi) / sim_row.cpi;
-                let (terms, residual_cpi, dominant) = if self.attribution {
-                    let swaps = self.swap_shifts(&store, spec, size, point, model_row, sim_row)?;
-                    let (terms, residual, dominant) = attribute(
-                        &point.machine,
-                        model_row,
-                        sim_row,
-                        &counterfactuals[wi * n_points + pi],
-                        &swaps,
-                    );
-                    (terms, residual, Some(dominant))
-                } else {
-                    (Vec::new(), 0.0, None)
-                };
+                let swaps = self.swap_shifts(&store, spec, size, point, model_row, sim_row)?;
+                let (terms, residual_cpi, dominant) = attribute(
+                    &point.machine,
+                    model_row,
+                    sim_row,
+                    &counterfactuals[wi * n_points + pi],
+                    &swaps,
+                );
                 cells.push(CellDiff {
                     workload: spec.name().to_string(),
                     behavior_index: wi,
@@ -401,7 +382,7 @@ impl DifferentialRun {
                     error_percent,
                     terms,
                     residual_cpi,
-                    dominant,
+                    dominant: Some(dominant),
                 });
             }
         }
