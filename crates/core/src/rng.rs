@@ -3,9 +3,13 @@
 //! Every seeded component — explore's annealer and greedy restarts,
 //! select's k-medoids initialization, synthetic-workload generation
 //! helpers — wants the same property: the seed fully determines every
-//! draw, so reports reproduce byte for byte. This is the single
-//! authoritative implementation (SplitMix64: tiny, fast, and
-//! well-distributed) rather than per-crate copies that could drift.
+//! draw, so reports reproduce byte for byte. SplitMix64 is tiny, fast,
+//! and well-distributed.
+//!
+//! This is not the workspace's only copy: `mim-workloads` keeps its own
+//! `SplitMix64` (`util.rs`), seeded without this one's XOR, and every
+//! generated program's data depends on that stream. Merging the two would
+//! change every bundled workload, so they stay separate.
 
 /// Deterministic SplitMix64 stream.
 ///

@@ -5,7 +5,9 @@
 use std::time::Instant;
 
 use mim_core::DesignSpace;
-use mim_runner::{parallel_map, EvalKind, EvalOptions, WorkloadSpec, WorkloadStore};
+use mim_runner::{
+    parallel_map, resolve_threads, EvalKind, EvalOptions, WorkloadSpec, WorkloadStore,
+};
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
@@ -360,13 +362,7 @@ impl Exploration {
             energy: self.options.energy || self.objectives.iter().any(Objective::needs_energy),
             ..self.options.clone()
         };
-        let threads = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
+        let threads = resolve_threads(self.threads);
 
         // Hybrid runs simulate survivors later: record each workload's
         // trace now so the model search's profiling pass replays the same

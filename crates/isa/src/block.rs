@@ -154,7 +154,6 @@ enum OpKind {
     MulAdd,
     SlliAddi,
     AddSlli,
-    SlliSlli,
     AddiLi,
     SraiAdd,
     MulSrai,
@@ -168,7 +167,6 @@ enum OpKind {
     OrAnd,
     XorLi,
     AddAnd,
-    SrliOr,
     AndAddi,
     // Fused pairs with a memory op in first or second position.
     AddiLd,
@@ -196,12 +194,9 @@ enum OpKind {
     AddiAddiAddi,
     AndiSlliAdd,
     SlliSrliOr,
-    OrAndSt,
-    OrAndAdd,
     LdXorLd,
     AddAddAdd,
     XorAndXor,
-    OrAndAddi,
 }
 
 /// Fusible pair table: `(first, second) -> fused`. Order matters only
@@ -215,7 +210,6 @@ fn fuse_kinds(first: OpKind, second: OpKind) -> Option<OpKind> {
         (OpKind::Mul, OpKind::Add) => OpKind::MulAdd,
         (OpKind::Slli, OpKind::Addi) => OpKind::SlliAddi,
         (OpKind::Add, OpKind::Slli) => OpKind::AddSlli,
-        (OpKind::Slli, OpKind::Slli) => OpKind::SlliSlli,
         (OpKind::Addi, OpKind::Li) => OpKind::AddiLi,
         (OpKind::Srai, OpKind::Add) => OpKind::SraiAdd,
         (OpKind::Mul, OpKind::Srai) => OpKind::MulSrai,
@@ -229,7 +223,6 @@ fn fuse_kinds(first: OpKind, second: OpKind) -> Option<OpKind> {
         (OpKind::Or, OpKind::And) => OpKind::OrAnd,
         (OpKind::Xor, OpKind::Li) => OpKind::XorLi,
         (OpKind::Add, OpKind::And) => OpKind::AddAnd,
-        (OpKind::Srli, OpKind::Or) => OpKind::SrliOr,
         (OpKind::And, OpKind::Addi) => OpKind::AndAddi,
         (OpKind::Addi, OpKind::Ld) => OpKind::AddiLd,
         (OpKind::Add, OpKind::Ld) => OpKind::AddLd,
@@ -261,12 +254,9 @@ fn fuse_kinds3(first: OpKind, second: OpKind, third: OpKind) -> Option<OpKind> {
         (OpKind::Addi, OpKind::Addi, OpKind::Addi) => OpKind::AddiAddiAddi,
         (OpKind::Andi, OpKind::Slli, OpKind::Add) => OpKind::AndiSlliAdd,
         (OpKind::Slli, OpKind::Srli, OpKind::Or) => OpKind::SlliSrliOr,
-        (OpKind::Or, OpKind::And, OpKind::St) => OpKind::OrAndSt,
-        (OpKind::Or, OpKind::And, OpKind::Add) => OpKind::OrAndAdd,
         (OpKind::Ld, OpKind::Xor, OpKind::Ld) => OpKind::LdXorLd,
         (OpKind::Add, OpKind::Add, OpKind::Add) => OpKind::AddAddAdd,
         (OpKind::Xor, OpKind::And, OpKind::Xor) => OpKind::XorAndXor,
-        (OpKind::Or, OpKind::And, OpKind::Addi) => OpKind::OrAndAddi,
         _ => return None,
     })
 }
@@ -1090,11 +1080,6 @@ impl<'p> BlockEngine<'p> {
                         h_alu!(Slli, 1);
                         skip!(2)
                     }
-                    OpKind::SlliSlli => {
-                        h_alu!(Slli, 0);
-                        h_alu!(Slli, 1);
-                        skip!(2)
-                    }
                     OpKind::AddiLi => {
                         h_alu!(Addi, 0);
                         h_alu!(Li, 1);
@@ -1158,11 +1143,6 @@ impl<'p> BlockEngine<'p> {
                     OpKind::AddAnd => {
                         h_alu!(Add, 0);
                         h_alu!(And, 1);
-                        skip!(2)
-                    }
-                    OpKind::SrliOr => {
-                        h_alu!(Srli, 0);
-                        h_alu!(Or, 1);
                         skip!(2)
                     }
                     OpKind::AndAddi => {
@@ -1296,18 +1276,6 @@ impl<'p> BlockEngine<'p> {
                         h_alu!(Or, 2);
                         skip!(3)
                     }
-                    OpKind::OrAndSt => {
-                        h_alu!(Or, 0);
-                        h_alu!(And, 1);
-                        h_st!(2);
-                        skip!(3)
-                    }
-                    OpKind::OrAndAdd => {
-                        h_alu!(Or, 0);
-                        h_alu!(And, 1);
-                        h_alu!(Add, 2);
-                        skip!(3)
-                    }
                     OpKind::LdXorLd => {
                         h_ld!(0);
                         h_alu!(Xor, 1);
@@ -1324,12 +1292,6 @@ impl<'p> BlockEngine<'p> {
                         h_alu!(Xor, 0);
                         h_alu!(And, 1);
                         h_alu!(Xor, 2);
-                        skip!(3)
-                    }
-                    OpKind::OrAndAddi => {
-                        h_alu!(Or, 0);
-                        h_alu!(And, 1);
-                        h_alu!(Addi, 2);
                         skip!(3)
                     }
                 };

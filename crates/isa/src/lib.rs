@@ -64,6 +64,6 @@ pub use block::{Block, BlockCache, BlockCompiler, BlockEngine, BlockHooks, NoHoo
 pub use builder::{Label, ProgramBuilder};
 pub use error::VmError;
 pub use inst::{Cond, Inst, InstClass, Opcode};
-pub use program::{Program, WORD_BYTES};
+pub use program::{Fnv, Program, WORD_BYTES};
 pub use reg::{Reg, NUM_REGS};
 pub use vm::{functional_executions, RunOutcome, TraceEvent, Vm};

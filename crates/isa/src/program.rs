@@ -125,7 +125,7 @@ impl Program {
             for &word in &self.data {
                 h.u64(word as u64);
             }
-            h.0
+            h.finish()
         })
     }
 }
@@ -170,31 +170,61 @@ fn opcode_code(op: Opcode) -> u8 {
     }
 }
 
-/// Incremental FNV-1a (64-bit).
-struct Fnv(u64);
+/// Incremental FNV-1a (64-bit): the workspace's one stable content hash.
+/// Program fingerprints and every persisted store key use it, so its
+/// arithmetic must never change — keys written by older builds would stop
+/// matching.
+///
+/// # Example
+///
+/// ```
+/// use mim_isa::Fnv;
+///
+/// let mut h = Fnv::new();
+/// h.bytes(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Fnv {
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn byte(&mut self, b: u8) {
+    /// Hashes one byte.
+    pub fn byte(&mut self, b: u8) {
         self.0 ^= u64::from(b);
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    /// Hashes each byte in order.
+    pub fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.byte(b);
         }
     }
 
-    fn u32(&mut self, v: u32) {
+    /// Hashes `v` as its four little-endian bytes.
+    pub fn u32(&mut self, v: u32) {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Hashes `v` as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 use crate::registry::timing_enabled;
 use crate::span::{SpanEvent, SpanPhase, SpanSink};
@@ -91,7 +91,7 @@ impl ProfileNode {
 
 /// One closed span's cost under one field value — a
 /// [`breakdown`](ProfileSink::breakdown) row.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BreakdownRow {
     /// The field's rendered value.
     pub value: String,

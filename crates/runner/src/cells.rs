@@ -23,11 +23,11 @@
 use std::sync::{Arc, Mutex};
 
 use mim_core::MachineConfig;
+use mim_isa::Fnv;
 use mim_obs::{clock, Counter, Histogram, Registry};
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
-use crate::disk::fnv64;
 use crate::result::{EvalError, EvalResult};
 use crate::store::{Flight, Lru};
 
@@ -166,7 +166,9 @@ impl CellMemo {
             limit.map_or(u64::MAX, |l| l),
             timeline.map_or(0, |t| t),
         );
-        fnv64(text.as_bytes())
+        let mut h = Fnv::new();
+        h.bytes(text.as_bytes());
+        h.finish()
     }
 
     /// Returns the memoized result for `key`, or computes (and memoizes)

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mim_bpred::PredictorConfig;
 use mim_cache::{CacheConfig, HierarchyConfig};
-use mim_isa::Program;
+use mim_isa::{Fnv, Program};
 use mim_obs::{clock, Counter, Histogram, Registry};
 use mim_profile::WorkloadProfile;
 use mim_trace::{Replay, Trace};
@@ -46,6 +46,9 @@ const KIND_TRACE: u8 = 1;
 
 /// Artifact kind tag: a JSON-serialized [`WorkloadProfile`].
 const KIND_PROFILE: u8 = 2;
+
+/// Entry header length: magic, version, kind, fingerprint, payload length.
+const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 8;
 
 /// Typed error produced by [`DiskStore`] reads and writes.
 ///
@@ -134,40 +137,6 @@ impl StoreError {
             message: error.to_string(),
         }
     }
-}
-
-/// Stable FNV-1a over little-endian words, matching the trace layer's
-/// fingerprint arithmetic so keys are identical across builds and
-/// platforms.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Stable FNV-1a of `bytes`, shared with the cell memo so every content
-/// key in the runner uses the same arithmetic.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(bytes);
-    h.finish()
 }
 
 /// Content key of a trace: the program fingerprint plus the recording's
@@ -351,7 +320,7 @@ impl DiskStore {
     /// `Ok(None)` when absent.
     ///
     /// Unlike [`get_trace`](DiskStore::get_trace), the payload is never
-    /// materialized: only the 29-byte entry header, the window holding
+    /// materialized: only the entry header, the window holding
     /// the trace header and the address count are read eagerly, and
     /// replay memory stays bounded by the replay's two fixed windows no
     /// matter how long the trace is — the read path sampled simulation
@@ -380,17 +349,9 @@ impl DiskStore {
             .metadata()
             .map_err(|e| StoreError::io(&path, &e))?
             .len();
-        if total < 29 + payload_len {
-            return Err(StoreError::Truncated { path });
-        }
-        if total > 29 + payload_len {
-            return Err(StoreError::Corrupt {
-                path,
-                message: "trailing bytes after payload".into(),
-            });
-        }
+        check_payload_len(&path, total.saturating_sub(HEADER_LEN as u64), payload_len)?;
         // The file replay starts at the reader's position, just past the
-        // 29-byte entry header.
+        // entry header.
         let replay = Replay::from_file(file, program).map_err(|e| StoreError::Corrupt {
             path,
             message: e.to_string(),
@@ -469,7 +430,7 @@ impl DiskStore {
         let started = clock();
         let shard = path.parent().expect("entry paths have a shard directory");
         fs::create_dir_all(shard).map_err(|e| StoreError::io(shard, &e))?;
-        let mut bytes = Vec::with_capacity(29 + payload.len());
+        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.push(kind);
@@ -492,7 +453,7 @@ impl DiskStore {
     }
 }
 
-/// Reads and validates the 29-byte entry header from an open reader,
+/// Reads and validates the entry header from an open reader,
 /// leaving it positioned at the payload. Returns the payload length.
 fn validate_entry_header(
     reader: &mut impl io::Read,
@@ -500,7 +461,7 @@ fn validate_entry_header(
     kind: u8,
     fingerprint: u64,
 ) -> Result<u64, StoreError> {
-    let mut header = [0u8; 29];
+    let mut header = [0u8; HEADER_LEN];
     reader
         .read_exact(&mut header)
         .map_err(|_| StoreError::Truncated {
@@ -532,59 +493,39 @@ fn validate_entry_header(
         });
     }
     Ok(u64::from_le_bytes(
-        header[21..29].try_into().expect("8 bytes"),
+        header[21..HEADER_LEN].try_into().expect("8 bytes"),
     ))
+}
+
+/// Checks that an entry holds exactly the payload length its header
+/// declares.
+fn check_payload_len(path: &Path, found: u64, declared: u64) -> Result<(), StoreError> {
+    if found < declared {
+        return Err(StoreError::Truncated {
+            path: path.to_path_buf(),
+        });
+    }
+    if found > declared {
+        return Err(StoreError::Corrupt {
+            path: path.to_path_buf(),
+            message: "trailing bytes after payload".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Reads and validates one entry, returning its payload (or `None` if the
 /// file does not exist).
 fn read_entry(path: &Path, kind: u8, fingerprint: u64) -> Result<Option<Vec<u8>>, StoreError> {
-    let bytes = match fs::read(path) {
+    let mut bytes = match fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::io(path, &e)),
     };
-    let corrupt = |message: &str| StoreError::Corrupt {
-        path: path.to_path_buf(),
-        message: message.into(),
-    };
-    if bytes.len() < 29 {
-        return Err(StoreError::Truncated {
-            path: path.to_path_buf(),
-        });
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(StoreError::Version {
-            path: path.to_path_buf(),
-            found: version,
-        });
-    }
-    if bytes[12] != kind {
-        return Err(corrupt("wrong artifact kind"));
-    }
-    let found = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes"));
-    if found != fingerprint {
-        return Err(StoreError::FingerprintMismatch {
-            path: path.to_path_buf(),
-            expected: fingerprint,
-            found,
-        });
-    }
-    let len = u64::from_le_bytes(bytes[21..29].try_into().expect("8 bytes"));
-    let payload = &bytes[29..];
-    if (payload.len() as u64) < len {
-        return Err(StoreError::Truncated {
-            path: path.to_path_buf(),
-        });
-    }
-    if (payload.len() as u64) > len {
-        return Err(corrupt("trailing bytes after payload"));
-    }
-    Ok(Some(payload.to_vec()))
+    let declared = validate_entry_header(&mut bytes.as_slice(), path, kind, fingerprint)?;
+    bytes.drain(..HEADER_LEN);
+    check_payload_len(path, bytes.len() as u64, declared)?;
+    Ok(Some(bytes))
 }
 
 #[cfg(test)]
@@ -612,6 +553,37 @@ mod tests {
             vec![machine.hierarchy.l2.clone()],
             vec![machine.predictor.clone()],
         )
+    }
+
+    #[test]
+    fn entry_paths_are_pinned_so_older_stores_keep_loading() {
+        // Paths of entries that earlier builds wrote: a change here
+        // orphans every entry already persisted.
+        let store = DiskStore::open(temp_root("pinned")).unwrap();
+        let program = mibench::sha().program(WorkloadSize::Tiny);
+        let fingerprint = program.fingerprint();
+        let (hierarchy, l2s, predictors) = sweep_args(&MachineConfig::default_config());
+        let path = |key: u64, ext: &str| {
+            let path = store.entry_path(key, ext);
+            let relative = path.strip_prefix(store.root()).unwrap().to_owned();
+            relative.to_string_lossy().into_owned()
+        };
+        assert_eq!(
+            path(trace_key(fingerprint, None), "trace"),
+            "b5/bddf96f099335ab5.trace"
+        );
+        assert_eq!(
+            path(trace_key(fingerprint, Some(20_000)), "trace"),
+            "d3/8082bf3d018a3ed3.trace"
+        );
+        assert_eq!(
+            path(
+                profile_key(fingerprint, None, &hierarchy, &l2s, &predictors),
+                "profile"
+            ),
+            "d3/fab82e34879bc7d3.profile"
+        );
+        fs::remove_dir_all(store.root()).ok();
     }
 
     #[test]

@@ -18,6 +18,18 @@ use crate::result::{EvalError, EvalKind, EvalResult};
 use crate::spec::WorkloadSpec;
 use crate::store::WorkloadStore;
 
+/// The workspace's worker-count rule: `threads` itself, or every
+/// available core when it is `0`.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    }
+}
+
 /// Runs `f(index, item)` over `items` on up to `threads` worker threads,
 /// preserving input order in the returned vector — the per-cell iteration
 /// primitive behind [`Experiment::run`], exposed so downstream drivers
@@ -409,16 +421,6 @@ impl Experiment {
         self
     }
 
-    fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-
     /// Builds the per-point evaluator matrix: the built-in kinds, then the
     /// custom evaluators.
     fn build_evaluators(
@@ -495,7 +497,7 @@ impl Experiment {
                 ));
             }
         }
-        let threads = self.resolved_threads();
+        let threads = resolve_threads(self.threads);
 
         // Resolve the design points: a single machine is the one-point
         // space.

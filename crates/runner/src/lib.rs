@@ -80,7 +80,8 @@ pub use evaluator::{
     SimEvaluator,
 };
 pub use experiment::{
-    parallel_map, print_comparison, CpiComparison, Experiment, ExperimentReport, ExperimentTiming,
+    parallel_map, print_comparison, resolve_threads, CpiComparison, Experiment, ExperimentReport,
+    ExperimentTiming,
 };
 pub use result::{BranchSummary, EvalError, EvalKind, EvalResult, SamplingSummary};
 pub use spec::WorkloadSpec;

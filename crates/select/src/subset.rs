@@ -5,7 +5,9 @@ use std::time::Instant;
 
 use mim_core::DesignSpace;
 use mim_explore::{kendall_tau, pruned_indices, Exploration, Frontier, FrontierPoint, Objective};
-use mim_runner::{parallel_map, EvalKind, Experiment, WorkloadSpec, WorkloadStore};
+use mim_runner::{
+    parallel_map, resolve_threads, EvalKind, Experiment, WorkloadSpec, WorkloadStore,
+};
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
@@ -351,13 +353,7 @@ impl SubsetRun {
                 )));
             }
         }
-        let threads = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
+        let threads = resolve_threads(self.threads);
 
         // Phase 1 — characterize: one signature per workload, off the
         // store's single recording per workload.

@@ -3,20 +3,14 @@
 //! server with.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 
 use mim_obs::Snapshot;
 use serde::Value;
 
 use crate::error::ServeError;
 use crate::protocol::{to_line, MetricsFormat, Request};
-use crate::spec::JobSpec;
-
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
+use crate::server::{BoundAddr, Stream};
+use crate::spec::{as_u64, JobSpec};
 
 /// The `(id, deduped)` outcome of a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +27,7 @@ pub struct Submitted {
 /// Addresses mirror [`Server::bind`](crate::Server::bind): `unix:<path>`,
 /// `tcp:<host>:<port>`, or a bare `<host>:<port>`.
 pub struct Client {
-    stream: Stream,
+    conn: BufReader<Stream>,
 }
 
 impl Client {
@@ -44,24 +38,9 @@ impl Client {
     /// Returns [`ServeError::Addr`] for unparseable addresses and
     /// [`ServeError::Io`] for connection failures.
     pub fn connect(addr: &str) -> Result<Client, ServeError> {
-        if let Some(path) = addr.strip_prefix("unix:") {
-            let stream = UnixStream::connect(path)
-                .map_err(|e| ServeError::Io(format!("connect {path}: {e}")))?;
-            return Ok(Client {
-                stream: Stream::Unix(stream),
-            });
-        }
-        let hostport = addr.strip_prefix("tcp:").unwrap_or(addr);
-        if !hostport.contains(':') {
-            return Err(ServeError::Addr(format!(
-                "`{addr}` is neither unix:<path> nor <host>:<port>"
-            )));
-        }
-        let stream = TcpStream::connect(hostport)
-            .map_err(|e| ServeError::Io(format!("connect {hostport}: {e}")))?;
-        stream.set_nodelay(true).ok(); // request/response lines, not bulk
+        let stream = Stream::connect(&BoundAddr::parse(addr)?)?;
         Ok(Client {
-            stream: Stream::Tcp(stream),
+            conn: BufReader::new(stream),
         })
     }
 
@@ -73,24 +52,8 @@ impl Client {
     /// on a non-JSON reply or closed connection, [`ServeError::Rejected`]
     /// when the server answers `{"ok":false,...}`.
     pub fn request(&mut self, request: &Request) -> Result<Value, ServeError> {
-        let line = request.to_line() + "\n";
-        let response = match &mut self.stream {
-            Stream::Tcp(s) => exchange(s, &line)?,
-            Stream::Unix(s) => exchange(s, &line)?,
-        };
-        let value: Value = serde_json::from_str(&response)
-            .map_err(|e| ServeError::Protocol(format!("malformed response: {e}")))?;
-        match value.get("ok") {
-            Some(Value::Bool(true)) => Ok(value),
-            Some(Value::Bool(false)) => {
-                let message = match value.get("error") {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => "unspecified error".to_string(),
-                };
-                Err(ServeError::Rejected(message))
-            }
-            _ => Err(ServeError::Protocol("response has no `ok` field".into())),
-        }
+        let mut replies = self.exchange(request, 1)?;
+        Ok(replies.pop().expect("one reply per exchange"))
     }
 
     /// Submits a job.
@@ -99,9 +62,9 @@ impl Client {
     ///
     /// See [`request`](Client::request).
     pub fn submit(&mut self, job: &JobSpec) -> Result<Submitted, ServeError> {
-        let response = self.request(&Request::Submit(Box::new(job.clone())))?;
-        let id = response_u64(&response, "id")?;
-        let deduped = matches!(response.get("deduped"), Some(Value::Bool(true)));
+        let reply = self.request(&Request::Submit(Box::new(job.clone())))?;
+        let deduped = matches!(reply.get("deduped"), Some(Value::Bool(true)));
+        let id = field(reply, "id", |id| as_u64(&id))?;
         Ok(Submitted { id, deduped })
     }
 
@@ -111,11 +74,7 @@ impl Client {
     ///
     /// See [`request`](Client::request).
     pub fn status(&mut self, id: u64) -> Result<String, ServeError> {
-        let response = self.request(&Request::Status(id))?;
-        match response.get("state") {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            _ => Err(ServeError::Protocol("status reply has no `state`".into())),
-        }
+        field(self.request(&Request::Status(id))?, "state", string)
     }
 
     /// Fetches a job's report, blocking until the job finishes.
@@ -125,11 +84,7 @@ impl Client {
     /// [`ServeError::Rejected`] carries the job's own error message when
     /// the job failed.
     pub fn result(&mut self, id: u64) -> Result<Value, ServeError> {
-        let response = self.request(&Request::Result(id))?;
-        response
-            .get("result")
-            .cloned()
-            .ok_or_else(|| ServeError::Protocol("result reply has no `result`".into()))
+        field(self.request(&Request::Result(id))?, "result", Some)
     }
 
     /// Like [`result`](Client::result), but returns the report's compact
@@ -149,11 +104,7 @@ impl Client {
     ///
     /// See [`request`](Client::request).
     pub fn stats(&mut self) -> Result<Value, ServeError> {
-        let response = self.request(&Request::Stats)?;
-        response
-            .get("stats")
-            .cloned()
-            .ok_or_else(|| ServeError::Protocol("stats reply has no `stats`".into()))
+        field(self.request(&Request::Stats)?, "stats", Some)
     }
 
     /// Fetches the server's merged metrics snapshot as a JSON value
@@ -163,11 +114,8 @@ impl Client {
     ///
     /// See [`request`](Client::request).
     pub fn metrics(&mut self) -> Result<Value, ServeError> {
-        let response = self.request(&Request::Metrics(MetricsFormat::Json))?;
-        response
-            .get("metrics")
-            .cloned()
-            .ok_or_else(|| ServeError::Protocol("metrics reply has no `metrics`".into()))
+        let reply = self.request(&Request::Metrics(MetricsFormat::Json))?;
+        field(reply, "metrics", Some)
     }
 
     /// Fetches the server's metrics in Prometheus text exposition form.
@@ -176,13 +124,8 @@ impl Client {
     ///
     /// See [`request`](Client::request).
     pub fn metrics_prometheus(&mut self) -> Result<String, ServeError> {
-        let response = self.request(&Request::Metrics(MetricsFormat::Prometheus))?;
-        match response.get("metrics_text") {
-            Some(Value::Str(s)) => Ok(s.clone()),
-            _ => Err(ServeError::Protocol(
-                "metrics reply has no `metrics_text`".into(),
-            )),
-        }
+        let reply = self.request(&Request::Metrics(MetricsFormat::Prometheus))?;
+        field(reply, "metrics_text", string)
     }
 
     /// Fetches a finished job's wall-clock span profile
@@ -193,11 +136,7 @@ impl Client {
     /// [`ServeError::Rejected`] for unknown ids, unfinished jobs, and
     /// jobs that ran with profile capture disabled.
     pub fn profile(&mut self, id: u64) -> Result<Value, ServeError> {
-        let response = self.request(&Request::Profile(id))?;
-        response
-            .get("profile")
-            .cloned()
-            .ok_or_else(|| ServeError::Protocol("profile reply has no `profile`".into()))
+        field(self.request(&Request::Profile(id))?, "profile", Some)
     }
 
     /// Streams `count` metrics-delta snapshots, one per `interval_ms`
@@ -208,14 +147,17 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::Rejected`] if the server begins shutting down
-    /// mid-stream; [`ServeError::Io`]/[`ServeError::Protocol`] on
-    /// transport trouble.
+    /// mid-stream (or [`ServeError::Protocol`], if it closed the
+    /// connection before the error line went out);
+    /// [`ServeError::Io`]/[`ServeError::Protocol`] on transport trouble.
     pub fn watch(&mut self, interval_ms: u64, count: u64) -> Result<Vec<Snapshot>, ServeError> {
-        let line = Request::Watch { interval_ms, count }.to_line() + "\n";
-        match &mut self.stream {
-            Stream::Tcp(s) => watch_stream(s, &line, count),
-            Stream::Unix(s) => watch_stream(s, &line, count),
-        }
+        self.exchange(&Request::Watch { interval_ms, count }, count.max(1))?
+            .into_iter()
+            .map(|reply| {
+                let metrics = field(reply, "metrics", Some)?;
+                Snapshot::from_value(&metrics).map_err(ServeError::Protocol)
+            })
+            .collect()
     }
 
     /// Asks the server to drain and stop.
@@ -226,69 +168,55 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         self.request(&Request::Shutdown).map(|_| ())
     }
-}
 
-/// Reads one `u64` field out of a response object.
-fn response_u64(value: &Value, key: &str) -> Result<u64, ServeError> {
-    match value.get(key) {
-        Some(Value::UInt(u)) => Ok(*u),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        _ => Err(ServeError::Protocol(format!("reply has no `{key}`"))),
+    /// The client's one wire path: writes `request` as a line, then reads
+    /// `replies` reply lines, each parsed and checked for `"ok":true`.
+    fn exchange(&mut self, request: &Request, replies: u64) -> Result<Vec<Value>, ServeError> {
+        let stream = self.conn.get_mut();
+        stream.write_all((request.to_line() + "\n").as_bytes())?;
+        stream.flush()?;
+        (0..replies)
+            .map(|_| {
+                let mut line = String::new();
+                if self.conn.read_line(&mut line)? == 0 {
+                    return Err(ServeError::Protocol("server closed the connection".into()));
+                }
+                let reply: Value = serde_json::from_str(&line)
+                    .map_err(|e| ServeError::Protocol(format!("malformed response: {e}")))?;
+                match reply.get("ok") {
+                    Some(Value::Bool(true)) => Ok(reply),
+                    Some(Value::Bool(false)) => {
+                        Err(ServeError::Rejected(match reply.get("error") {
+                            Some(Value::Str(s)) => s.clone(),
+                            _ => "unspecified error".to_string(),
+                        }))
+                    }
+                    _ => Err(ServeError::Protocol("response has no `ok` field".into())),
+                }
+            })
+            .collect()
     }
 }
 
-/// Drives one `watch` stream: writes the request, then reads exactly
-/// `count` delta lines through a single persistent reader (unlike
-/// [`exchange`], which builds a fresh reader per request and must not be
-/// used for multi-line replies).
-fn watch_stream<S: std::io::Read + Write>(
-    stream: &mut S,
-    line: &str,
-    count: u64,
-) -> Result<Vec<Snapshot>, ServeError> {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    let mut reader = BufReader::new(stream);
-    let mut deltas = Vec::new();
-    for _ in 0..count.max(1) {
-        let mut response = String::new();
-        let n = reader
-            .read_line(&mut response)
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(ServeError::Protocol("server closed the connection".into()));
-        }
-        let value: Value = serde_json::from_str(&response)
-            .map_err(|e| ServeError::Protocol(format!("malformed response: {e}")))?;
-        if let Some(Value::Bool(false)) = value.get("ok") {
-            let message = match value.get("error") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => "unspecified error".to_string(),
-            };
-            return Err(ServeError::Rejected(message));
-        }
-        let metrics = value
-            .get("metrics")
-            .ok_or_else(|| ServeError::Protocol("watch line has no `metrics`".into()))?;
-        deltas.push(Snapshot::from_value(metrics).map_err(ServeError::Protocol)?);
-    }
-    Ok(deltas)
+/// The one reply-field accessor: takes `key` out of a reply and converts
+/// it with `read`; a missing or mistyped field is a protocol error.
+fn field<T>(
+    reply: Value,
+    key: &str,
+    read: impl FnOnce(Value) -> Option<T>,
+) -> Result<T, ServeError> {
+    let value = match reply {
+        Value::Object(fields) => fields.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    };
+    value
+        .and_then(read)
+        .ok_or_else(|| ServeError::Protocol(format!("reply has no `{key}`")))
 }
 
-fn exchange<S: std::io::Read + Write>(stream: &mut S, line: &str) -> Result<String, ServeError> {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    let n = reader
-        .read_line(&mut response)
-        .map_err(|e| ServeError::Io(e.to_string()))?;
-    if n == 0 {
-        return Err(ServeError::Protocol("server closed the connection".into()));
+fn string(value: Value) -> Option<String> {
+    match value {
+        Value::Str(s) => Some(s),
+        _ => None,
     }
-    Ok(response)
 }

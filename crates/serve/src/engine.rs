@@ -4,10 +4,10 @@
 //! Deduplication happens at three granularities, so "hundreds of
 //! concurrent overlapping requests" collapse to the minimal computation:
 //!
-//! 1. **jobs** — submissions hash to a canonical fingerprint
-//!    ([`JobSpec::fingerprint`]); a spec identical to one already
-//!    queued, running, or completed returns the existing job id instead
-//!    of enqueueing;
+//! 1. **jobs** — submissions are keyed by their parsed [`JobSpec`], so
+//!    two that differ only in which defaults they spelled out are the
+//!    same key; a spec equal to one already queued, running, or
+//!    completed returns the existing job id instead of enqueueing;
 //! 2. **grid cells** — distinct-but-overlapping sweeps share one
 //!    [`CellMemo`], so a (workload, size, machine, evaluator) cell is
 //!    evaluated once no matter how many jobs touch it, with in-flight
@@ -19,8 +19,8 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -31,6 +31,7 @@ use mim_obs::{
 use mim_runner::{CellMemo, WorkloadStore};
 use serde::{Serialize, Value};
 
+use crate::protocol::to_line;
 use crate::spec::JobSpec;
 
 /// Lifecycle of one submitted job.
@@ -58,15 +59,31 @@ impl JobStatus {
     }
 }
 
-struct JobRecord {
-    status: JobStatus,
-    /// Report value once `Done` (shared: results can be re-fetched).
-    result: Option<Arc<Value>>,
-    /// Error message once `Failed`.
-    error: Option<String>,
-    /// Wall-clock span profile of the job's execution, captured by the
-    /// worker when profile capture is enabled (shared: re-fetchable).
-    profile: Option<Arc<Value>>,
+/// One job's state. A finished job keeps its report and its wall-clock
+/// span profile (captured when profile capture is on) as compact JSON
+/// text, encoded once by the worker and shared by every later fetch.
+enum JobRecord {
+    Queued,
+    Running,
+    Done {
+        report: Arc<str>,
+        profile: Option<Arc<str>>,
+    },
+    Failed {
+        error: String,
+        profile: Option<Arc<str>>,
+    },
+}
+
+impl JobRecord {
+    fn status(&self) -> JobStatus {
+        match self {
+            JobRecord::Queued => JobStatus::Queued,
+            JobRecord::Running => JobStatus::Running,
+            JobRecord::Done { .. } => JobStatus::Done,
+            JobRecord::Failed { .. } => JobStatus::Failed,
+        }
+    }
 }
 
 /// A queued job: id, spec, and (when timing is on) its admission
@@ -114,17 +131,28 @@ impl EngineInstruments {
     }
 }
 
+/// Everything submission, workers and readers coordinate on, behind one
+/// lock.
+#[derive(Default)]
+struct Jobs {
+    /// Admitted jobs waiting for a worker, oldest first.
+    queue: VecDeque<QueuedJob>,
+    records: HashMap<u64, JobRecord>,
+    /// Job-level dedup: the latest job of each spec.
+    dedup: HashMap<JobSpec, u64>,
+    /// The most recently assigned job id (ids start at 1).
+    last_id: u64,
+}
+
 struct EngineInner {
     store: WorkloadStore,
     cells: CellMemo,
     queue_capacity: usize,
-    queue: Mutex<VecDeque<QueuedJob>>,
+    jobs: Mutex<Jobs>,
+    /// Signalled when a job is queued and when shutdown begins.
     queue_ready: Condvar,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
+    /// Signalled whenever a job record changes.
     job_changed: Condvar,
-    /// spec fingerprint → job id, for job-level dedup.
-    dedup: Mutex<HashMap<u64, u64>>,
-    next_id: AtomicU64,
     stop: AtomicBool,
     /// Whether workers wrap job execution in a per-job [`ProfileSink`]
     /// (the protocol's `profile` command). On by default.
@@ -156,12 +184,9 @@ impl Engine {
             store,
             cells,
             queue_capacity: queue_capacity.max(1),
-            queue: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Jobs::default()),
             queue_ready: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
             job_changed: Condvar::new(),
-            dedup: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             profile_capture: AtomicBool::new(true),
             m: EngineInstruments::new(&registry),
@@ -222,86 +247,64 @@ impl Engine {
         if self.inner.stop.load(Ordering::SeqCst) {
             return Err("server is shutting down".into());
         }
-        let fingerprint = spec.fingerprint();
-        // Hold the dedup map across admission so two racing identical
-        // submissions cannot both enqueue.
-        let mut dedup = self.inner.dedup.lock().expect("dedup map poisoned");
-        if let Some(&existing) = dedup.get(&fingerprint) {
-            let jobs = self.inner.jobs.lock().expect("job table poisoned");
+        let mut jobs = self.inner.lock();
+        if let Some(&existing) = jobs.dedup.get(&spec) {
+            // A failed attempt does not pin its spec: retry fresh.
             let alive = jobs
+                .records
                 .get(&existing)
-                .is_some_and(|r| r.status != JobStatus::Failed);
+                .is_some_and(|r| !matches!(r, JobRecord::Failed { .. }));
             if alive {
                 self.inner.m.deduped.inc();
                 return Ok((existing, true));
             }
-            // A failed attempt does not pin its fingerprint: retry fresh.
         }
-        let mut queue = self.inner.queue.lock().expect("job queue poisoned");
-        if queue.len() >= self.inner.queue_capacity {
+        if jobs.queue.len() >= self.inner.queue_capacity {
             return Err(format!(
                 "queue is full ({} jobs waiting)",
                 self.inner.queue_capacity
             ));
         }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.jobs.lock().expect("job table poisoned").insert(
-            id,
-            JobRecord {
-                status: JobStatus::Queued,
-                result: None,
-                error: None,
-                profile: None,
-            },
-        );
-        dedup.insert(fingerprint, id);
-        queue.push_back(QueuedJob {
+        jobs.last_id += 1;
+        let id = jobs.last_id;
+        jobs.records.insert(id, JobRecord::Queued);
+        jobs.dedup.insert(spec.clone(), id);
+        jobs.queue.push_back(QueuedJob {
             id,
             spec,
             submitted_at: clock(),
         });
         self.inner.m.submitted.inc();
-        self.inner.m.queue_depth.set(queue.len() as i64);
+        self.inner.m.queue_depth.set(jobs.queue.len() as i64);
         self.inner.queue_ready.notify_one();
         Ok((id, false))
     }
 
     /// The job's current status, if the id is known.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
-        self.inner
-            .jobs
-            .lock()
-            .expect("job table poisoned")
-            .get(&id)
-            .map(|r| r.status)
+        self.inner.lock().records.get(&id).map(JobRecord::status)
     }
 
-    /// Blocks until the job finishes, then returns its report value (or
-    /// its error message).
+    /// Blocks until the job finishes, then returns its report as compact
+    /// JSON text (or its error message).
     ///
     /// # Errors
     ///
     /// Returns `Err(message)` for unknown ids and failed jobs.
-    pub fn wait_result(&self, id: u64) -> Result<Arc<Value>, String> {
-        let mut jobs = self.inner.jobs.lock().expect("job table poisoned");
+    pub fn wait_result(&self, id: u64) -> Result<Arc<str>, String> {
+        let mut jobs = self.inner.lock();
         loop {
-            match jobs.get(&id) {
+            match jobs.records.get(&id) {
                 None => return Err(format!("unknown job id {id}")),
-                Some(record) => match record.status {
-                    JobStatus::Done => {
-                        return Ok(Arc::clone(record.result.as_ref().expect("done has result")));
-                    }
-                    JobStatus::Failed => {
-                        return Err(record.error.clone().unwrap_or_else(|| "job failed".into()));
-                    }
-                    JobStatus::Queued | JobStatus::Running => {
-                        jobs = self
-                            .inner
-                            .job_changed
-                            .wait(jobs)
-                            .expect("job table poisoned");
-                    }
-                },
+                Some(JobRecord::Done { report, .. }) => return Ok(Arc::clone(report)),
+                Some(JobRecord::Failed { error, .. }) => return Err(error.clone()),
+                Some(JobRecord::Queued | JobRecord::Running) => {
+                    jobs = self
+                        .inner
+                        .job_changed
+                        .wait(jobs)
+                        .expect("job table poisoned");
+                }
             }
         }
     }
@@ -317,27 +320,25 @@ impl Engine {
         self.inner.profile_capture.store(capture, Ordering::SeqCst);
     }
 
-    /// The wall-clock profile of a finished job: a deterministic-shape
-    /// object `{"total_ns":…,"spans":[…],"cells":{…}}` whose span tree
-    /// aggregates the job's `job.run`/`experiment.*` spans and whose
-    /// `cells` section breaks `experiment.cell` cost down by workload and
-    /// by evaluator.
+    /// The wall-clock profile of a finished job, as compact JSON text: a
+    /// deterministic-shape object `{"total_ns":…,"spans":[…],"cells":{…}}`
+    /// whose span tree aggregates the job's `job.run`/`experiment.*` spans
+    /// and whose `cells` section breaks `experiment.cell` cost down by
+    /// workload and by evaluator.
     ///
     /// # Errors
     ///
     /// Returns a message for unknown ids, jobs that have not finished
     /// yet, and jobs that ran while capture was disabled.
-    pub fn profile(&self, id: u64) -> Result<Arc<Value>, String> {
-        let jobs = self.inner.jobs.lock().expect("job table poisoned");
-        match jobs.get(&id) {
+    pub fn profile(&self, id: u64) -> Result<Arc<str>, String> {
+        match self.inner.lock().records.get(&id) {
             None => Err(format!("unknown job id {id}")),
-            Some(record) => match (&record.profile, record.status) {
-                (Some(profile), _) => Ok(Arc::clone(profile)),
-                (None, JobStatus::Queued | JobStatus::Running) => {
-                    Err(format!("job {id} has not finished yet"))
-                }
-                (None, _) => Err(format!("job {id} has no profile (capture was disabled)")),
-            },
+            Some(JobRecord::Queued | JobRecord::Running) => {
+                Err(format!("job {id} has not finished yet"))
+            }
+            Some(JobRecord::Done { profile, .. } | JobRecord::Failed { profile, .. }) => profile
+                .clone()
+                .ok_or_else(|| format!("job {id} has no profile (capture was disabled)")),
         }
     }
 
@@ -346,7 +347,7 @@ impl Engine {
     /// the protocol's `stats` reply. The counters are read from the same
     /// registries [`metrics`](Engine::metrics) snapshots.
     pub fn stats(&self) -> Value {
-        let queue_depth = self.inner.queue.lock().expect("job queue poisoned").len();
+        let queue_depth = self.inner.lock().queue.len();
         let m = &self.inner.m;
         let jobs = Value::Object(vec![
             ("submitted".into(), m.submitted.get().to_value()),
@@ -372,16 +373,15 @@ impl Engine {
         ])
     }
 
-    /// Whether shutdown has been requested.
-    pub fn stopping(&self) -> bool {
-        self.inner.stop.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown and joins the worker pool. Queued jobs are
     /// drained (each finishes as `Done`/`Failed`) before workers exit, so
     /// clients blocked in `wait_result` are always answered. Idempotent.
     pub fn shutdown(&self) {
+        // Set under the lock so no worker can check the flag and then
+        // miss the wake-up.
+        let jobs = self.inner.lock();
         self.inner.stop.store(true, Ordering::SeqCst);
+        drop(jobs);
         self.inner.queue_ready.notify_all();
         let handles: Vec<JoinHandle<()>> = self
             .workers
@@ -406,31 +406,34 @@ fn latency_summary(h: &HistogramSnapshot) -> Value {
     ])
 }
 
+impl EngineInner {
+    fn lock(&self) -> MutexGuard<'_, Jobs> {
+        self.jobs.lock().expect("job table poisoned")
+    }
+}
+
 fn worker_loop(inner: &EngineInner) {
     loop {
-        let job = {
-            let mut queue = inner.queue.lock().expect("job queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    inner.m.queue_depth.set(queue.len() as i64);
-                    break Some(job);
-                }
-                if inner.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = inner.queue_ready.wait(queue).expect("job queue poisoned");
-            }
-        };
-        let Some(QueuedJob {
+        let QueuedJob {
             id,
             spec,
             submitted_at,
-        }) = job
-        else {
-            return;
+        } = {
+            let mut jobs = inner.lock();
+            loop {
+                if let Some(job) = jobs.queue.pop_front() {
+                    inner.m.queue_depth.set(jobs.queue.len() as i64);
+                    jobs.records.insert(job.id, JobRecord::Running);
+                    break job;
+                }
+                if inner.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                jobs = inner.queue_ready.wait(jobs).expect("job table poisoned");
+            }
         };
+        inner.job_changed.notify_all();
         inner.m.queue_wait_ns.observe_since(submitted_at);
-        set_status(inner, id, JobStatus::Running);
         inner.m.running.add(1);
         let run_started = clock();
         let run = || {
@@ -453,26 +456,24 @@ fn worker_loop(inner: &EngineInner) {
             Some(sink) => with_thread_sink(Arc::clone(sink) as _, run),
             None => run(),
         };
-        let profile = sink.map(|sink| Arc::new(job_profile(&sink)));
+        let profile = sink.map(|sink| Arc::from(to_line(&job_profile(&sink))));
         inner.m.run_ns.observe_since(run_started);
         inner.m.total_ns.observe_since(submitted_at);
         inner.m.running.add(-1);
-        let mut jobs = inner.jobs.lock().expect("job table poisoned");
-        let record = jobs.get_mut(&id).expect("running job has a record");
-        record.profile = profile;
-        match outcome {
+        let record = match outcome {
             Ok(report) => {
-                record.status = JobStatus::Done;
-                record.result = Some(Arc::new(report));
                 inner.m.completed.inc();
+                JobRecord::Done {
+                    report: Arc::from(to_line(&report)),
+                    profile,
+                }
             }
-            Err(message) => {
-                record.status = JobStatus::Failed;
-                record.error = Some(message);
+            Err(error) => {
                 inner.m.failed.inc();
+                JobRecord::Failed { error, profile }
             }
-        }
-        drop(jobs);
+        };
+        inner.lock().records.insert(id, record);
         inner.job_changed.notify_all();
     }
 }
@@ -482,19 +483,6 @@ fn worker_loop(inner: &EngineInner) {
 /// plus cell-level cost breakdowns of the `experiment.cell` span grouped
 /// by its `workload` and `evaluator` fields.
 fn job_profile(sink: &ProfileSink) -> Value {
-    let rows = |rows: Vec<mim_obs::BreakdownRow>| {
-        Value::Array(
-            rows.into_iter()
-                .map(|row| {
-                    Value::Object(vec![
-                        ("value".into(), Value::Str(row.value)),
-                        ("count".into(), row.count.to_value()),
-                        ("total_ns".into(), row.total_ns.to_value()),
-                    ])
-                })
-                .collect(),
-        )
-    };
     let mut fields = match sink.to_value() {
         Value::Object(fields) => fields,
         other => vec![("spans".into(), other)],
@@ -504,22 +492,15 @@ fn job_profile(sink: &ProfileSink) -> Value {
         Value::Object(vec![
             (
                 "by_workload".into(),
-                rows(sink.breakdown("experiment.cell", "workload")),
+                sink.breakdown("experiment.cell", "workload").to_value(),
             ),
             (
                 "by_evaluator".into(),
-                rows(sink.breakdown("experiment.cell", "evaluator")),
+                sink.breakdown("experiment.cell", "evaluator").to_value(),
             ),
         ]),
     ));
     Value::Object(fields)
-}
-
-fn set_status(inner: &EngineInner, id: u64, status: JobStatus) {
-    if let Some(record) = inner.jobs.lock().expect("job table poisoned").get_mut(&id) {
-        record.status = status;
-    }
-    inner.job_changed.notify_all();
 }
 
 #[cfg(test)]
@@ -541,6 +522,7 @@ mod tests {
         let (id, deduped) = engine.submit(quick_job("e2e")).expect("submits");
         assert!(!deduped);
         let report = engine.wait_result(id).expect("job succeeds");
+        let report: Value = serde_json::from_str(&report).expect("report is JSON");
         assert!(report.get("rows").is_some());
         assert_eq!(engine.status(id), Some(JobStatus::Done));
         engine.shutdown();
@@ -588,6 +570,7 @@ mod tests {
         let (id, _) = engine.submit(quick_job("profiled")).expect("submits");
         engine.wait_result(id).expect("job succeeds");
         let profile = engine.profile(id).expect("profile captured");
+        let profile: Value = serde_json::from_str(&profile).expect("profile is JSON");
         let spans = profile
             .get("spans")
             .and_then(Value::as_array)

@@ -49,7 +49,7 @@ use mim_obs::{
     SpanEvent, SpanSink, TraceFormat,
 };
 use mim_serve::{CellMemo, Client, Engine, JobSpec, Server, WorkloadStore};
-use serde::Value;
+use serde::{Deserialize, Value};
 
 /// Fans one span event stream out to several sinks (`--spans` plus
 /// `--trace-out` on the same process).
@@ -212,11 +212,7 @@ fn smoke(
         let executions = stats
             .get("store")
             .and_then(|s| s.get("functional_executions"))
-            .and_then(|v| match v {
-                Value::UInt(u) => Some(*u),
-                Value::Int(i) => Some(*i as u64),
-                _ => None,
-            })
+            .and_then(|v| u64::from_value(v).ok())
             .ok_or("stats reply lacks store.functional_executions")?;
         if executions > 2 {
             return Err(format!(
@@ -227,11 +223,7 @@ fn smoke(
         let completed = metrics
             .get("counters")
             .and_then(|c| c.get("jobs.completed"))
-            .and_then(|v| match v {
-                Value::UInt(u) => Some(*u),
-                Value::Int(i) => Some(*i as u64),
-                _ => None,
-            })
+            .and_then(|v| u64::from_value(v).ok())
             .ok_or("metrics reply lacks counters jobs.completed")?;
         if completed != 1 {
             return Err(format!(

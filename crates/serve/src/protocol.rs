@@ -14,7 +14,7 @@
 //! | `{"cmd":"metrics","format":"prometheus"}` | `{"ok":true,"metrics_text":"..."}` (Prometheus exposition text) |
 //! | `{"cmd":"profile","id":N}`                | `{"ok":true,"id":N,"profile":{"total_ns":…,"spans":[...],"cells":{...}}}` (finished jobs) |
 //! | `{"cmd":"watch","interval_ms":T,"count":K}` | `K` lines `{"ok":true,"seq":I,"metrics":{...delta...}}`, one per interval |
-//! | `{"cmd":"shutdown"}`                      | `{"ok":true}` then the server drains and exits |
+//! | `{"cmd":"shutdown"}`                      | `{"ok":true}` then the server closes open connections, drains and exits |
 //!
 //! A request line longer than 1 MiB, or one that is not UTF-8, gets an
 //! error response; the connection stays open for the next line.
@@ -25,7 +25,7 @@
 
 pub use serde::Value;
 
-use crate::spec::JobSpec;
+use crate::spec::{as_u64, JobSpec};
 
 /// Wire format of a `metrics` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,19 +159,19 @@ impl Request {
 fn request_u64(value: &Value, key: &str, default: u64) -> Result<u64, String> {
     match value.get(key) {
         None | Some(Value::Null) => Ok(default),
-        Some(Value::UInt(u)) => Ok(*u),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(v) => Err(format!("`{key}` must be an integer, got {}", v.kind())),
+        Some(v) => as_u64(v).ok_or_else(|| not_an_integer(key, v)),
     }
 }
 
 fn request_id(value: &Value) -> Result<u64, String> {
     match value.get("id") {
-        Some(Value::UInt(u)) => Ok(*u),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(v) => Err(format!("`id` must be an integer, got {}", v.kind())),
         None => Err("request is missing the `id` field".into()),
+        Some(v) => as_u64(v).ok_or_else(|| not_an_integer("id", v)),
     }
+}
+
+fn not_an_integer(key: &str, v: &Value) -> String {
+    format!("`{key}` must be an integer, got {}", v.kind())
 }
 
 /// Builds a success response with extra fields after `"ok":true`.
@@ -187,6 +187,14 @@ pub fn error_response(message: impl Into<String>) -> Value {
         ("ok".to_string(), Value::Bool(false)),
         ("error".to_string(), Value::Str(message.into())),
     ])
+}
+
+/// A success reply carrying an already-encoded JSON payload,
+/// `{"ok":true,"id":N,"<field>":<json>}`: the same bytes as [`to_line`]
+/// of that reply built as a [`Value`], without decoding or re-encoding
+/// `json`.
+pub(crate) fn stored_reply(id: u64, field: &str, json: &str) -> String {
+    format!(r#"{{"ok":true,"id":{id},"{field}":{json}}}"#)
 }
 
 /// Serializes a value as one compact protocol line (no trailing newline).

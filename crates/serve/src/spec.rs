@@ -5,10 +5,9 @@
 //! study — entirely by *registry names* (workloads, evaluators,
 //! objectives, space presets), so clients never serialize machine
 //! configurations. Parsing is lenient (absent fields take the documented
-//! defaults); the canonical re-serialization
-//! ([`JobSpec::to_value`]) is what the job [`fingerprint`](JobSpec::fingerprint)
-//! hashes, so two submissions that *mean* the same job coalesce no matter
-//! which defaults they spelled out.
+//! defaults), and the engine's job-level dedup keys on the parsed spec,
+//! so two submissions that *mean* the same job coalesce no matter which
+//! defaults they spelled out.
 
 use mim_core::{DesignSpace, MachineConfig};
 use mim_explore::{Anneal, Exhaustive, Exploration, GreedyAscent, Objective};
@@ -17,19 +16,8 @@ use mim_select::SubsetRun;
 use mim_workloads::{mibench, spec as spec_suite, Workload, WorkloadSize};
 use serde::{Serialize, Value};
 
-/// Stable FNV-1a 64-bit hash (the fingerprint arithmetic used across the
-/// repo's content-addressed layers).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Design-space description by preset name plus optional axis overrides.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct SpaceSpec {
     /// `"default"` (the paper's default machine as a one-point space) or
     /// `"table2"` (the paper's full 192-point space).
@@ -69,7 +57,7 @@ impl SpaceSpec {
 /// Geometry is validated at submit time through
 /// [`Sampling::try_new`](mim_trace::Sampling::try_new), so a bad plan is
 /// rejected synchronously instead of panicking inside a worker.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct SamplingSpec {
     /// Sample-unit period in instructions.
     pub period: u64,
@@ -101,7 +89,7 @@ impl SamplingSpec {
 }
 
 /// Search-strategy description for exploration jobs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct StrategySpec {
     /// `"exhaustive"`, `"greedy"`, or `"anneal"`.
     pub name: String,
@@ -149,7 +137,7 @@ impl StrategySpec {
 }
 
 /// An experiment job: a (workload × design-point × evaluator) grid.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct ExperimentSpec {
     /// Report title.
     pub title: String,
@@ -173,7 +161,7 @@ pub struct ExperimentSpec {
 }
 
 /// An exploration job: strategy-driven search over a design space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct ExplorationSpec {
     /// Report title.
     pub title: String,
@@ -195,7 +183,7 @@ pub struct ExplorationSpec {
 
 /// A subset job: representative-input selection plus a verified subset
 /// sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct SubsetSpec {
     /// Report title.
     pub title: String,
@@ -215,7 +203,7 @@ pub struct SubsetSpec {
 
 /// One unit of server work: the three request kinds the repo's tools
 /// submit, dispatched on the `"kind"` field of the submitted object.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JobSpec {
     /// `{"kind":"experiment",...}` — an [`Experiment`] grid.
     Experiment(ExperimentSpec),
@@ -354,8 +342,8 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Canonical object form, including the `kind` discriminator — the
-    /// bytes the job fingerprint hashes.
+    /// Canonical object form, including the `kind` discriminator — what a
+    /// client sends as the `job` of a `submit` request.
     pub fn to_value(&self) -> Value {
         let body = match self {
             JobSpec::Experiment(s) => s.to_value(),
@@ -367,15 +355,6 @@ impl JobSpec {
             fields.extend(body);
         }
         Value::Object(fields)
-    }
-
-    /// Content fingerprint of the canonical form: submissions that mean
-    /// the same job (regardless of which defaults they spelled out) hash
-    /// identically, which is what the engine's job-level dedup keys on.
-    pub fn fingerprint(&self) -> u64 {
-        let canonical =
-            serde_json::to_string(&self.to_value()).expect("spec serialization is infallible");
-        fnv64(canonical.as_bytes())
     }
 
     /// Runs the job against the server's shared store and cell memo,
@@ -540,7 +519,9 @@ fn bool_or(value: &Value, key: &str, default: bool) -> Result<bool, String> {
     }
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
+/// The one strict integer reader for untrusted JSON: a non-negative
+/// integer, and nothing else (no floats, however integral).
+pub(crate) fn as_u64(v: &Value) -> Option<u64> {
     match *v {
         Value::UInt(u) => Some(u),
         Value::Int(i) if i >= 0 => Some(i as u64),
@@ -624,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn defaults_do_not_change_the_fingerprint() {
+    fn defaults_do_not_change_the_spec() {
         let terse = parse(r#"{"kind":"experiment","workloads":["sha"],"evaluators":["model"]}"#)
             .expect("parses");
         let spelled = parse(
@@ -632,11 +613,11 @@ mod tests {
                 "evaluators":["model"],"energy":false,"stride":1}"#,
         )
         .expect("parses");
-        assert_eq!(terse.fingerprint(), spelled.fingerprint());
+        assert_eq!(terse, spelled);
         let different =
             parse(r#"{"kind":"experiment","workloads":["crc32"],"evaluators":["model"]}"#)
                 .expect("parses");
-        assert_ne!(terse.fingerprint(), different.fingerprint());
+        assert_ne!(terse, different);
     }
 
     #[test]

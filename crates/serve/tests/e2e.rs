@@ -3,7 +3,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use mim_serve::{CellMemo, Client, JobSpec, Server, WorkloadStore};
 use serde::Value;
@@ -86,7 +88,7 @@ fn identical_submissions_coalesce_across_connections() {
 #[test]
 fn overlapping_sweeps_share_cells_and_executions() {
     with_server("tcp:127.0.0.1:0", |addr, engine| {
-        // Two different titles → different job fingerprints, but identical
+        // Two different titles → different job specs, but identical
         // cells underneath: the second job should hit the memo everywhere.
         let mut client = Client::connect(addr).expect("connect");
         let first = client.submit(&quick_experiment("sweep-a")).expect("a");
@@ -332,6 +334,48 @@ fn hostile_lines_get_typed_errors_and_the_connection_survives() {
         assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{stats:?}");
         assert!(stats.get("stats").is_some());
     });
+}
+
+#[test]
+fn shutdown_returns_while_other_connections_are_open() {
+    let engine = Engine::start(WorkloadStore::new(), CellMemo::new(), 1, 8);
+    let server = Server::bind("tcp:127.0.0.1:0", engine).expect("bind");
+    let addr = server.addr().to_connect_string();
+    let hostport = addr.strip_prefix("tcp:").expect("tcp address").to_string();
+    let (done, finished) = mpsc::channel();
+    let handle = thread::spawn(move || done.send(server.run()));
+    // A connection that never sends a byte, and one whose `watch` has its
+    // first tick an hour away; the `stats` reply ahead of the watch shows
+    // the server is serving that connection.
+    let idle = TcpStream::connect(&hostport).expect("connect idle");
+    let watcher = TcpStream::connect(&hostport).expect("connect watcher");
+    let requests = concat!(
+        r#"{"cmd":"stats"}"#,
+        "\n",
+        r#"{"cmd":"watch","interval_ms":3600000,"count":1}"#,
+        "\n"
+    );
+    (&watcher)
+        .write_all(requests.as_bytes())
+        .expect("send stats and watch");
+    let mut replies = BufReader::new(&watcher);
+    let mut line = String::new();
+    replies.read_line(&mut line).expect("stats reply");
+    assert!(line.contains(r#""stats""#), "{line}");
+
+    let mut closer = Client::connect(&addr).expect("connect closer");
+    closer.shutdown().expect("shutdown accepted");
+    finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run() returns within 5 s of the shutdown reply")
+        .expect("server ran");
+    handle.join().expect("server thread").expect("result sent");
+    // The watch ends with its error line or a closed connection, never
+    // with a tick.
+    line.clear();
+    replies.read_line(&mut line).ok();
+    assert!(!line.contains(r#""seq""#), "{line}");
+    drop(idle);
 }
 
 /// Reads one numeric counter out of a stats sub-object.

@@ -4,8 +4,8 @@
 use mim_core::{DesignPoint, DesignSpace, MachineConfig};
 use mim_pipeline::PipelineSim;
 use mim_runner::{
-    parallel_map, EvalError, EvalKind, EvalResult, Evaluator, Experiment, ModelEvaluator,
-    SimEvaluator, WorkloadSpec, WorkloadStore,
+    parallel_map, resolve_threads, EvalError, EvalKind, EvalResult, Evaluator, Experiment,
+    ModelEvaluator, SimEvaluator, WorkloadSpec, WorkloadStore,
 };
 use mim_workloads::synth::SyntheticRecipe;
 use mim_workloads::WorkloadSize;
@@ -280,18 +280,6 @@ impl DifferentialRun {
         self
     }
 
-    /// Worker threads for the counterfactual pass, matching the
-    /// `Experiment` contract: `0` means all available cores.
-    fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-
     /// Runs the grid and assembles the report.
     ///
     /// # Errors
@@ -328,8 +316,10 @@ impl DifferentialRun {
                 }
             }
         }
-        let cycles: Vec<Result<u64, EvalError>> =
-            parallel_map(self.resolved_threads(), &tasks, |_, &(wi, pi, term)| {
+        let cycles: Vec<Result<u64, EvalError>> = parallel_map(
+            resolve_threads(self.threads),
+            &tasks,
+            |_, &(wi, pi, term)| {
                 let spec = &specs[wi];
                 let program = store.program(spec, size);
                 let trace = store.trace(spec, size, self.limit)?;
@@ -342,7 +332,8 @@ impl DifferentialRun {
                     .simulate_source(&mut replay)
                     .map_err(|e| EvalError::trace(spec.name(), "counterfactual", &e))?;
                 Ok(sim.cycles)
-            });
+            },
+        );
         let mut counterfactuals: Vec<[u64; 6]> = Vec::with_capacity(n_behaviors * n_points);
         for chunk in cycles.chunks(6) {
             let mut arr = [0u64; 6];
