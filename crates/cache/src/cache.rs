@@ -35,7 +35,10 @@ pub struct SetAssocCache {
     config: CacheConfig,
     /// Tags per set, most-recently-used first; `INVALID` marks empty ways.
     tags: Vec<u64>,
-    sets: u64,
+    /// `log2(block_bytes)`: an address's block number is `addr >> block_shift`.
+    block_shift: u32,
+    /// `sets - 1`: a block's set is `block & set_mask`.
+    set_mask: u64,
     ways: usize,
     accesses: u64,
     misses: u64,
@@ -45,12 +48,22 @@ const INVALID: u64 = u64::MAX;
 
 impl SetAssocCache {
     /// Creates an empty (all-invalid) cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block size or set count is not a power of two, which
+    /// only a configuration that bypassed [`CacheConfig::new`] can have.
     pub fn new(config: CacheConfig) -> SetAssocCache {
         let sets = config.sets();
         let ways = config.assoc() as usize;
+        assert!(
+            config.block_bytes().is_power_of_two() && sets.is_power_of_two(),
+            "cache geometry must be powers of two: {config}"
+        );
         SetAssocCache {
             tags: vec![INVALID; (sets as usize) * ways],
-            sets,
+            block_shift: config.block_bytes().trailing_zeros(),
+            set_mask: sets - 1,
             ways,
             config,
             accesses: 0,
@@ -94,9 +107,8 @@ impl SetAssocCache {
     /// use [`probe`](SetAssocCache::probe) for a side-effect-free lookup.
     pub fn access(&mut self, addr: u64) -> AccessResult {
         self.accesses += 1;
-        let block = self.config.block_of(addr);
-        let set = (block % self.sets) as usize;
-        let base = set * self.ways;
+        let block = addr >> self.block_shift;
+        let base = self.set_base(block);
         let set_tags = &mut self.tags[base..base + self.ways];
 
         if let Some(pos) = set_tags.iter().position(|&t| t == block) {
@@ -121,10 +133,15 @@ impl SetAssocCache {
 
     /// Looks up the address without updating recency or counters.
     pub fn probe(&self, addr: u64) -> bool {
-        let block = self.config.block_of(addr);
-        let set = (block % self.sets) as usize;
-        let base = set * self.ways;
+        let block = addr >> self.block_shift;
+        let base = self.set_base(block);
         self.tags[base..base + self.ways].contains(&block)
+    }
+
+    /// Index in `tags` of the first way of `block`'s set.
+    #[inline]
+    fn set_base(&self, block: u64) -> usize {
+        (block & self.set_mask) as usize * self.ways
     }
 
     /// Invalidates all contents and resets counters.

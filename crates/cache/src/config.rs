@@ -133,18 +133,6 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         self.size_bytes / (self.block_bytes * u64::from(self.assoc))
     }
-
-    /// Block number of a byte address (address divided by block size).
-    #[inline]
-    pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block_bytes
-    }
-
-    /// Set index of a byte address.
-    #[inline]
-    pub fn set_of(&self, addr: u64) -> u64 {
-        self.block_of(addr) % self.sets()
-    }
 }
 
 impl fmt::Display for CacheConfig {
@@ -195,9 +183,6 @@ mod tests {
     fn valid_config_geometry() {
         let c = CacheConfig::new("L1D", 32 * 1024, 4, 64).unwrap();
         assert_eq!(c.sets(), 128);
-        assert_eq!(c.block_of(0x1000), 0x40);
-        assert_eq!(c.set_of(0x1000), 0x40);
-        assert_eq!(c.set_of(0x1000 + 128 * 64), 0x40); // wraps around
     }
 
     #[test]

@@ -17,6 +17,44 @@ pub enum MemAccessKind {
     Store,
 }
 
+/// The line of the previous instruction fetch, so that fetching it again
+/// skips the L1I and ITLB lookups.
+///
+/// Exact because only fetches touch the L1I and the ITLB: right after a
+/// fetch, its line and its page are most-recently-used in both, and data
+/// accesses in between cannot disturb them. Fetching the same line and
+/// page again is therefore a hit in both that leaves every LRU stack as
+/// it was. The key is the address shifted by the *smaller* of the L1I
+/// block shift and the ITLB page shift, so equal keys mean the same line
+/// and the same page for any geometry.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchMemo {
+    shift: u32,
+    last: Option<u64>,
+}
+
+impl FetchMemo {
+    pub(crate) fn new(l1i: &CacheConfig, itlb: TlbConfig) -> FetchMemo {
+        FetchMemo {
+            shift: l1i
+                .block_bytes()
+                .trailing_zeros()
+                .min(itlb.page_bytes.trailing_zeros()),
+            last: None,
+        }
+    }
+
+    /// Records a fetch of `addr`; true if it repeats the previous fetch's
+    /// line and page (a state-free hit in the L1I and the ITLB).
+    #[inline(always)]
+    pub(crate) fn repeats(&mut self, addr: u64) -> bool {
+        let key = Some(addr >> self.shift);
+        let repeat = self.last == key;
+        self.last = key;
+        repeat
+    }
+}
+
 /// The level of the memory hierarchy that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MemLevel {
@@ -110,6 +148,13 @@ impl MissCounts {
 /// simulator both drive this type so that model and detailed simulation see
 /// identical miss behaviour.
 ///
+/// A fetch from the same L1I line and ITLB page as the previous fetch
+/// skips both lookups and reports an L1 hit without a TLB miss. That is
+/// exact: only fetches touch the L1I and the ITLB, so the previous
+/// fetch's line and page are still most-recently-used in both, and
+/// hitting them again changes no state. Such fetches still count in
+/// [`MissCounts::inst_accesses`].
+///
 /// # Example
 ///
 /// ```
@@ -131,6 +176,7 @@ pub struct Hierarchy {
     l2: SetAssocCache,
     itlb: Tlb,
     dtlb: Tlb,
+    fetch: FetchMemo,
     counts: MissCounts,
 }
 
@@ -143,6 +189,7 @@ impl Hierarchy {
             l2: SetAssocCache::new(config.l2.clone()),
             itlb: Tlb::new(config.itlb),
             dtlb: Tlb::new(config.dtlb),
+            fetch: FetchMemo::new(&config.l1i, config.itlb),
             config,
             counts: MissCounts::default(),
         }
@@ -164,6 +211,9 @@ impl Hierarchy {
         match kind {
             MemAccessKind::Fetch => {
                 self.counts.inst_accesses += 1;
+                if self.fetch.repeats(addr) {
+                    return (MemLevel::L1, false);
+                }
                 let tlb_miss = !self.itlb.access(addr).hit;
                 if tlb_miss {
                     self.counts.itlb_misses += 1;
@@ -221,9 +271,11 @@ impl Hierarchy {
     pub fn warm(&mut self, kind: MemAccessKind, addr: u64) {
         match kind {
             MemAccessKind::Fetch => {
-                self.itlb.access(addr);
-                if !self.l1i.access(addr).hit {
-                    self.l2.access(addr);
+                if !self.fetch.repeats(addr) {
+                    self.itlb.access(addr);
+                    if !self.l1i.access(addr).hit {
+                        self.l2.access(addr);
+                    }
                 }
             }
             MemAccessKind::Load | MemAccessKind::Store => {

@@ -2,7 +2,7 @@
 
 use crate::cache::SetAssocCache;
 use crate::config::CacheConfig;
-use crate::hierarchy::{HierarchyConfig, MemAccessKind, MissCounts};
+use crate::hierarchy::{FetchMemo, HierarchyConfig, MemAccessKind, MissCounts};
 use crate::tlb::Tlb;
 
 /// Simulates one set of L1 caches/TLBs together with *many* candidate L2
@@ -13,6 +13,12 @@ use crate::tlb::Tlb;
 /// hence the L2 reference stream — is identical for every L2 candidate, so
 /// all candidates can be warmed simultaneously. One profiling run then
 /// yields the `misses_i` model inputs for every design point.
+///
+/// Like [`Hierarchy`](crate::Hierarchy), a fetch from the same L1I line
+/// and ITLB page as the previous fetch skips the shared L1I, the ITLB and
+/// every L2 candidate. Only fetches touch the L1I and the ITLB, so that
+/// line and page are still most-recently-used in both and the repeat is a
+/// hit that changes no state; it still counts in `inst_accesses`.
 ///
 /// # Example
 ///
@@ -39,6 +45,7 @@ pub struct MultiConfig {
     itlb: Tlb,
     dtlb: Tlb,
     l2s: Vec<SetAssocCache>,
+    fetch: FetchMemo,
     /// Shared L1/TLB counters (identical across configs).
     base: MissCounts,
     /// Per-config L2 miss counters.
@@ -57,6 +64,7 @@ impl MultiConfig {
             itlb: Tlb::new(base.itlb),
             dtlb: Tlb::new(base.dtlb),
             l2s: l2s.into_iter().map(SetAssocCache::new).collect(),
+            fetch: FetchMemo::new(&base.l1i, base.itlb),
             base: MissCounts::default(),
             l2i_misses: vec![0; n],
             l2d_misses: vec![0; n],
@@ -74,6 +82,9 @@ impl MultiConfig {
         match kind {
             MemAccessKind::Fetch => {
                 self.base.inst_accesses += 1;
+                if self.fetch.repeats(addr) {
+                    return;
+                }
                 if !self.itlb.access(addr).hit {
                     self.base.itlb_misses += 1;
                 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the cache substrate.
 
 use mim_cache::{
-    CacheConfig, Hierarchy, HierarchyConfig, MemAccessKind, MultiConfig, SetAssocCache,
-    StackDistance, TlbConfig,
+    CacheConfig, Hierarchy, HierarchyConfig, MemAccessKind, MemLevel, MissCounts, MultiConfig,
+    SetAssocCache, StackDistance, Tlb, TlbConfig,
 };
 use proptest::prelude::*;
 
@@ -32,6 +32,101 @@ impl NaiveLru {
         }
         self.stack.insert(0, block);
     }
+}
+
+/// A memo-free reference for one L1/TLB geometry and several L2s, built
+/// from the plain parts: every fetch looks up the ITLB and the L1I.
+struct PlainHierarchies {
+    l1i: SetAssocCache,
+    l1d: SetAssocCache,
+    itlb: Tlb,
+    dtlb: Tlb,
+    l2s: Vec<SetAssocCache>,
+    counts: Vec<MissCounts>,
+}
+
+impl PlainHierarchies {
+    fn new(base: &HierarchyConfig, l2s: &[CacheConfig]) -> PlainHierarchies {
+        PlainHierarchies {
+            l1i: SetAssocCache::new(base.l1i.clone()),
+            l1d: SetAssocCache::new(base.l1d.clone()),
+            itlb: Tlb::new(base.itlb),
+            dtlb: Tlb::new(base.dtlb),
+            l2s: l2s.iter().cloned().map(SetAssocCache::new).collect(),
+            counts: vec![MissCounts::default(); l2s.len()],
+        }
+    }
+
+    /// One access, counted unless `warm`; returns the servicing level
+    /// under each L2 and whether the TLB missed.
+    fn access(&mut self, kind: MemAccessKind, addr: u64, warm: bool) -> (Vec<MemLevel>, bool) {
+        let fetch = kind == MemAccessKind::Fetch;
+        let load = kind == MemAccessKind::Load;
+        let (tlb, l1) = if fetch {
+            (&mut self.itlb, &mut self.l1i)
+        } else {
+            (&mut self.dtlb, &mut self.l1d)
+        };
+        let tlb_miss = !tlb.access(addr).hit;
+        let l1_hit = l1.access(addr).hit;
+        let levels: Vec<MemLevel> = self
+            .l2s
+            .iter_mut()
+            .map(|l2| {
+                if l1_hit {
+                    MemLevel::L1
+                } else if l2.access(addr).hit {
+                    MemLevel::L2
+                } else {
+                    MemLevel::Memory
+                }
+            })
+            .collect();
+        if !warm {
+            for (c, &level) in self.counts.iter_mut().zip(&levels) {
+                let (l1_miss, l2_miss) = (level != MemLevel::L1, level == MemLevel::Memory);
+                let n = u64::from;
+                if fetch {
+                    c.inst_accesses += 1;
+                    c.itlb_misses += n(tlb_miss);
+                    c.l1i_misses += n(l1_miss);
+                    c.l2i_misses += n(l2_miss);
+                } else {
+                    c.data_accesses += 1;
+                    c.dtlb_misses += n(tlb_miss);
+                    c.l1d_misses += n(l1_miss);
+                    c.l2d_misses += n(l2_miss);
+                    c.l1d_load_misses += n(l1_miss && load);
+                    c.l2d_load_misses += n(l2_miss && load);
+                }
+            }
+        }
+        (levels, tlb_miss)
+    }
+}
+
+/// A base hierarchy whose L1I lines are `line` bytes and whose ITLB pages
+/// are `page` bytes.
+fn fetch_geometry(line: u64, page: u64) -> HierarchyConfig {
+    HierarchyConfig {
+        l1i: CacheConfig::new("L1I", 4 * line, 2, line).unwrap(),
+        l1d: CacheConfig::new("L1D", 512, 2, 64).unwrap(),
+        l2: CacheConfig::new("L2", 2048, 4, 64).unwrap(),
+        itlb: TlbConfig {
+            entries: 2,
+            page_bytes: page,
+        },
+        dtlb: TlbConfig {
+            entries: 2,
+            page_bytes: 256,
+        },
+    }
+}
+
+/// Fetch runs of consecutive instructions (many fetches in one line),
+/// loads and stores, each marked counted or warm: `(op, word, run, warm)`.
+fn fetch_run_stream() -> impl Strategy<Value = Vec<(u64, u64, u64, u64)>> {
+    proptest::collection::vec((0u64..6, 0u64..1024, 1u64..24, 0u64..4), 20..200)
 }
 
 fn addr_stream() -> impl Strategy<Value = Vec<u64>> {
@@ -109,6 +204,50 @@ proptest! {
         }
         prop_assert_eq!(multi.counts(0), ha.counts());
         prop_assert_eq!(multi.counts(1), hb.counts());
+    }
+
+    /// The fetch-line memo in `MultiConfig` and `Hierarchy` is exact: with
+    /// fetch runs, data accesses, and (for `Hierarchy`) warm and counted
+    /// accesses interleaved, both agree with the memo-free reference on
+    /// every reply and count. Geometry 1 has L1I lines larger than ITLB
+    /// pages, which a memo keyed on the line alone gets wrong.
+    #[test]
+    fn fetch_memo_matches_memo_free_reference(ops in fetch_run_stream(), geometry in 0usize..3) {
+        let (line, page) = [(64, 4096), (128, 64), (32, 256)][geometry];
+        let base = fetch_geometry(line, page);
+        let l2s = vec![
+            CacheConfig::new("a", 1024, 2, 64).unwrap(),
+            CacheConfig::new("b", 4096, 4, 128).unwrap(),
+        ];
+        let mut multi = MultiConfig::new(&base, l2s.clone());
+        let mut hierarchies: Vec<Hierarchy> =
+            l2s.iter().map(|l2| Hierarchy::new(base.clone().with_l2(l2.clone()))).collect();
+        let mut plain_multi = PlainHierarchies::new(&base, &l2s);
+        let mut plain_hierarchies = PlainHierarchies::new(&base, &l2s);
+        for &(op, word, run, warm) in &ops {
+            let warm = warm == 0;
+            let accesses: Vec<(MemAccessKind, u64)> = match op {
+                0..=3 => (0..run).map(|i| (MemAccessKind::Fetch, (word + i) * 4)).collect(),
+                4 => vec![(MemAccessKind::Load, word * 8)],
+                _ => vec![(MemAccessKind::Store, word * 8)],
+            };
+            for (kind, addr) in accesses {
+                multi.access(kind, addr);
+                plain_multi.access(kind, addr, false);
+                let (levels, tlb_miss) = plain_hierarchies.access(kind, addr, warm);
+                for (h, &level) in hierarchies.iter_mut().zip(&levels) {
+                    if warm {
+                        h.warm(kind, addr);
+                    } else {
+                        prop_assert_eq!(h.access(kind, addr), (level, tlb_miss));
+                    }
+                }
+            }
+        }
+        for (i, h) in hierarchies.iter().enumerate() {
+            prop_assert_eq!(multi.counts(i), plain_multi.counts[i]);
+            prop_assert_eq!(h.counts(), plain_hierarchies.counts[i]);
+        }
     }
 
     /// Histogram mass conservation: every access is either a cold miss or

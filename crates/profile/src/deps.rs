@@ -1,16 +1,27 @@
 //! Dependency-distance tracking (the `deps_*(d)` profiles of Table 1).
 
 use mim_core::{DepHistogram, ModelInputs};
-use mim_isa::{InstClass, TraceEvent, NUM_REGS};
+use mim_isa::{InstClass, Reg, TraceEvent, NUM_REGS};
 
 /// Producer class for dependency classification (paper §3.5): unit-latency
 /// ALU producers, long-latency producers (multiply/divide), and loads —
-/// loads are separate because they deliver in the memory stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// loads are separate because they deliver in the memory stage. Ordered
+/// from least to most constraining, the tie rule of [`nearest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ProducerKind {
     Unit,
     LongLatency,
     Load,
+}
+
+impl ProducerKind {
+    fn of(class: InstClass) -> ProducerKind {
+        match class {
+            InstClass::Load => ProducerKind::Load,
+            InstClass::Mul | InstClass::Div => ProducerKind::LongLatency,
+            _ => ProducerKind::Unit,
+        }
+    }
 }
 
 /// Streaming tracker of nearest-producer dependency distances.
@@ -70,44 +81,48 @@ impl DepTracker {
     /// Observes one retired instruction.
     pub fn observe(&mut self, ev: &TraceEvent) {
         self.seq += 1;
-        let t = self.seq;
-
-        // Find the nearest producer among the sources. On a distance tie,
-        // prefer the more constraining producer class (load, then
-        // long-latency, then unit) — matching the pipeline, where the
-        // later-delivering producer determines the stall.
-        let mut nearest: Option<(u64, ProducerKind)> = None;
-        for src in ev.sources.into_iter().flatten() {
-            if let Some((wseq, kind)) = self.last_writer[src.index()] {
-                let d = t - wseq;
-                nearest = match nearest {
-                    None => Some((d, kind)),
-                    Some((best_d, best_kind)) => {
-                        if d < best_d || (d == best_d && rank(kind) > rank(best_kind)) {
-                            Some((d, kind))
-                        } else {
-                            Some((best_d, best_kind))
-                        }
-                    }
-                };
-            }
-        }
-        if let Some((d, kind)) = nearest {
-            let d = d as usize;
-            match kind {
-                ProducerKind::Unit => self.unit.record(d),
-                ProducerKind::LongLatency => self.ll.record(d),
-                ProducerKind::Load => self.load.record(d),
-            }
-        }
-
+        self.record_nearest(self.seq, ev.sources);
         if let Some(dst) = ev.dst {
-            let kind = match ev.class {
-                InstClass::Load => ProducerKind::Load,
-                InstClass::Mul | InstClass::Div => ProducerKind::LongLatency,
-                _ => ProducerKind::Unit,
-            };
-            self.last_writer[dst.index()] = Some((t, kind));
+            self.last_writer[dst.index()] = Some((self.seq, ProducerKind::of(ev.class)));
+        }
+    }
+
+    /// Observes one whole execution of the basic block summarized by
+    /// `block`, exactly as [`observe`](DepTracker::observe) on each of its
+    /// instructions in order would: only the block's live-in sources are
+    /// looked up in the register table.
+    pub(crate) fn observe_block(&mut self, block: &BlockDeps) {
+        let base = self.seq;
+        for &(offset, sources) in &block.live_in {
+            self.record_nearest(base + 1 + offset, sources);
+        }
+        for &dep in &block.local {
+            self.record(dep);
+        }
+        for &(reg, offset, kind) in &block.writes {
+            self.last_writer[reg] = Some((base + 1 + offset, kind));
+        }
+        self.seq = base + block.len;
+    }
+
+    /// Records the nearest producer in the register table of the
+    /// instruction with sequence number `t` reading `sources`.
+    fn record_nearest(&mut self, t: u64, sources: [Option<Reg>; 2]) {
+        let producers = sources
+            .into_iter()
+            .flatten()
+            .filter_map(|src| self.last_writer[src.index()].map(|(wseq, kind)| (t - wseq, kind)));
+        if let Some(dep) = nearest(producers) {
+            self.record(dep);
+        }
+    }
+
+    fn record(&mut self, (d, kind): (u64, ProducerKind)) {
+        let d = d as usize;
+        match kind {
+            ProducerKind::Unit => self.unit.record(d),
+            ProducerKind::LongLatency => self.ll.record(d),
+            ProducerKind::Load => self.load.record(d),
         }
     }
 
@@ -125,12 +140,68 @@ impl DepTracker {
     }
 }
 
-fn rank(kind: ProducerKind) -> u8 {
-    match kind {
-        ProducerKind::Unit => 0,
-        ProducerKind::LongLatency => 1,
-        ProducerKind::Load => 2,
+/// The dependency facts of one basic block that do not depend on what
+/// ran before it, computed once per block by [`BlockDeps::of`].
+///
+/// Inside a block, a source written earlier in the same block has a
+/// static distance, and that producer is always nearer than any producer
+/// from before the block. So only instructions whose sources are all
+/// live-ins need the dynamic register table.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockDeps {
+    /// Nearest producer (distance, kind) of every instruction that has
+    /// one inside the block.
+    local: Vec<(u64, ProducerKind)>,
+    /// Instructions whose sources all come from before the block:
+    /// (offset in the block, sources).
+    live_in: Vec<(u64, [Option<Reg>; 2])>,
+    /// The last write of each register the block writes:
+    /// (register index, offset, kind).
+    writes: Vec<(usize, u64, ProducerKind)>,
+    /// Instructions in the block.
+    len: u64,
+}
+
+impl BlockDeps {
+    /// Summarizes a block from its static event templates, in program
+    /// order.
+    pub(crate) fn of(events: &[TraceEvent]) -> BlockDeps {
+        let mut writer: [Option<(u64, ProducerKind)>; NUM_REGS] = [None; NUM_REGS];
+        let mut block = BlockDeps {
+            len: events.len() as u64,
+            ..BlockDeps::default()
+        };
+        for (offset, ev) in (0u64..).zip(events) {
+            let producers = ev.sources.into_iter().flatten().filter_map(|src| {
+                writer[src.index()].map(|(woffset, kind)| (offset - woffset, kind))
+            });
+            match nearest(producers) {
+                Some(dep) => block.local.push(dep),
+                None if ev.sources.iter().any(Option::is_some) => {
+                    block.live_in.push((offset, ev.sources));
+                }
+                None => {}
+            }
+            if let Some(dst) = ev.dst {
+                writer[dst.index()] = Some((offset, ProducerKind::of(ev.class)));
+            }
+        }
+        block.writes = (0..NUM_REGS)
+            .filter_map(|reg| writer[reg].map(|(offset, kind)| (reg, offset, kind)))
+            .collect();
+        block
     }
+}
+
+/// The nearest of a consumer's producers, as (distance, kind). On a
+/// distance tie, the more constraining producer class wins (load, then
+/// long-latency, then unit), matching the pipeline, where the
+/// later-delivering producer determines the stall.
+fn nearest(producers: impl Iterator<Item = (u64, ProducerKind)>) -> Option<(u64, ProducerKind)> {
+    producers.fold(None, |best, (d, kind)| match best {
+        Some((best_d, best_kind)) if d > best_d || (d == best_d && kind <= best_kind) => best,
+        _ => Some((d, kind)),
+    })
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 use mim_bpred::{MultiPredictor, PredictorConfig, PredictorStats};
 use mim_cache::{CacheConfig, HierarchyConfig, MemAccessKind, MissCounts, MultiConfig};
 use mim_core::{BranchStats, InstMix, MachineConfig, ModelInputs};
-use mim_isa::{BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
+use mim_isa::{Block, BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
 use mim_trace::{TraceError, TraceSource};
 use serde::{Deserialize, Serialize};
 
-use crate::deps::DepTracker;
+use crate::deps::{BlockDeps, DepTracker};
 
 /// Everything one profiling pass learns about a workload: the
 /// machine-independent program statistics plus per-candidate miss and
@@ -202,6 +202,8 @@ impl SweepProfiler {
             deps: DepTracker::new(),
             mix: InstMix::default(),
             l2_count: self.l2s.len(),
+            summaries: Vec::new(),
+            charged: 0,
         }
     }
 }
@@ -211,24 +213,76 @@ impl SweepProfiler {
 /// one retired instruction touches.
 ///
 /// The collector is both the [`TraceSource`] observer (via
-/// [`observe`](Collector::observe)) and a [`BlockHooks`] set, with the
-/// identical per-instruction side-effect order either way: mix →
-/// dependencies → instruction fetch → data access (loads/stores) →
-/// predictor (conditional branches). All hook inputs are static template
-/// fields plus the hook's own dynamic argument, so the block engine's
-/// fast path feeds the models directly.
+/// [`observe`](Collector::observe)) and a [`BlockHooks`] set. As an
+/// observer it charges each instruction's mix and dependencies as it
+/// arrives. As a hook set it charges them for a whole basic block at
+/// [`begin_block`](BlockHooks::begin_block), from a static summary
+/// computed once per block, and keeps only the instruction fetch, data
+/// accesses and branch outcomes per instruction. The two orders give the
+/// same profile because the four structures are independent: the mix and
+/// the dependency tracker depend only on the instruction stream, and
+/// neither the caches nor the predictors read them. Within the caches,
+/// fetches and data accesses still arrive in program order, which matters
+/// because they share the L2s.
+///
+/// The block engine's careful tail (a limit that ends mid-block) fires
+/// no `begin_block`, so its instructions take the per-instruction path.
 struct Collector {
     caches: MultiConfig,
     preds: MultiPredictor,
     deps: DepTracker,
     mix: InstMix,
     l2_count: usize,
+    /// Static summaries of the blocks seen so far, by entry pc.
+    summaries: Vec<Option<BlockSummary>>,
+    /// Instructions of the current block whose mix and dependencies
+    /// `begin_block` already charged.
+    charged: u64,
+}
+
+/// The mix and dependency facts of one basic block, charged whole on
+/// every execution of the block.
+struct BlockSummary {
+    mix: InstMix,
+    deps: BlockDeps,
+}
+
+impl BlockSummary {
+    fn of(block: &Block) -> BlockSummary {
+        let events = block.events();
+        // Charging a whole block at entry relies on every template
+        // retiring exactly once per uninterrupted execution.
+        assert_eq!(events.len() as u64, block.instructions());
+        let mut mix = InstMix::default();
+        for ev in events {
+            count(&mut mix, ev.class);
+        }
+        BlockSummary {
+            mix,
+            deps: BlockDeps::of(events),
+        }
+    }
+}
+
+/// Adds one instruction of `class` to the mix.
+#[inline(always)]
+fn count(mix: &mut InstMix, class: InstClass) {
+    match class {
+        InstClass::Mul => mix.mul += 1,
+        InstClass::Div => mix.div += 1,
+        InstClass::Load => mix.load += 1,
+        InstClass::Store => mix.store += 1,
+        InstClass::CondBranch => mix.cond_branch += 1,
+        InstClass::Jump => mix.jump += 1,
+        _ => mix.alu += 1,
+    }
 }
 
 impl Collector {
     /// Observes one retired instruction from a [`TraceSource`] stream.
     fn observe(&mut self, ev: &TraceEvent) {
         self.instruction(ev);
+        self.fetch(ev);
         if let Some(addr) = ev.eff_addr {
             self.mem_access(ev, addr);
         }
@@ -237,20 +291,15 @@ impl Collector {
         }
     }
 
-    /// The per-instruction side effects that depend only on static fields:
-    /// mix, dependency tracking, and the instruction-fetch cache access.
+    /// One instruction's mix and dependency accounting.
     #[inline(always)]
     fn instruction(&mut self, ev: &TraceEvent) {
-        match ev.class {
-            InstClass::Mul => self.mix.mul += 1,
-            InstClass::Div => self.mix.div += 1,
-            InstClass::Load => self.mix.load += 1,
-            InstClass::Store => self.mix.store += 1,
-            InstClass::CondBranch => self.mix.cond_branch += 1,
-            InstClass::Jump => self.mix.jump += 1,
-            _ => self.mix.alu += 1,
-        }
+        count(&mut self.mix, ev.class);
         self.deps.observe(ev);
+    }
+
+    #[inline(always)]
+    fn fetch(&mut self, ev: &TraceEvent) {
         self.caches
             .access(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
     }
@@ -272,9 +321,32 @@ impl Collector {
 }
 
 impl BlockHooks for Collector {
+    fn begin_block(&mut self, block: &Block) {
+        let pc = block.entry_pc() as usize;
+        if pc >= self.summaries.len() {
+            self.summaries.resize_with(pc + 1, || None);
+        }
+        let summary = self.summaries[pc].get_or_insert_with(|| BlockSummary::of(block));
+        let m = &summary.mix;
+        self.mix.alu += m.alu;
+        self.mix.mul += m.mul;
+        self.mix.div += m.div;
+        self.mix.load += m.load;
+        self.mix.store += m.store;
+        self.mix.cond_branch += m.cond_branch;
+        self.mix.jump += m.jump;
+        self.deps.observe_block(&summary.deps);
+        self.charged = block.instructions();
+    }
+
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
-        self.instruction(op);
+        if self.charged > 0 {
+            self.charged -= 1;
+        } else {
+            self.instruction(op);
+        }
+        self.fetch(op);
     }
 
     #[inline(always)]

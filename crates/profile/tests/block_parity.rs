@@ -3,10 +3,32 @@
 //! recordings, identical live event streams and identical
 //! `WorkloadProfile`s.
 
-use mim_core::MachineConfig;
-use mim_profile::SweepProfiler;
+use mim_core::{DesignSpace, MachineConfig};
+use mim_isa::Program;
+use mim_profile::{SweepProfiler, WorkloadProfile};
 use mim_trace::{LiveVm, Trace, TraceSource};
 use mim_workloads::{mibench, spec, WorkloadSize};
+
+/// Profiles `p` on the block engine and through `profile_source` over the
+/// interpreter, both stopped at `limit`, and requires identical JSON.
+/// Returns the block engine's profile.
+fn assert_profile_parity(
+    profiler: &SweepProfiler,
+    p: &Program,
+    limit: Option<u64>,
+) -> WorkloadProfile {
+    let block = profiler.profile(p, limit).unwrap();
+    let interp = profiler
+        .profile_source(&mut LiveVm::interpreted(p).with_limit(limit))
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string(&block).unwrap(),
+        serde_json::to_string(&interp).unwrap(),
+        "workload profile diverges on {} at limit {limit:?}",
+        p.name()
+    );
+    block
+}
 
 #[test]
 fn every_bundled_workload_is_backend_invariant() {
@@ -43,15 +65,37 @@ fn every_bundled_workload_is_backend_invariant() {
         assert_eq!(block_outcome, interp_outcome, "outcome on {}", w.name());
 
         // Profile parity: block-hook collection vs interpreter observer.
-        let block_profile = profiler.profile(&p, None).unwrap();
-        let interp_profile = profiler
-            .profile_source(&mut LiveVm::interpreted(&p))
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&block_profile).unwrap(),
-            serde_json::to_string(&interp_profile).unwrap(),
-            "workload profile diverges on {}",
-            w.name()
-        );
+        assert_profile_parity(&profiler, &p, None);
+    }
+}
+
+/// The Table-2 sweep (8 L2s x 2 predictors) feeds every L1 miss to many
+/// L2 candidates, so it covers the shared-L2 order of fetches and data
+/// accesses under the fetch-line memo.
+#[test]
+fn table2_sweep_is_backend_invariant() {
+    let profiler = SweepProfiler::for_design_space(&DesignSpace::paper_table2());
+    for w in mibench::all().into_iter().chain(spec::all()) {
+        assert_profile_parity(&profiler, &w.program(WorkloadSize::Tiny), None);
+    }
+}
+
+/// Limits that end inside a block: the engine charges whole blocks at
+/// block entry, then finishes the window one instruction at a time.
+#[test]
+fn limits_that_end_mid_block_are_backend_invariant() {
+    let profiler = SweepProfiler::for_design_space(&DesignSpace::paper_table2());
+    for w in [
+        mibench::sha(),
+        mibench::qsort(),
+        mibench::dijkstra(),
+        spec::mcf_like(),
+    ] {
+        let p = w.program(WorkloadSize::Tiny);
+        let num_insts = profiler.profile(&p, None).unwrap().num_insts;
+        for limit in [1, 2, 7, 1_000, 12_345, num_insts - 1] {
+            let profile = assert_profile_parity(&profiler, &p, Some(limit));
+            assert_eq!(profile.num_insts, limit.min(num_insts), "{}", w.name());
+        }
     }
 }

@@ -339,17 +339,9 @@ impl DiskStore {
         let started = clock();
         let fingerprint = program.fingerprint();
         let path = self.entry_path(trace_key(fingerprint, limit), "trace");
-        let mut file = match fs::File::open(&path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::io(&path, &e)),
+        let Some((file, _)) = open_entry(&path, KIND_TRACE, fingerprint)? else {
+            return Ok(None);
         };
-        let payload_len = validate_entry_header(&mut file, &path, KIND_TRACE, fingerprint)?;
-        let total = file
-            .metadata()
-            .map_err(|e| StoreError::io(&path, &e))?
-            .len();
-        check_payload_len(&path, total.saturating_sub(HEADER_LEN as u64), payload_len)?;
         // The file replay starts at the reader's position, just past the
         // entry header.
         let replay = Replay::from_file(file, program).map_err(|e| StoreError::Corrupt {
@@ -514,18 +506,37 @@ fn check_payload_len(path: &Path, found: u64, declared: u64) -> Result<(), Store
     Ok(())
 }
 
-/// Reads and validates one entry, returning its payload (or `None` if the
-/// file does not exist).
-fn read_entry(path: &Path, kind: u8, fingerprint: u64) -> Result<Option<Vec<u8>>, StoreError> {
-    let mut bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
+/// Opens one entry and validates its header and its length, leaving the
+/// file positioned at the payload. Returns the file and the payload
+/// length, or `None` if the file does not exist. Nothing past the header
+/// is read, so a large file that is not an entry costs one header read.
+fn open_entry(
+    path: &Path,
+    kind: u8,
+    fingerprint: u64,
+) -> Result<Option<(fs::File, u64)>, StoreError> {
+    let mut file = match fs::File::open(path) {
+        Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::io(path, &e)),
     };
-    let declared = validate_entry_header(&mut bytes.as_slice(), path, kind, fingerprint)?;
-    bytes.drain(..HEADER_LEN);
-    check_payload_len(path, bytes.len() as u64, declared)?;
-    Ok(Some(bytes))
+    let declared = validate_entry_header(&mut file, path, kind, fingerprint)?;
+    let total = file.metadata().map_err(|e| StoreError::io(path, &e))?.len();
+    check_payload_len(path, total.saturating_sub(HEADER_LEN as u64), declared)?;
+    Ok(Some((file, declared)))
+}
+
+/// Reads and validates one entry, returning its payload (or `None` if the
+/// file does not exist).
+fn read_entry(path: &Path, kind: u8, fingerprint: u64) -> Result<Option<Vec<u8>>, StoreError> {
+    let Some((mut file, len)) = open_entry(path, kind, fingerprint)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0; len as usize];
+    io::Read::read_exact(&mut file, &mut payload).map_err(|_| StoreError::Truncated {
+        path: path.to_path_buf(),
+    })?;
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
