@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 /// Error produced when constructing an invalid [`CacheConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +56,9 @@ impl Error for CacheConfigError {}
 /// Geometry of one set-associative cache.
 ///
 /// Constructed via [`CacheConfig::new`], which validates that all fields are
-/// nonzero powers of two and that the geometry is self-consistent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// nonzero powers of two and that the geometry is self-consistent —
+/// deserialization runs the same checks.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct CacheConfig {
     name: String,
     size_bytes: u64,
@@ -90,11 +91,8 @@ impl CacheConfig {
         pow2("size", size_bytes)?;
         pow2("associativity", u64::from(assoc))?;
         pow2("block size", block_bytes)?;
-        let ways_bytes = block_bytes * u64::from(assoc);
-        if ways_bytes == 0
-            || !size_bytes.is_multiple_of(ways_bytes)
-            || !(size_bytes / ways_bytes).is_power_of_two()
-        {
+        let ways_bytes = block_bytes.saturating_mul(u64::from(assoc));
+        if !size_bytes.is_multiple_of(ways_bytes) || !(size_bytes / ways_bytes).is_power_of_two() {
             return Err(CacheConfigError::InconsistentGeometry {
                 size_bytes,
                 assoc,
@@ -135,6 +133,21 @@ impl CacheConfig {
     }
 }
 
+impl Deserialize for CacheConfig {
+    fn from_value(value: &Value) -> Result<CacheConfig, DeError> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", value))?;
+        CacheConfig::new(
+            de_field::<String>(fields, "name")?,
+            de_field(fields, "size_bytes")?,
+            de_field(fields, "assoc")?,
+            de_field(fields, "block_bytes")?,
+        )
+        .map_err(|e| DeError::new(e.to_string()))
+    }
+}
+
 impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -149,8 +162,9 @@ impl fmt::Display for CacheConfig {
     }
 }
 
-/// Geometry of a fully-associative TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Geometry of a fully-associative TLB. Deserialization checks the implied
+/// one-set cache geometry (see [`Tlb::new`](crate::Tlb::new)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: u32,
@@ -168,10 +182,29 @@ impl TlbConfig {
         }
     }
 
-    /// Page number of a byte address.
-    #[inline]
-    pub fn page_of(self, addr: u64) -> u64 {
-        addr / self.page_bytes
+    /// The one-set cache whose "blocks" are this TLB's pages.
+    pub(crate) fn cache_config(self) -> Result<CacheConfig, CacheConfigError> {
+        CacheConfig::new(
+            "TLB",
+            self.page_bytes.saturating_mul(u64::from(self.entries)),
+            self.entries,
+            self.page_bytes,
+        )
+    }
+}
+
+impl Deserialize for TlbConfig {
+    fn from_value(value: &Value) -> Result<TlbConfig, DeError> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", value))?;
+        let tlb = TlbConfig {
+            entries: de_field(fields, "entries")?,
+            page_bytes: de_field(fields, "page_bytes")?,
+        };
+        tlb.cache_config()
+            .map_err(|e| DeError::new(format!("TLB geometry: {e}")))?;
+        Ok(tlb)
     }
 }
 
@@ -236,10 +269,48 @@ mod tests {
     }
 
     #[test]
-    fn tlb_pages() {
-        let t = TlbConfig::default_tlb();
-        assert_eq!(t.page_of(4095), 0);
-        assert_eq!(t.page_of(4096), 1);
+    fn deserialization_validates_geometry() {
+        let object = |fields: &[(&str, Value)]| {
+            Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            )
+        };
+        let cache = |size: u64, assoc: u64, block: u64| {
+            CacheConfig::from_value(&object(&[
+                ("name", Value::Str("c".into())),
+                ("size_bytes", Value::UInt(size)),
+                ("assoc", Value::UInt(assoc)),
+                ("block_bytes", Value::UInt(block)),
+            ]))
+        };
+        assert_eq!(
+            cache(32768, 4, 64),
+            Ok(CacheConfig::new("c", 32768, 4, 64).unwrap())
+        );
+        for (size, assoc, block) in [(0, 4, 64), (3000, 4, 64), (32768, 3, 64), (1024, 4, 512)] {
+            assert!(cache(size, assoc, block).is_err(), "{size}/{assoc}/{block}");
+        }
+        assert!(cache(1 << 20, 2, 1 << 63).is_err(), "overflowing ways");
+        let tlb = |entries: u64, page: u64| {
+            TlbConfig::from_value(&object(&[
+                ("entries", Value::UInt(entries)),
+                ("page_bytes", Value::UInt(page)),
+            ]))
+        };
+        assert_eq!(tlb(32, 4096), Ok(TlbConfig::default_tlb()));
+        for (entries, page) in [(0, 4096), (3, 4096), (32, 0), (32, 4000), (2, 1 << 63)] {
+            assert!(tlb(entries, page).is_err(), "{entries}/{page}");
+        }
+    }
+
+    #[test]
+    fn default_hierarchy_round_trips() {
+        let config = crate::HierarchyConfig::default_hierarchy();
+        let back = crate::HierarchyConfig::from_value(&config.to_value()).unwrap();
+        assert_eq!(back, config);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Translation lookaside buffers.
 
 use crate::cache::SetAssocCache;
-use crate::config::{CacheConfig, TlbConfig};
+use crate::config::TlbConfig;
 
 /// A fully-associative, LRU-replaced TLB.
 ///
@@ -36,13 +36,7 @@ impl Tlb {
     /// not a power of two (TLB geometries in the design space are fixed, so
     /// this is a programming error rather than a user input).
     pub fn new(config: TlbConfig) -> Tlb {
-        let cache_config = CacheConfig::new(
-            "TLB",
-            config.page_bytes * u64::from(config.entries),
-            config.entries,
-            config.page_bytes,
-        )
-        .expect("invalid TLB geometry");
+        let cache_config = config.cache_config().expect("invalid TLB geometry");
         Tlb {
             inner: SetAssocCache::new(cache_config),
             config,

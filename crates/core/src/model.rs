@@ -88,22 +88,16 @@ impl MechanisticModel {
         f64::from(self.machine.frontend_depth) + self.hidden_overlap()
     }
 
-    // -- public term-decomposition accessors ---------------------------------
+    // -- public term-decomposition accessor ----------------------------------
     // Downstream error attribution (mim-validate) re-derives individual
     // penalty terms from raw event counts — e.g. splitting the model's
     // combined TLB component into its instruction and data shares — so the
-    // per-event penalties are part of the model's public surface.
+    // per-miss penalty is part of the model's public surface.
 
     /// Penalty the model charges per cache/TLB miss event of the given
     /// latency (Eq. 3): `latency - (W-1)/2W`, clamped at zero.
     pub fn miss_penalty(&self, miss_latency_cycles: u32) -> f64 {
         self.miss_event_penalty(miss_latency_cycles)
-    }
-
-    /// Penalty the model charges per branch misprediction (Eq. 4):
-    /// `D + (W-1)/2W`.
-    pub fn mispredict_penalty(&self) -> f64 {
-        self.branch_miss_penalty()
     }
 
     /// Evaluates the model, returning the predicted [`CpiStack`].
@@ -195,11 +189,6 @@ impl MechanisticModel {
         stack.add(StackComponent::DepLoad, dep_load);
 
         stack
-    }
-
-    /// Convenience: predicted total execution cycles (`T` of Eq. 1).
-    pub fn predict_cycles(&self, inputs: &ModelInputs) -> f64 {
-        self.predict(inputs).total_cycles()
     }
 
     /// Evaluates the model with the listed penalty terms removed.

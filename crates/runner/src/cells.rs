@@ -19,17 +19,22 @@
 //! (energy, timeline interval). Two jobs that describe the same cell
 //! differently (e.g. different design-space objects covering the same
 //! point) still share one entry.
+//!
+//! The entries sit in the same crate-private memo as the store's
+//! (`memo.rs`): an LRU list and in-flight keys under one lock, with a
+//! claim that is released even when the evaluator panics — so a panicking
+//! cell fails its own job and never wedges the jobs waiting on it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mim_core::MachineConfig;
 use mim_isa::Fnv;
-use mim_obs::{clock, Counter, Histogram, Registry};
+use mim_obs::{Counter, Registry};
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
+use crate::memo::Memo;
 use crate::result::{EvalError, EvalResult};
-use crate::store::{Flight, Lru};
 
 /// Hit/miss/eviction counters of a [`CellMemo`] — reported by the serve
 /// layer's `stats` endpoint and asserted by the throughput bench's ≥80%
@@ -59,18 +64,13 @@ impl CellStats {
 }
 
 struct MemoInner {
-    cells: Mutex<Lru<u64, EvalResult>>,
-    flight: Flight<u64>,
+    /// Hits time as `cells.hit_ns`; computing lookups as `cells.eval_ns`,
+    /// the per-cell evaluate latency.
+    cells: Memo<u64, EvalResult>,
     registry: Registry,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    /// Wall time of requests answered from memory or by joining an
-    /// in-flight computation (`cells.hit_ns`).
-    hit_ns: Histogram,
-    /// Wall time of requests that ran the cell's model evaluation or
-    /// simulation fresh (`cells.eval_ns`) — the per-cell evaluate latency.
-    eval_ns: Histogram,
 }
 
 /// A thread-safe, cheaply cloneable memo of evaluated grid cells, keyed by
@@ -124,16 +124,23 @@ impl CellMemo {
 
     fn bounded(capacity: Option<usize>) -> CellMemo {
         let registry = Registry::new();
+        let hits = registry.counter("cells.hit");
+        let misses = registry.counter("cells.miss");
+        let evictions = registry.counter("cells.evictions");
+        let cells = Memo::new(
+            capacity,
+            hits.clone(),
+            evictions.clone(),
+            registry.histogram("cells.hit_ns"),
+            registry.histogram("cells.eval_ns"),
+        );
         CellMemo {
             inner: Arc::new(MemoInner {
-                cells: Mutex::new(Lru::new(capacity)),
-                flight: Flight::new(),
-                hits: registry.counter("cells.hit"),
-                misses: registry.counter("cells.miss"),
-                evictions: registry.counter("cells.evictions"),
-                hit_ns: registry.histogram("cells.hit_ns"),
-                eval_ns: registry.histogram("cells.eval_ns"),
+                cells,
                 registry,
+                hits,
+                misses,
+                evictions,
             }),
         }
     }
@@ -174,7 +181,9 @@ impl CellMemo {
     /// Returns the memoized result for `key`, or computes (and memoizes)
     /// it. Concurrent callers with the same missing key wait for the
     /// first caller's computation instead of duplicating it; a failed
-    /// computation is not memoized, and one waiter retries it.
+    /// computation is not memoized, and one waiter retries it. A panicking
+    /// computation unwinds through its own caller only: the cell is
+    /// released on the way out, so later callers recompute it.
     ///
     /// # Errors
     ///
@@ -184,44 +193,15 @@ impl CellMemo {
         key: u64,
         compute: impl FnOnce() -> Result<EvalResult, EvalError>,
     ) -> Result<EvalResult, EvalError> {
-        let started = clock();
-        if let Some(result) = self.cached(key) {
-            self.inner.hits.inc();
-            self.inner.hit_ns.observe_since(started);
-            return Ok(result);
-        }
-        if let Some(result) = self.inner.flight.claim(&key, || self.cached(key)) {
-            self.inner.hits.inc();
-            self.inner.hit_ns.observe_since(started);
-            return Ok(result);
-        }
-        self.inner.misses.inc();
-        let outcome = compute();
-        if let Ok(result) = &outcome {
-            let evicted = self
-                .inner
-                .cells
-                .lock()
-                .expect("cell memo poisoned")
-                .insert(key, result.clone());
-            self.inner.evictions.add(evicted);
-        }
-        self.inner.flight.release(&key);
-        self.inner.eval_ns.observe_since(started);
-        outcome
-    }
-
-    fn cached(&self, key: u64) -> Option<EvalResult> {
-        self.inner
-            .cells
-            .lock()
-            .expect("cell memo poisoned")
-            .get(&key)
+        self.inner.cells.get_or_try(key, |_| {
+            self.inner.misses.inc();
+            compute()
+        })
     }
 
     /// Number of memoized cells currently held.
     pub fn len(&self) -> usize {
-        self.inner.cells.lock().expect("cell memo poisoned").len()
+        self.inner.cells.len()
     }
 
     /// Whether the memo holds no cells.
@@ -292,6 +272,28 @@ mod tests {
         // Next caller recomputes and can succeed.
         let ok = memo.get_or_compute(1, || Ok(dummy(2.0))).unwrap();
         assert_eq!(ok.cpi, 2.0);
+        assert_eq!(memo.stats().misses, 2);
+    }
+
+    #[test]
+    fn a_panicking_compute_frees_its_cell() {
+        let memo = CellMemo::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_compute(5, || panic!("evaluator bug"))
+        }));
+        assert!(panicked.is_err());
+        let (done, on_done) = std::sync::mpsc::channel();
+        let other = memo.clone();
+        // Not joined: if the cell stays claimed, the thread never returns,
+        // and the timeout below fails the test instead of blocking it.
+        std::thread::spawn(move || {
+            let result = other.get_or_compute(5, || Ok(dummy(3.0)));
+            done.send(result.map(|r| r.cpi).ok())
+        });
+        let cpi = on_done
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a second caller hung on the panicked cell");
+        assert_eq!(cpi, Some(3.0));
         assert_eq!(memo.stats().misses, 2);
     }
 

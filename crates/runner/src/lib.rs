@@ -69,6 +69,7 @@ mod cells;
 mod disk;
 mod evaluator;
 mod experiment;
+mod memo;
 mod result;
 mod spec;
 mod store;

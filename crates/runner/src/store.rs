@@ -22,22 +22,29 @@
 //!   transparently reloaded from disk or recomputed, preserving
 //!   determinism).
 //!
-//! Concurrent requests for the same missing entry **coalesce**: one
-//! caller records/profiles while the rest wait on the in-flight marker,
-//! so a burst of identical requests costs one functional execution.
+//! Programs, traces and profiles each sit in one crate-private memo
+//! (`memo.rs`), so concurrent requests for the same missing entry
+//! **coalesce**: one caller instantiates, records or profiles while the
+//! rest wait, and a burst of identical requests costs one functional
+//! execution. A failed or panicking computation releases its entry, and
+//! the next request retries it. Disk hits and misses are counted by the
+//! miss paths below; memory hits, evictions and the `store.<kind>.*_ns`
+//! latencies by the memo.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use mim_bpred::PredictorConfig;
 use mim_cache::{CacheConfig, HierarchyConfig};
 use mim_isa::Program;
-use mim_obs::{clock, Counter, Histogram, Registry};
+use mim_obs::{Counter, Registry};
 use mim_profile::{SweepProfiler, WorkloadProfile};
 use mim_trace::Trace;
 use mim_workloads::WorkloadSize;
 use serde::{Deserialize, Serialize};
 
 use crate::disk::{DiskStore, StoreError};
+use crate::memo::Memo;
 use crate::result::EvalError;
 use crate::spec::WorkloadSpec;
 
@@ -87,112 +94,6 @@ pub struct StoreStats {
     pub functional_executions: u64,
 }
 
-impl StoreStats {
-    /// Total requests served without a functional execution or profiling
-    /// pass (memory + disk, traces + profiles).
-    pub fn total_hits(&self) -> u64 {
-        self.trace_hits + self.trace_disk_hits + self.profile_hits + self.profile_disk_hits
-    }
-
-    /// Total requests that computed fresh.
-    pub fn total_misses(&self) -> u64 {
-        self.trace_misses + self.profile_misses
-    }
-}
-
-/// An LRU-ordered association list: entries move to the back on every
-/// hit, and inserts beyond `capacity` evict from the front. Entry counts
-/// are small (one per workload × size × sweep), so linear scans beat
-/// hashing — and impose no `Hash` bound on config types.
-pub(crate) struct Lru<K, V> {
-    entries: Vec<(K, V)>,
-    capacity: Option<usize>,
-}
-
-impl<K: PartialEq, V: Clone> Lru<K, V> {
-    pub(crate) fn new(capacity: Option<usize>) -> Lru<K, V> {
-        Lru {
-            entries: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(i);
-        let value = entry.1.clone();
-        self.entries.push(entry);
-        Some(value)
-    }
-
-    /// Inserts (or refreshes) an entry, returning how many entries the
-    /// capacity bound evicted.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(i);
-        }
-        self.entries.push((key, value));
-        let mut evicted = 0;
-        if let Some(cap) = self.capacity {
-            let cap = cap.max(1);
-            while self.entries.len() > cap {
-                self.entries.remove(0);
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// In-flight markers for one cache: concurrent requests for the same
-/// missing key coalesce onto the first caller's computation instead of
-/// re-executing it in parallel.
-pub(crate) struct Flight<K> {
-    pending: Mutex<Vec<K>>,
-    wakeup: Condvar,
-}
-
-impl<K: Clone + PartialEq> Flight<K> {
-    pub(crate) fn new() -> Flight<K> {
-        Flight {
-            pending: Mutex::new(Vec::new()),
-            wakeup: Condvar::new(),
-        }
-    }
-
-    /// Claims the right to compute `key`. Returns the cached value if a
-    /// concurrent computation finished while waiting; `None` means the
-    /// caller owns the computation and must call [`release`](Flight::release).
-    pub(crate) fn claim<V>(&self, key: &K, mut cached: impl FnMut() -> Option<V>) -> Option<V> {
-        let mut pending = self.pending.lock().expect("flight markers poisoned");
-        loop {
-            if let Some(v) = cached() {
-                return Some(v);
-            }
-            if !pending.iter().any(|k| k == key) {
-                pending.push(key.clone());
-                return None;
-            }
-            pending = self.wakeup.wait(pending).expect("flight markers poisoned");
-        }
-    }
-
-    /// Releases the marker (after publishing the result, or on error) and
-    /// wakes every waiter.
-    pub(crate) fn release(&self, key: &K) {
-        self.pending
-            .lock()
-            .expect("flight markers poisoned")
-            .retain(|k| k != key);
-        self.wakeup.notify_all();
-    }
-}
-
 /// The store's instruments, resolved once against its [`Registry`] so the
 /// hot paths touch pre-looked-up atomics, never the registry's name map.
 ///
@@ -212,10 +113,6 @@ struct StoreInstruments {
     profile_disk_hits: Counter,
     profile_misses: Counter,
     evictions: Counter,
-    trace_hit_ns: Histogram,
-    trace_miss_ns: Histogram,
-    profile_hit_ns: Histogram,
-    profile_miss_ns: Histogram,
 }
 
 impl StoreInstruments {
@@ -229,20 +126,14 @@ impl StoreInstruments {
             profile_disk_hits: registry.counter("store.profile.disk_hit"),
             profile_misses: registry.counter("store.profile.miss"),
             evictions: registry.counter("store.evictions"),
-            trace_hit_ns: registry.histogram("store.trace.hit_ns"),
-            trace_miss_ns: registry.histogram("store.trace.miss_ns"),
-            profile_hit_ns: registry.histogram("store.profile.hit_ns"),
-            profile_miss_ns: registry.histogram("store.profile.miss_ns"),
         }
     }
 }
 
 struct Inner {
-    programs: Mutex<Vec<(ProgramKey, Arc<Program>)>>,
-    traces: Mutex<Lru<TraceKey, Arc<Trace>>>,
-    profiles: Mutex<Lru<ProfileKey, Arc<WorkloadProfile>>>,
-    trace_flight: Flight<TraceKey>,
-    profile_flight: Flight<ProfileKey>,
+    programs: Memo<ProgramKey, Arc<Program>>,
+    traces: Memo<TraceKey, Arc<Trace>>,
+    profiles: Memo<ProfileKey, Arc<WorkloadProfile>>,
     disk: Option<DiskStore>,
     registry: Registry,
     m: StoreInstruments,
@@ -250,17 +141,32 @@ struct Inner {
 
 impl Inner {
     fn with(capacity: Option<usize>, disk: Option<DiskStore>, registry: Registry) -> Inner {
+        let m = StoreInstruments::new(&registry);
         Inner {
-            programs: Mutex::new(Vec::new()),
-            traces: Mutex::new(Lru::new(capacity)),
-            profiles: Mutex::new(Lru::new(capacity)),
-            trace_flight: Flight::new(),
-            profile_flight: Flight::new(),
+            programs: memo(&registry, "program", None),
+            traces: memo(&registry, "trace", capacity),
+            profiles: memo(&registry, "profile", capacity),
             disk,
-            m: StoreInstruments::new(&registry),
+            m,
             registry,
         }
     }
+}
+
+/// A store memo counting its hits as `store.<kind>.hit` and timing them
+/// and its misses as `store.<kind>.hit_ns` / `store.<kind>.miss_ns`.
+fn memo<K: Clone + PartialEq, V: Clone>(
+    registry: &Registry,
+    kind: &str,
+    capacity: Option<usize>,
+) -> Memo<K, V> {
+    Memo::new(
+        capacity,
+        registry.counter(&format!("store.{kind}.hit")),
+        registry.counter("store.evictions"),
+        registry.histogram(&format!("store.{kind}.hit_ns")),
+        registry.histogram(&format!("store.{kind}.miss_ns")),
+    )
 }
 
 impl Default for Inner {
@@ -358,10 +264,11 @@ impl WorkloadStore {
         self.inner.disk.as_ref()
     }
 
-    /// The store's metrics registry: the [`StoreStats`] counters plus
-    /// `store.*_ns` latency histograms (trace/profile hit and miss paths,
-    /// persistent-store reads and writes). The registry is scoped to this
-    /// store — cloned handles share it, unrelated stores do not.
+    /// The store's metrics registry: the [`StoreStats`] counters, the
+    /// `store.program.hit` counter, and `store.*_ns` latency histograms
+    /// (program/trace/profile hit and miss paths, persistent-store reads
+    /// and writes). The registry is scoped to this store — cloned handles
+    /// share it, unrelated stores do not.
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
     }
@@ -370,25 +277,10 @@ impl WorkloadStore {
     /// use.
     pub fn program(&self, spec: &WorkloadSpec, size: WorkloadSize) -> Arc<Program> {
         let key = (spec.name().to_string(), size);
-        if let Some((_, p)) = self
-            .inner
+        self.inner
             .programs
-            .lock()
-            .expect("program cache poisoned")
-            .iter()
-            .find(|(k, _)| *k == key)
-        {
-            return Arc::clone(p);
-        }
-        // Generate outside the lock; kernels are deterministic, so a racing
-        // duplicate generation is wasted work but not an inconsistency.
-        let program = spec.program_at(size);
-        let mut programs = self.inner.programs.lock().expect("program cache poisoned");
-        if let Some((_, p)) = programs.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(p);
-        }
-        programs.push((key, Arc::clone(&program)));
-        program
+            .get_or_try(key, |_| Ok::<_, Infallible>(spec.program_at(size)))
+            .unwrap_or_else(|never| match never {})
     }
 
     /// Returns the workload's recorded execution trace (at most `limit`
@@ -408,31 +300,10 @@ impl WorkloadStore {
         size: WorkloadSize,
         limit: Option<u64>,
     ) -> Result<Arc<Trace>, EvalError> {
-        let started = clock();
         let key = (spec.name().to_string(), size, limit);
-        if let Some(t) = self.cached_trace(&key) {
-            self.inner.m.trace_hits.inc();
-            self.inner.m.trace_hit_ns.observe_since(started);
-            return Ok(t);
-        }
-        if let Some(t) = self
-            .inner
-            .trace_flight
-            .claim(&key, || self.cached_trace(&key))
-        {
-            self.inner.m.trace_hits.inc();
-            self.inner.m.trace_hit_ns.observe_since(started);
-            return Ok(t);
-        }
-        // This thread owns the computation; every path must release the
-        // in-flight marker.
-        let outcome = self.load_or_record_trace(spec, size, limit);
-        if let Ok(trace) = &outcome {
-            self.insert_trace(key.clone(), Arc::clone(trace));
-        }
-        self.inner.trace_flight.release(&key);
-        self.inner.m.trace_miss_ns.observe_since(started);
-        outcome
+        self.inner
+            .traces
+            .get_or_try(key, |_| self.load_or_record_trace(spec, size, limit))
     }
 
     /// Disk-then-record miss path for [`trace`](WorkloadStore::trace).
@@ -461,24 +332,6 @@ impl WorkloadStore {
         Ok(Arc::new(trace))
     }
 
-    fn insert_trace(&self, key: TraceKey, trace: Arc<Trace>) {
-        let evicted = self
-            .inner
-            .traces
-            .lock()
-            .expect("trace cache poisoned")
-            .insert(key, trace);
-        self.inner.m.evictions.add(evicted);
-    }
-
-    fn cached_trace(&self, key: &TraceKey) -> Option<Arc<Trace>> {
-        self.inner
-            .traces
-            .lock()
-            .expect("trace cache poisoned")
-            .get(key)
-    }
-
     /// Returns the workload's one-pass sweep profile for the given
     /// candidate lists, computing it on first use.
     ///
@@ -502,7 +355,6 @@ impl WorkloadStore {
         l2s: &[CacheConfig],
         predictors: &[PredictorConfig],
     ) -> Result<Arc<WorkloadProfile>, EvalError> {
-        let started = clock();
         let key = ProfileKey {
             workload: spec.name().to_string(),
             size,
@@ -511,33 +363,9 @@ impl WorkloadStore {
             l2s: l2s.to_vec(),
             predictors: predictors.to_vec(),
         };
-        if let Some(p) = self.cached_profile(&key) {
-            self.inner.m.profile_hits.inc();
-            self.inner.m.profile_hit_ns.observe_since(started);
-            return Ok(p);
-        }
-        if let Some(p) = self
-            .inner
-            .profile_flight
-            .claim(&key, || self.cached_profile(&key))
-        {
-            self.inner.m.profile_hits.inc();
-            self.inner.m.profile_hit_ns.observe_since(started);
-            return Ok(p);
-        }
-        let outcome = self.load_or_compute_profile(spec, &key);
-        if let Ok(profile) = &outcome {
-            let evicted = self
-                .inner
-                .profiles
-                .lock()
-                .expect("profile cache poisoned")
-                .insert(key.clone(), Arc::clone(profile));
-            self.inner.m.evictions.add(evicted);
-        }
-        self.inner.profile_flight.release(&key);
-        self.inner.m.profile_miss_ns.observe_since(started);
-        outcome
+        self.inner
+            .profiles
+            .get_or_try(key, |key| self.load_or_compute_profile(spec, key))
     }
 
     /// Disk-then-compute miss path for [`profile`](WorkloadStore::profile).
@@ -570,7 +398,7 @@ impl WorkloadStore {
             key.predictors.clone(),
         );
         let trace_key = (spec.name().to_string(), key.size, key.limit);
-        let profile = match self.cached_trace(&trace_key) {
+        let profile = match self.inner.traces.get(&trace_key) {
             Some(trace) => {
                 let mut replay = trace
                     .replay(&program)
@@ -600,22 +428,10 @@ impl WorkloadStore {
         Ok(Arc::new(profile))
     }
 
-    fn cached_profile(&self, key: &ProfileKey) -> Option<Arc<WorkloadProfile>> {
-        self.inner
-            .profiles
-            .lock()
-            .expect("profile cache poisoned")
-            .get(key)
-    }
-
     /// Number of cached profiles (used by tests to assert the one-pass
     /// invariant).
     pub fn cached_profiles(&self) -> usize {
-        self.inner
-            .profiles
-            .lock()
-            .expect("profile cache poisoned")
-            .len()
+        self.inner.profiles.len()
     }
 
     /// Number of functional `Vm` executions this store has triggered
@@ -634,11 +450,7 @@ impl WorkloadStore {
     /// Number of recorded traces (used by tests to assert the record-once
     /// invariant).
     pub fn cached_traces(&self) -> usize {
-        self.inner
-            .traces
-            .lock()
-            .expect("trace cache poisoned")
-            .len()
+        self.inner.traces.len()
     }
 
     /// A consistent snapshot of the store's counters.
