@@ -44,11 +44,18 @@ impl FetchMemo {
         }
     }
 
+    /// The memo's key of `addr`: fetches with equal keys share one L1I
+    /// line and one ITLB page.
+    #[inline(always)]
+    pub(crate) fn key(&self, addr: u64) -> u64 {
+        addr >> self.shift
+    }
+
     /// Records a fetch of `addr`; true if it repeats the previous fetch's
     /// line and page (a state-free hit in the L1I and the ITLB).
     #[inline(always)]
     pub(crate) fn repeats(&mut self, addr: u64) -> bool {
-        let key = Some(addr >> self.shift);
+        let key = Some(self.key(addr));
         let repeat = self.last == key;
         self.last = key;
         repeat

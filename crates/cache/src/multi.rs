@@ -5,6 +5,19 @@ use crate::config::CacheConfig;
 use crate::hierarchy::{FetchMemo, HierarchyConfig, MemAccessKind, MissCounts};
 use crate::tlb::Tlb;
 
+/// Consecutive instruction fetches of one straight-line stretch of code
+/// that share an L1I line and an ITLB page: only the first can miss, and
+/// the rest repeat it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchRun {
+    /// Position of the run's first fetch in the stretch.
+    pub offset: u32,
+    /// Address of the run's first fetch.
+    pub addr: u64,
+    /// Fetches in the run.
+    pub len: u32,
+}
+
 /// Simulates one set of L1 caches/TLBs together with *many* candidate L2
 /// configurations in a single pass over the access stream.
 ///
@@ -19,6 +32,13 @@ use crate::tlb::Tlb;
 /// every L2 candidate. Only fetches touch the L1I and the ITLB, so that
 /// line and page are still most-recently-used in both and the repeat is a
 /// hit that changes no state; it still counts in `inst_accesses`.
+///
+/// [`fetch_run`](MultiConfig::fetch_run) charges a whole [`FetchRun`]
+/// (consecutive fetches that share one line and page, split off by
+/// [`fetch_runs`](MultiConfig::fetch_runs)) at once, and
+/// `access(Fetch, addr)` is exactly a one-fetch run. The L2s are unified,
+/// so the caller sends a run at its first fetch, in program order with the
+/// data accesses.
 ///
 /// # Example
 ///
@@ -77,25 +97,56 @@ impl MultiConfig {
         self.l2s.len()
     }
 
+    /// Splits the fetch addresses of one straight-line stretch of code, in
+    /// program order, into [`FetchRun`]s: a new run starts wherever the
+    /// L1I line or the ITLB page changes.
+    pub fn fetch_runs(&self, addrs: impl IntoIterator<Item = u64>) -> Vec<FetchRun> {
+        let mut runs: Vec<FetchRun> = Vec::new();
+        for (offset, addr) in (0u32..).zip(addrs) {
+            match runs.last_mut() {
+                Some(run) if self.fetch.key(run.addr) == self.fetch.key(addr) => run.len += 1,
+                _ => runs.push(FetchRun {
+                    offset,
+                    addr,
+                    len: 1,
+                }),
+            }
+        }
+        runs
+    }
+
+    /// Charges the fetches of `run`: counts them all in `inst_accesses`
+    /// and sends the first to the memo, the ITLB, the L1I and, on an L1I
+    /// miss, every L2 candidate.
+    #[inline]
+    pub fn fetch_run(&mut self, run: &FetchRun) {
+        let addr = run.addr;
+        self.base.inst_accesses += u64::from(run.len);
+        if self.fetch.repeats(addr) {
+            return;
+        }
+        if !self.itlb.access(addr).hit {
+            self.base.itlb_misses += 1;
+        }
+        if !self.l1i.access(addr).hit {
+            self.base.l1i_misses += 1;
+            for (i, l2) in self.l2s.iter_mut().enumerate() {
+                if !l2.access(addr).hit {
+                    self.l2i_misses[i] += 1;
+                }
+            }
+        }
+    }
+
     /// Performs one access against the shared L1s and every L2 candidate.
     pub fn access(&mut self, kind: MemAccessKind, addr: u64) {
         match kind {
             MemAccessKind::Fetch => {
-                self.base.inst_accesses += 1;
-                if self.fetch.repeats(addr) {
-                    return;
-                }
-                if !self.itlb.access(addr).hit {
-                    self.base.itlb_misses += 1;
-                }
-                if !self.l1i.access(addr).hit {
-                    self.base.l1i_misses += 1;
-                    for (i, l2) in self.l2s.iter_mut().enumerate() {
-                        if !l2.access(addr).hit {
-                            self.l2i_misses[i] += 1;
-                        }
-                    }
-                }
+                self.fetch_run(&FetchRun {
+                    offset: 0,
+                    addr,
+                    len: 1,
+                });
             }
             MemAccessKind::Load | MemAccessKind::Store => {
                 self.base.data_accesses += 1;
@@ -184,6 +235,47 @@ mod tests {
         }
         assert_eq!(multi.counts(0), ha.counts());
         assert_eq!(multi.counts(1), hb.counts());
+    }
+
+    /// Charging straight-line stretches run by run counts exactly what
+    /// fetching one instruction at a time does, whether lines are smaller or larger
+    /// than pages.
+    #[test]
+    fn fetch_runs_match_single_fetches() {
+        for (line, page) in [(64, 4096), (256, 64)] {
+            let cfg = HierarchyConfig {
+                l1i: CacheConfig::new("L1I", 2048, 2, line).unwrap(),
+                itlb: crate::config::TlbConfig {
+                    entries: 4,
+                    page_bytes: page,
+                },
+                ..base()
+            };
+            let l2s = vec![CacheConfig::new("L2", 4096, 1, 64).unwrap()];
+            let mut runs = MultiConfig::new(&cfg, l2s.clone());
+            let mut single = MultiConfig::new(&cfg, l2s);
+            let mut x: u64 = 7;
+            for _ in 0..2_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let start = ((x >> 20) % 8192) & !3;
+                let addrs: Vec<u64> = (0..(x >> 8) % 40).map(|i| start + 4 * i).collect();
+                for run in runs.fetch_runs(addrs.iter().copied()) {
+                    assert_eq!(addrs[run.offset as usize], run.addr);
+                    runs.fetch_run(&run);
+                }
+                for &addr in &addrs {
+                    single.access(MemAccessKind::Fetch, addr);
+                }
+                // A data access between stretches shares the L2.
+                runs.access(MemAccessKind::Load, x >> 40);
+                single.access(MemAccessKind::Load, x >> 40);
+            }
+            assert_eq!(
+                runs.counts(0),
+                single.counts(0),
+                "{line} B lines, {page} B pages"
+            );
+        }
     }
 
     #[test]

@@ -187,14 +187,6 @@ impl StackDistance {
         let far: u64 = self.histogram.iter().skip(capacity_blocks).sum();
         self.cold_misses + far
     }
-
-    /// Miss counts for a list of capacities (convenience for sweeps).
-    pub fn miss_curve(&self, capacities: &[usize]) -> Vec<u64> {
-        capacities
-            .iter()
-            .map(|&c| self.misses_for_capacity(c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -303,8 +295,7 @@ mod tests {
         for &b in &stream {
             sd.access(b);
         }
-        let caps: Vec<usize> = (1..60).map(|i| i * 10).collect();
-        let curve = sd.miss_curve(&caps);
+        let curve: Vec<u64> = (1..60).map(|i| sd.misses_for_capacity(i * 10)).collect();
         for w in curve.windows(2) {
             assert!(w[1] <= w[0]);
         }

@@ -34,15 +34,6 @@ impl InstMix {
     pub fn total(&self) -> u64 {
         self.alu + self.mul + self.div + self.load + self.store + self.cond_branch + self.jump
     }
-
-    /// Fraction of instructions that are loads or stores.
-    pub fn memory_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.load + self.store) as f64 / self.total() as f64
-        }
-    }
 }
 
 /// Histogram of dependency distances: `at(d)` counts consumer instructions
@@ -69,11 +60,18 @@ impl DepHistogram {
     /// [`MAX_DEP_DISTANCE`]).
     #[inline]
     pub fn record(&mut self, distance: usize) {
+        self.record_n(distance, 1);
+    }
+
+    /// Records `count` dependencies at `distance`, exactly as `count`
+    /// calls of [`record`](DepHistogram::record) would.
+    #[inline]
+    pub fn record_n(&mut self, distance: usize, count: u64) {
         if (1..=MAX_DEP_DISTANCE).contains(&distance) {
             if self.counts.len() < MAX_DEP_DISTANCE {
                 self.counts.resize(MAX_DEP_DISTANCE, 0);
             }
-            self.counts[distance - 1] += 1;
+            self.counts[distance - 1] += count;
         }
     }
 
@@ -193,7 +191,6 @@ mod tests {
             jump: 6,
         };
         assert_eq!(mix.total(), 31);
-        assert!((mix.memory_fraction() - 7.0 / 31.0).abs() < 1e-12);
     }
 
     #[test]
@@ -209,6 +206,26 @@ mod tests {
         assert_eq!(h.at(0), 0);
         assert_eq!(h.at(MAX_DEP_DISTANCE + 5), 0);
         assert_eq!(h.total(), 3);
+    }
+
+    #[test]
+    fn counted_records_match_repeated_records() {
+        let mut counted = DepHistogram::default();
+        let mut repeated = DepHistogram::default();
+        for (d, n) in [
+            (0, 4),
+            (1, 3),
+            (7, 0),
+            (MAX_DEP_DISTANCE, 2),
+            (MAX_DEP_DISTANCE + 1, 5),
+        ] {
+            counted.record_n(d, n);
+            for _ in 0..n {
+                repeated.record(d);
+            }
+        }
+        assert_eq!(counted, repeated);
+        assert_eq!(counted.total(), 5);
     }
 
     #[test]

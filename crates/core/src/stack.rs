@@ -338,12 +338,6 @@ impl CpiTimeline {
         }
     }
 
-    /// Per-interval CPIs (0 for unmeasured intervals), the per-phase view
-    /// the validation bins compare.
-    pub fn cpi_per_interval(&self) -> Vec<f64> {
-        (0..self.len()).map(|i| self.cpi_of_interval(i)).collect()
-    }
-
     /// Interval `i` as a named [`CpiStack`] (cycles widened to `f64`,
     /// normalized by the interval's measured instructions).
     pub fn sample(&self, i: usize) -> CpiStack {

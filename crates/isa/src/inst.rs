@@ -42,21 +42,6 @@ impl Cond {
         }
     }
 
-    /// The logically opposite condition (`Lt` ↔ `Ge`, `Eq` ↔ `Ne`, ...).
-    ///
-    /// For all `a`, `b`: `cond.negated().eval(a, b) == !cond.eval(a, b)`.
-    /// Used by program transformations that invert loop exits.
-    pub fn negated(self) -> Cond {
-        match self {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Ge => Cond::Lt,
-            Cond::LtU => Cond::GeU,
-            Cond::GeU => Cond::LtU,
-        }
-    }
-
     /// Mnemonic suffix used by the disassembler (`eq`, `ne`, ...).
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -164,13 +149,6 @@ pub enum InstClass {
 }
 
 impl InstClass {
-    /// True for instructions whose execute-stage latency may exceed one
-    /// cycle on the modeled machine (multiply/divide).
-    #[inline]
-    pub fn is_long_latency(self) -> bool {
-        matches!(self, InstClass::Mul | InstClass::Div)
-    }
-
     /// True for control-flow instructions (conditional or unconditional).
     #[inline]
     pub fn is_control(self) -> bool {
@@ -334,10 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn long_latency_flags() {
-        assert!(InstClass::Mul.is_long_latency());
-        assert!(InstClass::Div.is_long_latency());
-        assert!(!InstClass::Load.is_long_latency());
+    fn control_flags() {
         assert!(InstClass::CondBranch.is_control());
         assert!(InstClass::Jump.is_control());
         assert!(!InstClass::IntAlu.is_control());

@@ -84,11 +84,6 @@ impl Program {
         self.text.is_empty()
     }
 
-    /// Size of the data segment in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.data.len() as u64 * WORD_BYTES
-    }
-
     /// Byte address of the instruction at index `pc`, for I-cache modeling.
     ///
     /// Instructions are 4 bytes each, so a 64-byte cache line holds 16
@@ -252,7 +247,6 @@ mod tests {
         assert_eq!(p.data(), &[1, 2, 3]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-        assert_eq!(p.data_bytes(), 24);
     }
 
     #[test]

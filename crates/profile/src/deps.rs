@@ -87,17 +87,17 @@ impl DepTracker {
         }
     }
 
-    /// Observes one whole execution of the basic block summarized by
-    /// `block`, exactly as [`observe`](DepTracker::observe) on each of its
-    /// instructions in order would: only the block's live-in sources are
-    /// looked up in the register table.
+    /// Observes the dynamic part of one whole execution of the basic
+    /// block summarized by `block`: its live-in dependencies, its last
+    /// writes and the sequence number. Together with
+    /// [`charge_local`](DepTracker::charge_local), at any later time, this
+    /// records exactly what [`observe`](DepTracker::observe) on each of
+    /// the block's instructions in order would: only the block's live-in
+    /// sources are looked up in the register table.
     pub(crate) fn observe_block(&mut self, block: &BlockDeps) {
         let base = self.seq;
         for &(offset, sources) in &block.live_in {
             self.record_nearest(base + 1 + offset, sources);
-        }
-        for &dep in &block.local {
-            self.record(dep);
         }
         for &(reg, offset, kind) in &block.writes {
             self.last_writer[reg] = Some((base + 1 + offset, kind));
@@ -117,12 +117,25 @@ impl DepTracker {
         }
     }
 
-    fn record(&mut self, (d, kind): (u64, ProducerKind)) {
+    /// Records the in-block dependencies of `executions` executions of
+    /// the block summarized by `block` (the static part of
+    /// [`observe_block`](DepTracker::observe_block)).
+    pub(crate) fn charge_local(&mut self, block: &BlockDeps, executions: u64) {
+        for &dep in &block.local {
+            self.record_n(dep, executions);
+        }
+    }
+
+    fn record(&mut self, dep: (u64, ProducerKind)) {
+        self.record_n(dep, 1);
+    }
+
+    fn record_n(&mut self, (d, kind): (u64, ProducerKind), count: u64) {
         let d = d as usize;
         match kind {
-            ProducerKind::Unit => self.unit.record(d),
-            ProducerKind::LongLatency => self.ll.record(d),
-            ProducerKind::Load => self.load.record(d),
+            ProducerKind::Unit => self.unit.record_n(d, count),
+            ProducerKind::LongLatency => self.ll.record_n(d, count),
+            ProducerKind::Load => self.load.record_n(d, count),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The one-pass profiler and its design-space sweep variant.
 
 use mim_bpred::{MultiPredictor, PredictorConfig, PredictorStats};
-use mim_cache::{CacheConfig, HierarchyConfig, MemAccessKind, MissCounts, MultiConfig};
+use mim_cache::{CacheConfig, FetchRun, HierarchyConfig, MemAccessKind, MissCounts, MultiConfig};
 use mim_core::{BranchStats, InstMix, MachineConfig, ModelInputs};
 use mim_isa::{Block, BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
 use mim_trace::{TraceError, TraceSource};
@@ -203,7 +203,10 @@ impl SweepProfiler {
             mix: InstMix::default(),
             l2_count: self.l2s.len(),
             summaries: Vec::new(),
-            charged: 0,
+            left: 0,
+            block: 0,
+            next_run: 0,
+            run_at: 0,
         }
     }
 }
@@ -214,16 +217,25 @@ impl SweepProfiler {
 ///
 /// The collector is both the [`TraceSource`] observer (via
 /// [`observe`](Collector::observe)) and a [`BlockHooks`] set. As an
-/// observer it charges each instruction's mix and dependencies as it
-/// arrives. As a hook set it charges them for a whole basic block at
-/// [`begin_block`](BlockHooks::begin_block), from a static summary
-/// computed once per block, and keeps only the instruction fetch, data
-/// accesses and branch outcomes per instruction. The two orders give the
-/// same profile because the four structures are independent: the mix and
-/// the dependency tracker depend only on the instruction stream, and
-/// neither the caches nor the predictors read them. Within the caches,
-/// fetches and data accesses still arrive in program order, which matters
-/// because they share the L2s.
+/// observer it charges each instruction's mix, dependencies and fetch as
+/// it arrives. As a hook set it works per block, from a static
+/// [`BlockSummary`] computed the first time the block runs:
+///
+/// - per block, charged once at the end: the mix and the in-block
+///   dependencies, times the block's execution count (both are sums);
+/// - per block execution, at [`begin_block`](BlockHooks::begin_block):
+///   the live-in dependencies, the last writers and the sequence number;
+/// - per fetch run, at the run's first instruction (for the block's first
+///   run, at `begin_block`, which nothing comes between): the fetches of
+///   one [`FetchRun`] (one per L1I line and ITLB page the block crosses)
+///   to the fetch memo, the ITLB, the L1I and, on a miss, the L2s;
+/// - per instruction: a countdown to the next fetch run, then the data
+///   accesses and the branch outcomes.
+///
+/// The orders give the same profile because neither the mix nor the
+/// dependency tracker reads the caches or the predictors, and the caches
+/// still see every fetch run and data access in program order, which
+/// matters because the L2s are unified.
 ///
 /// The block engine's careful tail (a limit that ends mid-block) fires
 /// no `begin_block`, so its instructions take the per-instruction path.
@@ -231,24 +243,36 @@ struct Collector {
     caches: MultiConfig,
     preds: MultiPredictor,
     deps: DepTracker,
+    /// The mix of the per-instruction paths; the blocks' mix is added in
+    /// [`into_profile`](Collector::into_profile).
     mix: InstMix,
     l2_count: usize,
     /// Static summaries of the blocks seen so far, by entry pc.
     summaries: Vec<Option<BlockSummary>>,
-    /// Instructions of the current block whose mix and dependencies
-    /// `begin_block` already charged.
-    charged: u64,
+    /// Instructions of the current block execution still to arrive; 0
+    /// outside a block.
+    left: u64,
+    /// Entry pc of the current block, indexing `summaries`.
+    block: usize,
+    /// The current block's next fetch run.
+    next_run: usize,
+    /// `left` at the first instruction of the next fetch run, or 0 when
+    /// the block has none left (read only inside a block).
+    run_at: u64,
 }
 
-/// The mix and dependency facts of one basic block, charged whole on
-/// every execution of the block.
+/// The static facts of one basic block and how often it ran: its mix,
+/// its dependency summary and its fetch runs.
 struct BlockSummary {
+    /// Uninterrupted executions of the block.
+    executions: u64,
     mix: InstMix,
     deps: BlockDeps,
+    fetches: Vec<FetchRun>,
 }
 
 impl BlockSummary {
-    fn of(block: &Block) -> BlockSummary {
+    fn of(block: &Block, caches: &MultiConfig) -> BlockSummary {
         let events = block.events();
         // Charging a whole block at entry relies on every template
         // retiring exactly once per uninterrupted execution.
@@ -258,8 +282,10 @@ impl BlockSummary {
             count(&mut mix, ev.class);
         }
         BlockSummary {
+            executions: 0,
             mix,
             deps: BlockDeps::of(events),
+            fetches: caches.fetch_runs(events.iter().map(|ev| Program::inst_addr(ev.pc))),
         }
     }
 }
@@ -282,7 +308,6 @@ impl Collector {
     /// Observes one retired instruction from a [`TraceSource`] stream.
     fn observe(&mut self, ev: &TraceEvent) {
         self.instruction(ev);
-        self.fetch(ev);
         if let Some(addr) = ev.eff_addr {
             self.mem_access(ev, addr);
         }
@@ -291,20 +316,42 @@ impl Collector {
         }
     }
 
-    /// One instruction's mix and dependency accounting.
+    /// One instruction's mix, dependency and fetch accounting.
     #[inline(always)]
     fn instruction(&mut self, ev: &TraceEvent) {
         count(&mut self.mix, ev.class);
         self.deps.observe(ev);
-    }
-
-    #[inline(always)]
-    fn fetch(&mut self, ev: &TraceEvent) {
         self.caches
             .access(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
     }
 
-    fn into_profile(self, name: String) -> WorkloadProfile {
+    /// Charges the current block's next fetch run, which starts at the
+    /// instruction about to retire.
+    fn fetch_next_run(&mut self) {
+        let runs = &self.summaries[self.block]
+            .as_ref()
+            .expect("the current block has a summary")
+            .fetches;
+        let run = &runs[self.next_run];
+        self.caches.fetch_run(run);
+        self.next_run += 1;
+        self.run_at = runs
+            .get(self.next_run)
+            .map_or(0, |next| self.left - u64::from(next.offset - run.offset));
+    }
+
+    fn into_profile(mut self, name: String) -> WorkloadProfile {
+        for s in self.summaries.iter().flatten() {
+            let (n, m) = (s.executions, &s.mix);
+            self.mix.alu += n * m.alu;
+            self.mix.mul += n * m.mul;
+            self.mix.div += n * m.div;
+            self.mix.load += n * m.load;
+            self.mix.store += n * m.store;
+            self.mix.cond_branch += n * m.cond_branch;
+            self.mix.jump += n * m.jump;
+            self.deps.charge_local(&s.deps, n);
+        }
         let (deps_unit, deps_ll, deps_load) = self.deps.into_histograms();
         let misses = (0..self.l2_count).map(|i| self.caches.counts(i)).collect();
         WorkloadProfile {
@@ -326,27 +373,30 @@ impl BlockHooks for Collector {
         if pc >= self.summaries.len() {
             self.summaries.resize_with(pc + 1, || None);
         }
-        let summary = self.summaries[pc].get_or_insert_with(|| BlockSummary::of(block));
-        let m = &summary.mix;
-        self.mix.alu += m.alu;
-        self.mix.mul += m.mul;
-        self.mix.div += m.div;
-        self.mix.load += m.load;
-        self.mix.store += m.store;
-        self.mix.cond_branch += m.cond_branch;
-        self.mix.jump += m.jump;
+        let summary =
+            self.summaries[pc].get_or_insert_with(|| BlockSummary::of(block, &self.caches));
+        summary.executions += 1;
         self.deps.observe_block(&summary.deps);
-        self.charged = block.instructions();
+        self.block = pc;
+        self.next_run = 0;
+        self.left = block.instructions();
+        // The first fetch run starts at the block's first instruction, and
+        // no access comes between here and there, so it is charged now.
+        if self.left > 0 {
+            self.fetch_next_run();
+        }
     }
 
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
-        if self.charged > 0 {
-            self.charged -= 1;
-        } else {
+        if self.left == 0 {
             self.instruction(op);
+            return;
         }
-        self.fetch(op);
+        if self.left == self.run_at {
+            self.fetch_next_run();
+        }
+        self.left -= 1;
     }
 
     #[inline(always)]

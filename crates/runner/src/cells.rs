@@ -21,8 +21,9 @@
 //! point) still share one entry.
 //!
 //! The entries sit in the same crate-private memo as the store's
-//! (`memo.rs`): an LRU list and in-flight keys under one lock, with a
-//! claim that is released even when the evaluator panics — so a panicking
+//! (`memo.rs`): hashed entries, their LRU order and the in-flight keys
+//! under one lock, with a claim that is released even when the evaluator
+//! panics — so a panicking
 //! cell fails its own job and never wedges the jobs waiting on it.
 
 use std::sync::Arc;

@@ -2,27 +2,33 @@
 //! programs, traces and profiles and the [`CellMemo`](crate::CellMemo)'s
 //! cells.
 //!
-//! A [`Memo`] is an LRU-ordered association list plus the keys some caller
-//! is computing right now, both under one mutex. A lookup either hits
+//! A [`Memo`] is a hash map of entries, their least-recently-used order,
+//! and the keys some caller is computing right now, all under one mutex.
+//! The order is kept apart from the map as recency stamps: each entry
+//! carries the stamp of its last use, and a stamp-ordered index names the
+//! entry to evict, so neither a lookup nor an eviction scans the entries.
+//! A lookup either hits
 //! (refreshing the entry's recency), waits on the condvar while another
 //! caller computes the same key, or claims the key and computes it outside
 //! the lock. The claim is a drop guard: on return *and* while unwinding
 //! out of a panicking computation it publishes the value (if any),
 //! releases the key and wakes every waiter — so a failed or panicked
 //! computation is retried by the next caller, never waited on forever.
-//!
-//! Entry counts are small (one per workload × size × sweep, or one per
-//! grid cell), so linear scans beat hashing — and impose no `Hash` bound
-//! on config types.
 
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use mim_obs::{clock, Counter, Histogram};
 
 struct State<K, V> {
-    /// Least recently used first.
-    entries: Vec<(K, V)>,
-    /// Keys whose computation is in flight.
+    /// Every entry, with the recency stamp of its last use.
+    entries: HashMap<K, (V, u64)>,
+    /// The entries' keys by recency stamp, least recently used first.
+    order: BTreeMap<u64, K>,
+    /// The next recency stamp.
+    clock: u64,
+    /// Keys whose computation is in flight (at most one per caller).
     pending: Vec<K>,
 }
 
@@ -38,7 +44,7 @@ pub(crate) struct Memo<K, V> {
     miss_ns: Histogram,
 }
 
-impl<K: Clone + PartialEq, V: Clone> Memo<K, V> {
+impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
     /// A memo holding at most `capacity` entries (0 is treated as 1; `None`
     /// is unbounded) that records into its owner's instruments: `hits`
     /// counts lookups answered from memory or by joining an in-flight
@@ -53,7 +59,9 @@ impl<K: Clone + PartialEq, V: Clone> Memo<K, V> {
     ) -> Memo<K, V> {
         Memo {
             state: Mutex::new(State {
-                entries: Vec::new(),
+                entries: HashMap::new(),
+                order: BTreeMap::new(),
+                clock: 0,
                 pending: Vec::new(),
             }),
             wakeup: Condvar::new(),
@@ -129,36 +137,52 @@ impl<K, V> Memo<K, V> {
     }
 }
 
-impl<K: PartialEq, V: Clone> State<K, V> {
+impl<K: Clone + Eq + Hash, V: Clone> State<K, V> {
+    /// The value of `key`, which becomes the most recently used entry.
     fn get(&mut self, key: &K) -> Option<V> {
-        let i = self.entries.iter().position(|(k, _)| k == key)?;
-        self.entries[i..].rotate_left(1);
-        self.entries.last().map(|(_, v)| v.clone())
+        let (value, stamp) = self.entries.get_mut(key)?;
+        let key = self.order.remove(stamp).expect("every entry has a stamp");
+        *stamp = self.clock;
+        self.order.insert(self.clock, key);
+        self.clock += 1;
+        Some(value.clone())
+    }
+
+    /// Inserts `key` as the most recently used entry, then evicts least
+    /// recently used entries down to `capacity`; returns how many.
+    fn insert(&mut self, key: K, value: V, capacity: Option<usize>) -> usize {
+        self.order.insert(self.clock, key.clone());
+        let replaced = self.entries.insert(key, (value, self.clock));
+        debug_assert!(replaced.is_none(), "a claimed key has no entry");
+        self.clock += 1;
+        let excess = capacity.map_or(0, |cap| self.entries.len().saturating_sub(cap));
+        for _ in 0..excess {
+            if let Some((_, key)) = self.order.pop_first() {
+                self.entries.remove(&key);
+            }
+        }
+        excess
     }
 }
 
 /// One caller's right to compute `key`. Dropping it publishes `value`
 /// (when the computation succeeded), releases the key and wakes every
 /// waiter — also while unwinding out of a panicking computation.
-struct Claim<'a, K: PartialEq, V> {
+struct Claim<'a, K: Clone + Eq + Hash, V: Clone> {
     memo: &'a Memo<K, V>,
     key: &'a K,
     value: Option<V>,
 }
 
-impl<K: PartialEq, V> Drop for Claim<'_, K, V> {
+impl<K: Clone + Eq + Hash, V: Clone> Drop for Claim<'_, K, V> {
     fn drop(&mut self) {
         let memo = self.memo;
         let mut state = memo.lock();
         if let Some(i) = state.pending.iter().position(|k| k == self.key) {
             let key = state.pending.swap_remove(i);
             if let Some(value) = self.value.take() {
-                state.entries.push((key, value));
-                let excess = memo
-                    .capacity
-                    .map_or(0, |cap| state.entries.len().saturating_sub(cap));
-                state.entries.drain(..excess);
-                memo.evictions.add(excess as u64);
+                let evicted = state.insert(key, value, memo.capacity);
+                memo.evictions.add(evicted as u64);
             }
         }
         drop(state);
@@ -192,6 +216,38 @@ mod tests {
         assert_eq!(memo.len(), 1, "capacity 0 holds one entry");
         assert_eq!((memo.get(&1), memo.get(&2)), (None, Some(20)));
         assert_eq!((memo.hits.get(), memo.evictions.get()), (0, 1));
+    }
+
+    /// The hashed entries and the stamp order evict exactly what a
+    /// least-recently-used list does.
+    #[test]
+    fn stamp_order_matches_a_list_reference() {
+        let memo = memo(Some(8));
+        let mut list: Vec<u32> = Vec::new(); // least recently used first
+        let mut x: u64 = 11;
+        for _ in 0..5_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let key = ((x >> 33) % 20) as u32;
+            assert_eq!(memo.get_or_try(key, |k| Ok::<_, ()>(k * 10)), Ok(key * 10));
+            match list.iter().position(|&k| k == key) {
+                Some(i) => {
+                    list.remove(i);
+                }
+                None if list.len() == 8 => {
+                    list.remove(0);
+                }
+                None => {}
+            }
+            list.push(key);
+            assert_eq!(memo.len(), list.len());
+        }
+        for key in 0..20 {
+            assert_eq!(memo.get(&key).is_some(), list.contains(&key), "key {key}");
+        }
+        assert_eq!(
+            memo.hits.get() + memo.len() as u64 + memo.evictions.get(),
+            5_000
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! latencies by the memo.
 
 use std::convert::Infallible;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use mim_bpred::PredictorConfig;
@@ -50,7 +51,7 @@ use crate::spec::WorkloadSpec;
 
 /// Identifies one profiling pass: workload, size, truncation, and the
 /// sweep's candidate lists.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Eq)]
 struct ProfileKey {
     workload: String,
     size: WorkloadSize,
@@ -58,6 +59,16 @@ struct ProfileKey {
     hierarchy: HierarchyConfig,
     l2s: Vec<CacheConfig>,
     predictors: Vec<PredictorConfig>,
+}
+
+/// Hashes the workload, size and limit only. Keys that differ only in
+/// their sweep are rare and `Eq` still tells them apart, while hashing
+/// every cache and predictor config more than doubled the cost of a
+/// profile lookup, which a design-space grid makes once per cell.
+impl Hash for ProfileKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.workload, self.size, self.limit).hash(state);
+    }
 }
 
 type ProgramKey = (String, WorkloadSize);
@@ -155,7 +166,7 @@ impl Inner {
 
 /// A store memo counting its hits as `store.<kind>.hit` and timing them
 /// and its misses as `store.<kind>.hit_ns` / `store.<kind>.miss_ns`.
-fn memo<K: Clone + PartialEq, V: Clone>(
+fn memo<K: Clone + Eq + Hash, V: Clone>(
     registry: &Registry,
     kind: &str,
     capacity: Option<usize>,

@@ -8,7 +8,7 @@ use mim_obs::Snapshot;
 use serde::Value;
 
 use crate::error::ServeError;
-use crate::protocol::{to_line, MetricsFormat, Request};
+use crate::protocol::{stored_payload, MetricsFormat, Request};
 use crate::server::{BoundAddr, Stream};
 use crate::spec::{as_u64, JobSpec};
 
@@ -89,13 +89,24 @@ impl Client {
 
     /// Like [`result`](Client::result), but returns the report's compact
     /// JSON bytes — the deterministic representation response-identity
-    /// tests compare.
+    /// tests compare. The server splices the stored report into its reply
+    /// (`{"ok":true,"id":N,"result":<report>}`), so the bytes are cut out
+    /// of the reply line and checked by parsing them, never encoded again.
     ///
     /// # Errors
     ///
-    /// See [`result`](Client::result).
+    /// See [`result`](Client::result); a truncated reply or a report that
+    /// is not well-formed JSON is a [`ServeError::Protocol`].
     pub fn result_text(&mut self, id: u64) -> Result<String, ServeError> {
-        Ok(to_line(&self.result(id)?))
+        self.send(&Request::Result(id))?;
+        let line = self.read_reply()?;
+        let Some(report) = stored_payload(&line, "result") else {
+            check_reply(&line)?;
+            return Err(ServeError::Protocol("reply has no `result`".into()));
+        };
+        serde_json::from_str::<Value>(report)
+            .map_err(|e| ServeError::Protocol(format!("malformed result: {e}")))?;
+        Ok(report.to_string())
     }
 
     /// Fetches the server's stats object.
@@ -172,29 +183,44 @@ impl Client {
     /// The client's one wire path: writes `request` as a line, then reads
     /// `replies` reply lines, each parsed and checked for `"ok":true`.
     fn exchange(&mut self, request: &Request, replies: u64) -> Result<Vec<Value>, ServeError> {
+        self.send(request)?;
+        (0..replies)
+            .map(|_| check_reply(&self.read_reply()?))
+            .collect()
+    }
+
+    /// Writes `request` as one line.
+    fn send(&mut self, request: &Request) -> Result<(), ServeError> {
         let stream = self.conn.get_mut();
         stream.write_all((request.to_line() + "\n").as_bytes())?;
         stream.flush()?;
-        (0..replies)
-            .map(|_| {
-                let mut line = String::new();
-                if self.conn.read_line(&mut line)? == 0 {
-                    return Err(ServeError::Protocol("server closed the connection".into()));
-                }
-                let reply: Value = serde_json::from_str(&line)
-                    .map_err(|e| ServeError::Protocol(format!("malformed response: {e}")))?;
-                match reply.get("ok") {
-                    Some(Value::Bool(true)) => Ok(reply),
-                    Some(Value::Bool(false)) => {
-                        Err(ServeError::Rejected(match reply.get("error") {
-                            Some(Value::Str(s)) => s.clone(),
-                            _ => "unspecified error".to_string(),
-                        }))
-                    }
-                    _ => Err(ServeError::Protocol("response has no `ok` field".into())),
-                }
-            })
-            .collect()
+        Ok(())
+    }
+
+    /// Reads one whole reply line, without its newline.
+    fn read_reply(&mut self) -> Result<String, ServeError> {
+        let mut line = String::new();
+        if self.conn.read_line(&mut line)? == 0 {
+            return Err(ServeError::Protocol("server closed the connection".into()));
+        }
+        if line.pop() != Some('\n') {
+            return Err(ServeError::Protocol("reply truncated".into()));
+        }
+        Ok(line)
+    }
+}
+
+/// Parses a reply line and checks it for `"ok":true`.
+fn check_reply(line: &str) -> Result<Value, ServeError> {
+    let reply: Value = serde_json::from_str(line)
+        .map_err(|e| ServeError::Protocol(format!("malformed response: {e}")))?;
+    match reply.get("ok") {
+        Some(Value::Bool(true)) => Ok(reply),
+        Some(Value::Bool(false)) => Err(ServeError::Rejected(match reply.get("error") {
+            Some(Value::Str(s)) => s.clone(),
+            _ => "unspecified error".to_string(),
+        })),
+        _ => Err(ServeError::Protocol("response has no `ok` field".into())),
     }
 }
 
@@ -218,5 +244,62 @@ fn string(value: Value) -> Option<String> {
     match value {
         Value::Str(s) => Some(s),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+    use std::thread;
+
+    use super::*;
+
+    /// `result_text` against a one-shot server that answers the request
+    /// line with `reply` and closes the connection.
+    fn result_text_for(reply: &'static str) -> Result<String, ServeError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = format!("tcp:{}", listener.local_addr().expect("local addr"));
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream);
+            reader.read_line(&mut String::new()).expect("request line");
+            reader.get_mut().write_all(reply.as_bytes()).expect("reply");
+        });
+        let text = Client::connect(&addr).expect("connects").result_text(7);
+        server.join().expect("server thread");
+        text
+    }
+
+    #[test]
+    fn result_text_cuts_the_report_out_of_the_reply() {
+        let text =
+            result_text_for("{\"ok\":true,\"id\":7,\"result\":{\"rows\":[1.5,\"a\\\"}\"]}}\n");
+        assert_eq!(text.as_deref(), Ok(r#"{"rows":[1.5,"a\"}"]}"#));
+    }
+
+    #[test]
+    fn result_text_reports_bad_replies_as_typed_errors() {
+        let protocol = |reply| match result_text_for(reply) {
+            Err(ServeError::Protocol(message)) => message,
+            other => panic!("{reply:?} gave {other:?}"),
+        };
+        // Cut off mid-report by a closed connection.
+        assert!(protocol("{\"ok\":true,\"id\":7,\"result\":{\"rows\":[1,").contains("truncated"));
+        // A whole line whose report is not JSON.
+        assert!(
+            protocol("{\"ok\":true,\"id\":7,\"result\":{\"rows\":[1,}}\n").contains("malformed")
+        );
+        assert!(protocol("{\"ok\":true,\"id\":7,\"result\":tru}\n").contains("malformed"));
+        assert!(protocol("{\"ok\":true,\"id\":7,\"result\":{}}}\n").contains("malformed"));
+        // Not the stored layout, and not a reply either.
+        assert!(protocol("{\"ok\":true,\"id\":7}\n").contains("result"));
+        assert!(protocol("{\"ok\":true,\"id\":,\"result\":{}}\n").contains("malformed"));
+        assert!(protocol("garbage\n").contains("malformed"));
+        assert!(protocol("").contains("closed"));
+        assert_eq!(
+            result_text_for("{\"ok\":false,\"error\":\"unknown job id 7\"}\n"),
+            Err(ServeError::Rejected("unknown job id 7".into()))
+        );
     }
 }

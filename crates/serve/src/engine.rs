@@ -600,6 +600,36 @@ mod tests {
     }
 
     #[test]
+    fn a_bounded_cell_memo_stays_at_its_bound() {
+        // Two workloads over three widths: six cells per job.
+        let wide_job = |title: &str| {
+            let json = format!(
+                r#"{{"kind":"experiment","title":"{title}","workloads":["sha","qsort"],
+                    "evaluators":["model"],"limit":20000,
+                    "space":{{"preset":"default","widths":[1,2,4]}}}}"#
+            );
+            JobSpec::from_value(&serde_json::from_str(&json).expect("job JSON parses"))
+                .expect("job parses")
+        };
+        let bounded = Engine::start(WorkloadStore::new(), CellMemo::with_capacity(2), 1, 8);
+        let unbounded = Engine::start(WorkloadStore::new(), CellMemo::new(), 1, 8);
+        for title in ["first", "second"] {
+            let report = |engine: &Engine| {
+                let (id, _) = engine.submit(wide_job(title)).expect("submits");
+                engine.wait_result(id).expect("job succeeds")
+            };
+            assert_eq!(report(&bounded), report(&unbounded), "{title} job");
+            assert_eq!(bounded.cells().len(), 2, "after the {title} job");
+        }
+        assert_eq!(unbounded.cells().len(), 6);
+        let stats = bounded.cells().stats();
+        assert_eq!(stats.misses, 12, "every cell recomputes after eviction");
+        assert_eq!(stats.evictions, 10);
+        bounded.shutdown();
+        unbounded.shutdown();
+    }
+
+    #[test]
     fn unknown_ids_are_errors() {
         let engine = Engine::start(WorkloadStore::new(), CellMemo::new(), 1, 4);
         assert!(engine.status(999).is_none());

@@ -51,6 +51,14 @@ use mim_obs::{
 use mim_serve::{CellMemo, Client, Engine, JobSpec, Server, WorkloadStore};
 use serde::{Deserialize, Value};
 
+/// Grid cells the server's cell memo keeps before evicting the least
+/// recently used: room for 40 Table-2 sweeps (192 points) of four
+/// workloads under two evaluators. A cell holds about 0.8 KB of heap (a
+/// model cell) to 1 KB (a simulated one), so a full memo holds about
+/// 50–65 MB. An evicted cell is recomputed, to the same bytes, when a job
+/// asks for it again.
+const CELL_MEMO_CAPACITY: usize = 65_536;
+
 /// Fans one span event stream out to several sinks (`--spans` plus
 /// `--trace-out` on the same process).
 struct FanOut(Vec<Arc<dyn SpanSink>>);
@@ -133,7 +141,12 @@ fn run(args: &[String]) -> Result<(), String> {
         return smoke(store, workers, quick, metrics_out.as_deref());
     }
 
-    let engine = Engine::start(store, CellMemo::new(), workers, queue);
+    let engine = Engine::start(
+        store,
+        CellMemo::with_capacity(CELL_MEMO_CAPACITY),
+        workers,
+        queue,
+    );
     let server = Server::bind(&addr, engine).map_err(|e| e.to_string())?;
     info(
         "mim-serve",
@@ -172,7 +185,12 @@ fn smoke(
     std::fs::remove_file(&socket).ok();
     let addr = format!("unix:{}", socket.display());
 
-    let engine = Engine::start(store, CellMemo::new(), workers.max(2), 16);
+    let engine = Engine::start(
+        store,
+        CellMemo::with_capacity(CELL_MEMO_CAPACITY),
+        workers.max(2),
+        16,
+    );
     let server = Server::bind(&addr, engine).map_err(|e| e.to_string())?;
     let handle = std::thread::spawn(move || server.run());
 

@@ -197,6 +197,18 @@ pub(crate) fn stored_reply(id: u64, field: &str, json: &str) -> String {
     format!(r#"{{"ok":true,"id":{id},"{field}":{json}}}"#)
 }
 
+/// The inverse of [`stored_reply`]: the payload of a line in its layout,
+/// `{"ok":true,"id":N,"<field>":<json>}`, cut out unchecked; `None` for a
+/// line of any other shape.
+pub(crate) fn stored_payload<'a>(line: &'a str, field: &str) -> Option<&'a str> {
+    let rest = line.strip_prefix(r#"{"ok":true,"id":"#)?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let rest = rest[digits..].strip_prefix(",\"")?.strip_prefix(field)?;
+    rest.strip_prefix("\":")?
+        .strip_suffix('}')
+        .filter(|_| digits > 0)
+}
+
 /// Serializes a value as one compact protocol line (no trailing newline).
 pub fn to_line(value: &Value) -> String {
     serde_json::to_string(value).expect("value serialization is infallible")
@@ -293,5 +305,23 @@ mod tests {
         let err = error_response("boom");
         assert_eq!(to_line(&err), r#"{"ok":false,"error":"boom"}"#);
         assert!(!to_line(&ok).contains('\n'));
+    }
+
+    #[test]
+    fn stored_payload_inverts_stored_reply() {
+        let report = r#"{"rows":[1.5,"a\"}"]}"#;
+        let line = stored_reply(42, "result", report);
+        let built = ok_response(vec![
+            ("id".into(), Value::UInt(42)),
+            ("result".into(), serde_json::from_str(report).unwrap()),
+        ]);
+        assert_eq!(line, to_line(&built));
+        assert_eq!(stored_payload(&line, "result"), Some(report));
+        assert_eq!(stored_payload(&line, "profile"), None);
+        assert_eq!(
+            stored_payload(r#"{"ok":true,"id":,"result":1}"#, "result"),
+            None
+        );
+        assert_eq!(stored_payload(r#"{"ok":true,"id":4}"#, "result"), None);
     }
 }

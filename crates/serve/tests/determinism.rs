@@ -1,7 +1,8 @@
 //! Served results are byte-identical whatever the server's configuration:
 //! the same storm of overlapping jobs yields the same result texts across
 //! worker counts, with profile capture on or off, with latency timing on
-//! or off, and after a restart over the same persistent store.
+//! or off, and after a restart over the same persistent store. Every
+//! result text also equals its report decoded and encoded again.
 //!
 //! This is its own test binary because it toggles the process-global
 //! `mim_obs::set_timing`, which would race with other tests' timings.
@@ -61,7 +62,12 @@ fn storm(store: WorkloadStore, workers: usize, profile_capture: bool) -> Storm {
                     .map(|r| {
                         let job = (c + r) % pool.len();
                         let submitted = client.submit(&pool[job]).expect("submit accepted");
-                        (job, client.result_text(submitted.id).expect("result"))
+                        let text = client.result_text(submitted.id).expect("result");
+                        // The bytes cut from the reply are the report's
+                        // decode-and-re-encode.
+                        let decoded = client.result(submitted.id).expect("result");
+                        assert_eq!(text, serde_json::to_string(&decoded).unwrap());
+                        (job, text)
                     })
                     .collect::<Vec<_>>()
             })

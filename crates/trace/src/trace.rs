@@ -141,11 +141,6 @@ impl Trace {
         self.header.taken_bits
     }
 
-    /// Memory operations recorded (= effective addresses stored).
-    pub fn mem_ops(&self) -> u64 {
-        self.addr_count
-    }
-
     /// Conditional branches recorded as taken — a popcount over the stored
     /// direction bits, so the machine-independent taken rate
     /// (`taken_branches() / branches()`) is available without a replay.
