@@ -25,25 +25,31 @@
 //!   the engine materializing events it will throw away.
 //!
 //! The interpreter is kept, bit-for-bit compatible, as the differential
-//! oracle: the engine produces identical architectural state, identical
-//! [`TraceEvent`] streams (via [`BlockEngine::run_with`]), identical
-//! [`VmError`]s, and identical [`RunOutcome`]s, which the test suite
-//! asserts on every bundled workload. Consumers that need the oracle
-//! construct a [`Vm`](crate::Vm) explicitly.
+//! oracle and as the one copy of the semantics the engine falls back on:
+//! the engine holds its architectural state in a [`Vm`] and lets it
+//! finish any window that ends mid-block. The engine produces identical
+//! architectural state, identical [`TraceEvent`] streams (via
+//! [`EventHooks`]), identical [`VmError`]s, and identical
+//! [`RunOutcome`]s, which the test suite asserts on every bundled
+//! workload. Consumers that need the oracle construct a [`Vm`]
+//! explicitly.
 
 use std::collections::HashMap;
 
 use crate::error::VmError;
 use crate::inst::{Cond, Inst, InstClass, Opcode};
 use crate::program::{Program, WORD_BYTES};
-use crate::reg::{Reg, NUM_REGS};
-use crate::vm::{count_functional_execution, RunOutcome, TraceEvent};
+use crate::reg::NUM_REGS;
+use crate::vm::{count_functional_execution, RunOutcome, TraceEvent, Vm};
 
 // ---------------------------------------------------------------------------
 // Hooks
 // ---------------------------------------------------------------------------
 
-/// Timing/observation hooks invoked by the block dispatch loop.
+/// Timing/observation hooks: the one protocol through which the dynamic
+/// instruction stream is observed. The block dispatch loop fires them,
+/// and so do the interpreter ([`Vm::run_hooks`]) — which is also the
+/// engine's careful tail — and `mim-trace`'s replay.
 ///
 /// The shape follows r2vm's `PipelineModel`: the compiler-side static
 /// facts arrive as pre-built [`TraceEvent`] templates (everything but
@@ -64,9 +70,11 @@ use crate::vm::{count_functional_execution, RunOutcome, TraceEvent};
 ///    conditional branch or jump).
 ///
 /// [`begin_block`](BlockHooks::begin_block) fires once when dispatch
-/// enters a block. A `halt` fires no hooks (it does not retire), and a
-/// faulting instruction fires `before_instruction` but none of the
-/// after-hooks — its effects never happen.
+/// enters a block it will run whole. The interpreter, and so the
+/// engine's careful tail (a limit that ends mid-block), never fires it.
+/// A `halt` fires no hooks (it does not retire), and a faulting
+/// instruction fires `before_instruction` but none of the after-hooks —
+/// its effects never happen.
 pub trait BlockHooks {
     /// Dispatch entered `block` (about to execute its first instruction).
     #[inline(always)]
@@ -343,6 +351,19 @@ impl Block {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
+
+    /// Where control goes after a whole execution of the block: the
+    /// terminator's target if it is a jump, or a conditional branch that
+    /// resolved `taken`; otherwise the next sequential pc (for a block
+    /// that ends at `halt`, the halt's own pc).
+    pub fn exit(&self, taken: bool) -> u32 {
+        match self.term {
+            Terminator::CondBr { target, .. } if taken => target,
+            Terminator::CondBr { .. } => self.term_pc + 1,
+            Terminator::Jump { target } => target,
+            Terminator::Halt | Terminator::FallThrough => self.term_pc,
+        }
+    }
 }
 
 /// Decodes basic blocks of an immutable [`Program`] into their dense
@@ -374,7 +395,6 @@ impl<'p> BlockCompiler<'p> {
     /// [`VmError::PcOutOfRange`], raised by the dispatch loop before
     /// compilation).
     pub fn compile(&self, entry: u32) -> Block {
-        let started = mim_obs::clock();
         assert!(
             (entry as usize) < self.program.len(),
             "block entry {entry} outside program text"
@@ -450,7 +470,7 @@ impl<'p> BlockCompiler<'p> {
             Terminator::Halt => retire_len + 1,
             _ => retire_len,
         };
-        let block = Block {
+        Block {
             entry_pc: entry,
             body,
             term,
@@ -458,11 +478,7 @@ impl<'p> BlockCompiler<'p> {
             events,
             retire_len,
             fast_need,
-        };
-        let obs = mim_obs::global();
-        obs.counter("block.compiled").inc();
-        obs.histogram("block.compile_ns").observe_since(started);
-        block
+        }
     }
 }
 
@@ -509,7 +525,7 @@ fn micro_op(inst: &Inst) -> MicroOp {
 /// The compile-time half of a [`TraceEvent`]: everything the interpreter
 /// recomputes per dynamic instruction. `eff_addr` and `taken` stay unset
 /// (`None`) except for jumps, whose direction and target are static.
-fn event_template(inst: &Inst, pc: u32) -> TraceEvent {
+pub(crate) fn event_template(inst: &Inst, pc: u32) -> TraceEvent {
     let (taken, next_pc) = match inst.opcode {
         Opcode::J => (Some(true), inst.imm as u32),
         _ => (None, pc + 1),
@@ -586,7 +602,11 @@ impl BlockCache {
                 text_len: program.len() as u32,
             });
         }
+        let started = mim_obs::clock();
         let block = BlockCompiler::new(program).compile(pc);
+        let obs = mim_obs::global();
+        obs.counter("block.compiled").inc();
+        obs.histogram("block.compile_ns").observe_since(started);
         let bid = self.blocks.len() as u32;
         self.blocks.push(block);
         self.succs.push([NO_SUCC, NO_SUCC]);
@@ -630,24 +650,19 @@ impl BlockCache {
 /// let mut engine = BlockEngine::new(&p);
 /// let outcome = engine.run(None)?;
 /// assert!(outcome.halted());
-/// assert_eq!(engine.reg(Reg::R3), 42);
+/// assert_eq!(engine.vm().reg(Reg::R3), 42);
 ///
 /// // The interpreter is the differential oracle: identical state.
 /// let mut vm = Vm::new(&p);
 /// vm.run(None)?;
-/// assert_eq!(vm.reg(Reg::R3), engine.reg(Reg::R3));
+/// assert_eq!(vm.reg(Reg::R3), engine.vm().reg(Reg::R3));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockEngine<'p> {
-    program: &'p Program,
+    vm: Vm<'p>,
     cache: BlockCache,
-    regs: [i64; NUM_REGS],
-    mem: Vec<i64>,
-    pc: u32,
-    halted: bool,
-    retired: u64,
 }
 
 impl<'p> BlockEngine<'p> {
@@ -656,46 +671,22 @@ impl<'p> BlockEngine<'p> {
     /// execution).
     pub fn new(program: &'p Program) -> BlockEngine<'p> {
         BlockEngine {
-            program,
+            vm: Vm::new(program),
             cache: BlockCache::new(),
-            regs: [0; NUM_REGS],
-            mem: program.data().to_vec(),
-            pc: 0,
-            halted: false,
-            retired: 0,
         }
     }
 
-    /// Current value of register `r`.
-    #[inline]
-    pub fn reg(&self, r: Reg) -> i64 {
-        self.regs[r.index()]
+    /// The architectural state: the engine keeps its registers, memory,
+    /// pc, halted flag and retired count in a [`Vm`], which also runs its
+    /// careful tail.
+    pub fn vm(&self) -> &Vm<'p> {
+        &self.vm
     }
 
-    /// Sets register `r`.
-    #[inline]
-    pub fn set_reg(&mut self, r: Reg, value: i64) {
-        self.regs[r.index()] = value;
-    }
-
-    /// Read-only view of data memory, in words.
-    pub fn memory(&self) -> &[i64] {
-        &self.mem
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// True once a `halt` instruction has executed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Number of instructions retired so far (excluding `halt`).
-    pub fn retired(&self) -> u64 {
-        self.retired
+    /// Mutable access to the architectural state (to parameterize a
+    /// kernel through [`Vm::set_reg`] before running).
+    pub fn vm_mut(&mut self) -> &mut Vm<'p> {
+        &mut self.vm
     }
 
     /// The engine's block cache (compiled-block count, for tests and
@@ -714,29 +705,6 @@ impl<'p> BlockEngine<'p> {
         self.run_hooks(limit, &mut NoHooks)
     }
 
-    /// Runs like [`run`](BlockEngine::run) while invoking `observer` for
-    /// every retired instruction, reconstructing the exact
-    /// [`TraceEvent`] stream the interpreter would emit (dynamic fields
-    /// patched into the block's static templates).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] raised during execution.
-    pub fn run_with<F>(
-        &mut self,
-        limit: Option<u64>,
-        mut observer: F,
-    ) -> Result<RunOutcome, VmError>
-    where
-        F: FnMut(&TraceEvent),
-    {
-        let mut hooks = EventHooks {
-            observer: &mut observer,
-            pending: IDLE_EVENT,
-        };
-        self.run_hooks(limit, &mut hooks)
-    }
-
     /// Runs the program on the compiled-block dispatch loop, firing
     /// `hooks` as described on [`BlockHooks`]. This is the engine's
     /// primary entry point: trace recording and sweep profiling are hook
@@ -744,7 +712,7 @@ impl<'p> BlockEngine<'p> {
     ///
     /// Counts as one functional execution pass
     /// ([`functional_executions`](crate::functional_executions)), exactly
-    /// like [`Vm::run_with`](crate::Vm::run_with).
+    /// like [`Vm::run_hooks`].
     ///
     /// # Errors
     ///
@@ -771,10 +739,10 @@ impl<'p> BlockEngine<'p> {
         limit: u64,
         hooks: &mut H,
     ) -> Result<RunOutcome, VmError> {
-        let program = self.program;
-        let mut regs = self.regs;
-        let mut pc = self.pc;
-        let mut retired = self.retired;
+        let program = self.vm.program;
+        let mut regs = self.vm.regs;
+        let mut pc = self.vm.pc;
+        let mut retired = self.vm.retired;
         let mut remaining = limit;
         let mut hits: u64 = 0;
         // The inline-cached successor of the edge the previous block
@@ -784,9 +752,9 @@ impl<'p> BlockEngine<'p> {
 
         macro_rules! flush {
             () => {
-                self.regs = regs;
-                self.pc = pc;
-                self.retired = retired;
+                self.vm.regs = regs;
+                self.vm.pc = pc;
+                self.vm.retired = retired;
                 self.cache.hits += hits;
             };
         }
@@ -798,7 +766,7 @@ impl<'p> BlockEngine<'p> {
                 instructions: retired,
             });
         }
-        if self.halted {
+        if self.vm.halted {
             return Ok(RunOutcome::Halted {
                 instructions: retired,
             });
@@ -870,12 +838,13 @@ impl<'p> BlockEngine<'p> {
 
             let block = &self.cache.blocks[bid as usize];
             if remaining < block.fast_need {
-                // Not enough budget to run this block whole: flush and
-                // finish the window one instruction at a time off the
-                // program text. Bounded cold tail — fewer than
-                // `MAX_BLOCK_OPS + 1` steps, at most once per run.
+                // Not enough budget to run this block whole: flush and let
+                // the interpreter finish the window one instruction at a
+                // time, with the same hooks but no `begin_block`. Bounded
+                // cold tail — fewer than `MAX_BLOCK_OPS + 1` steps, at
+                // most once per run.
                 flush!();
-                return self.finish_careful(remaining, hooks);
+                return self.vm.exec(remaining, hooks);
             }
             hooks.begin_block(block);
             let body_len = block.body.len();
@@ -886,7 +855,7 @@ impl<'p> BlockEngine<'p> {
             // bounds checks too.
             let body = &block.body[..];
             let evs = &block.events[..body_len];
-            let mem = &mut self.mem;
+            let mem = &mut self.vm.mem;
             let mut idx = 0;
             while idx < body_len {
                 let op = &body[idx];
@@ -1347,7 +1316,7 @@ impl<'p> BlockEngine<'p> {
                 Terminator::Halt => {
                     retired += block.retire_len;
                     pc = block.term_pc;
-                    self.halted = true;
+                    self.vm.halted = true;
                     flush!();
                     return Ok(RunOutcome::Halted {
                         instructions: retired,
@@ -1363,132 +1332,17 @@ impl<'p> BlockEngine<'p> {
             }
         }
     }
-
-    /// Cold tail of [`dispatch`](Self::dispatch): fewer budget steps
-    /// remain than the next block needs to run whole, so the window is
-    /// finished one instruction at a time straight off the program text,
-    /// with [`Vm::step`](crate::Vm::step)-identical semantics and the same per-instruction
-    /// hook protocol (no `begin_block` — no block is entered). Bounded:
-    /// fewer than [`MAX_BLOCK_OPS`]` + 1` steps, at most once per run.
-    #[cold]
-    fn finish_careful<H: BlockHooks>(
-        &mut self,
-        mut remaining: u64,
-        hooks: &mut H,
-    ) -> Result<RunOutcome, VmError> {
-        while remaining > 0 {
-            let pc = self.pc;
-            let Some(inst) = self.program.fetch(pc) else {
-                return Err(VmError::PcOutOfRange {
-                    pc,
-                    text_len: self.program.len() as u32,
-                });
-            };
-            let inst = *inst;
-            if inst.opcode == Opcode::Halt {
-                // Like the interpreter, halt fires no hooks and does not
-                // retire or advance the PC.
-                self.halted = true;
-                return Ok(RunOutcome::Halted {
-                    instructions: self.retired,
-                });
-            }
-            let ev = event_template(&inst, pc);
-            hooks.before_instruction(&ev);
-            let a = self.regs[inst.src1.index()];
-            let b = self.regs[inst.src2.index()];
-            let imm = inst.imm;
-            let mut next_pc = pc + 1;
-            let mut taken_branch = false;
-            let mut write: Option<i64> = None;
-            match inst.opcode {
-                Opcode::Add => write = Some(a.wrapping_add(b)),
-                Opcode::Sub => write = Some(a.wrapping_sub(b)),
-                Opcode::And => write = Some(a & b),
-                Opcode::Or => write = Some(a | b),
-                Opcode::Xor => write = Some(a ^ b),
-                Opcode::Sll => write = Some(a.wrapping_shl((b & 63) as u32)),
-                Opcode::Srl => write = Some(((a as u64).wrapping_shr((b & 63) as u32)) as i64),
-                Opcode::Sra => write = Some(a.wrapping_shr((b & 63) as u32)),
-                Opcode::Slt => write = Some(i64::from(a < b)),
-                Opcode::SltU => write = Some(i64::from((a as u64) < (b as u64))),
-                Opcode::Addi => write = Some(a.wrapping_add(imm)),
-                Opcode::Andi => write = Some(a & imm),
-                Opcode::Ori => write = Some(a | imm),
-                Opcode::Xori => write = Some(a ^ imm),
-                Opcode::Slli => write = Some(a.wrapping_shl((imm & 63) as u32)),
-                Opcode::Srli => write = Some(((a as u64).wrapping_shr((imm & 63) as u32)) as i64),
-                Opcode::Srai => write = Some(a.wrapping_shr((imm & 63) as u32)),
-                Opcode::Slti => write = Some(i64::from(a < imm)),
-                Opcode::Li => write = Some(imm),
-                Opcode::Mul => write = Some(a.wrapping_mul(b)),
-                Opcode::Div => {
-                    if b == 0 {
-                        return Err(VmError::DivideByZero { pc });
-                    }
-                    write = Some(a.wrapping_div(b));
-                }
-                Opcode::Rem => {
-                    if b == 0 {
-                        return Err(VmError::DivideByZero { pc });
-                    }
-                    write = Some(a.wrapping_rem(b));
-                }
-                Opcode::Ld => {
-                    let addr = a.wrapping_add(imm) as u64;
-                    let word = checked_word(&self.mem, addr).map_err(|e| e.at(pc))?;
-                    hooks.mem_access(&ev, addr);
-                    write = Some(self.mem[word]);
-                }
-                Opcode::St => {
-                    // src1 = value, src2 = base.
-                    let addr = b.wrapping_add(imm) as u64;
-                    let word = checked_word(&self.mem, addr).map_err(|e| e.at(pc))?;
-                    hooks.mem_access(&ev, addr);
-                    self.mem[word] = a;
-                }
-                Opcode::Br(cond) => {
-                    let t = cond.eval(a, b);
-                    hooks.cond_branch(&ev, t);
-                    if t {
-                        next_pc = imm as u32;
-                        taken_branch = true;
-                    }
-                }
-                Opcode::J => {
-                    next_pc = imm as u32;
-                    taken_branch = true;
-                }
-                Opcode::Nop => {}
-                Opcode::Halt => unreachable!("handled before hooks fire"),
-            }
-            if let Some(v) = write {
-                self.regs[inst.dst.index()] = v;
-            }
-            self.pc = next_pc;
-            self.retired += 1;
-            remaining -= 1;
-            if taken_branch {
-                hooks.after_taken_branch(&ev, next_pc);
-            } else {
-                hooks.after_instruction(&ev);
-            }
-        }
-        Ok(RunOutcome::LimitReached {
-            instructions: self.retired,
-        })
-    }
 }
 
 /// A word-granular memory fault, pre-`pc`: the dispatch loop stamps the
 /// faulting PC on via [`MemFault::at`].
-enum MemFault {
+pub(crate) enum MemFault {
     Unaligned { addr: u64 },
     OutOfBounds { addr: u64, memory_bytes: u64 },
 }
 
 impl MemFault {
-    fn at(self, pc: u32) -> VmError {
+    pub(crate) fn at(self, pc: u32) -> VmError {
         match self {
             MemFault::Unaligned { addr } => VmError::UnalignedAccess { pc, addr },
             MemFault::OutOfBounds { addr, memory_bytes } => VmError::MemoryOutOfBounds {
@@ -1500,8 +1354,12 @@ impl MemFault {
     }
 }
 
+/// The one memory check of both backends. It takes no pc, so the
+/// dispatch loop computes one only on a fault: passing the pc in slowed
+/// the engine's bare run of four MiBench kernels at Small by about 6% on
+/// a shared 2-vCPU machine.
 #[inline(always)]
-fn checked_word(mem: &[i64], addr: u64) -> Result<usize, MemFault> {
+pub(crate) fn checked_word(mem: &[i64], addr: u64) -> Result<usize, MemFault> {
     if !addr.is_multiple_of(WORD_BYTES) {
         return Err(MemFault::Unaligned { addr });
     }
@@ -1528,14 +1386,43 @@ const IDLE_EVENT: TraceEvent = TraceEvent {
     next_pc: 0,
 };
 
-/// Hook adapter reconstructing the interpreter's exact per-instruction
-/// [`TraceEvent`] stream from block templates plus the dynamic facts.
-struct EventHooks<'o> {
-    observer: &'o mut dyn FnMut(&TraceEvent),
+/// The one event adapter: a hook set that assembles each retired
+/// instruction's full [`TraceEvent`] — its static template plus the
+/// dynamic address, direction and taken target — and hands it to
+/// `observer`. Every closure-based observer of the stream
+/// ([`Vm::run_with`] and the trace sources' closure drivers) runs
+/// through it.
+///
+/// ```
+/// use mim_isa::{EventHooks, ProgramBuilder, Reg, Vm};
+///
+/// # fn main() -> Result<(), mim_isa::VmError> {
+/// let mut b = ProgramBuilder::new();
+/// b.li(Reg::R1, 2);
+/// b.halt();
+/// let p = b.build();
+/// let mut pcs = Vec::new();
+/// Vm::new(&p).run_hooks(None, &mut EventHooks::new(|ev| pcs.push(ev.pc)))?;
+/// assert_eq!(pcs, [0]);
+/// # Ok(())
+/// # }
+/// ```
+pub struct EventHooks<F> {
+    observer: F,
     pending: TraceEvent,
 }
 
-impl BlockHooks for EventHooks<'_> {
+impl<F: FnMut(&TraceEvent)> EventHooks<F> {
+    /// An adapter delivering every retired instruction to `observer`.
+    pub fn new(observer: F) -> EventHooks<F> {
+        EventHooks {
+            observer,
+            pending: IDLE_EVENT,
+        }
+    }
+}
+
+impl<F: FnMut(&TraceEvent)> BlockHooks for EventHooks<F> {
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
         self.pending = *op;
@@ -1567,7 +1454,7 @@ impl BlockHooks for EventHooks<'_> {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::vm::Vm;
+    use crate::reg::Reg;
 
     /// A kernel covering every event shape: ALU, mem, taken/untaken
     /// branches, jump, mul/div.
@@ -1602,18 +1489,21 @@ mod tests {
     ) -> (Vec<TraceEvent>, RunOutcome, BlockEngine<'_>) {
         let mut engine = BlockEngine::new(p);
         let mut events = Vec::new();
-        let outcome = engine.run_with(limit, |ev| events.push(*ev)).unwrap();
+        let outcome = engine
+            .run_hooks(limit, &mut EventHooks::new(|ev| events.push(*ev)))
+            .unwrap();
         (events, outcome, engine)
     }
 
     fn assert_state_matches(vm: &Vm<'_>, engine: &BlockEngine<'_>) {
+        let state = engine.vm();
         for r in Reg::ALL {
-            assert_eq!(vm.reg(r), engine.reg(r), "register {r}");
+            assert_eq!(vm.reg(r), state.reg(r), "register {r}");
         }
-        assert_eq!(vm.memory(), engine.memory());
-        assert_eq!(vm.pc(), engine.pc());
-        assert_eq!(vm.is_halted(), engine.is_halted());
-        assert_eq!(vm.retired(), engine.retired());
+        assert_eq!(vm.memory(), state.memory());
+        assert_eq!(vm.pc(), state.pc());
+        assert_eq!(vm.is_halted(), state.is_halted());
+        assert_eq!(vm.retired(), state.retired());
     }
 
     #[test]
@@ -1757,7 +1647,9 @@ mod tests {
         // Drive in dribs and drabs; the event stream must concatenate to
         // the full run.
         loop {
-            let out = engine.run_with(Some(7), |ev| events.push(*ev)).unwrap();
+            let out = engine
+                .run_hooks(Some(7), &mut EventHooks::new(|ev| events.push(*ev)))
+                .unwrap();
             if out.halted() {
                 assert_eq!(out, fo);
                 break;
@@ -1792,10 +1684,10 @@ mod tests {
         vm.set_reg(Reg::R1, 37);
         vm.run(None).unwrap();
         let mut engine = BlockEngine::new(&p);
-        engine.set_reg(Reg::R1, 37);
+        engine.vm_mut().set_reg(Reg::R1, 37);
         engine.run(None).unwrap();
-        assert_eq!(vm.reg(Reg::R2), engine.reg(Reg::R2));
-        assert_eq!(engine.reg(Reg::R2), 42);
+        assert_eq!(vm.reg(Reg::R2), engine.vm().reg(Reg::R2));
+        assert_eq!(engine.vm().reg(Reg::R2), 42);
     }
 
     #[test]
@@ -1855,6 +1747,11 @@ mod tests {
                 "begin@5",
             ]
         );
+        // The interpreter fires the same hooks, without `begin_block`.
+        let mut interp = Log::default();
+        Vm::new(&p).run_hooks(None, &mut interp).unwrap();
+        log.0.retain(|entry| !entry.starts_with("begin@"));
+        assert_eq!(interp.0, log.0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod program;
 mod reg;
 mod vm;
 
-pub use block::{Block, BlockCache, BlockCompiler, BlockEngine, BlockHooks, NoHooks};
+pub use block::{Block, BlockCache, BlockCompiler, BlockEngine, BlockHooks, EventHooks, NoHooks};
 pub use builder::{Label, ProgramBuilder};
 pub use error::VmError;
 pub use inst::{Cond, Inst, InstClass, Opcode};

@@ -2,9 +2,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::block::{checked_word, event_template, BlockHooks, EventHooks, NoHooks};
 use crate::error::VmError;
 use crate::inst::{InstClass, Opcode};
-use crate::program::{Program, WORD_BYTES};
+use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
 
 /// Process-wide count of functional execution passes, bumped once per
@@ -12,7 +13,7 @@ use crate::reg::{Reg, NUM_REGS};
 static FUNCTIONAL_EXECUTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Records the start of one functional execution pass. Called by every
-/// functional backend's run entry point — [`Vm::run_with`] and
+/// functional backend's run entry point — [`Vm::run_hooks`] and
 /// [`BlockEngine::run_hooks`](crate::BlockEngine::run_hooks) — so the
 /// counter's meaning is backend-independent.
 pub(crate) fn count_functional_execution() {
@@ -21,7 +22,7 @@ pub(crate) fn count_functional_execution() {
 
 /// Number of functional execution passes started in this process so far.
 ///
-/// A "pass" is one *recording run* — a [`Vm::run`]/[`Vm::run_with`] call
+/// A "pass" is one *recording run* — a [`Vm::run_hooks`]-family call
 /// on the interpreter, or a
 /// [`BlockEngine::run_hooks`](crate::BlockEngine::run_hooks)-family call
 /// on the block-compiled engine — **not** one instruction step. Which
@@ -38,7 +39,7 @@ pub fn functional_executions() -> u64 {
 
 /// One dynamically executed instruction, as observed by trace consumers.
 ///
-/// The functional [`Vm`] emits one event per retired instruction. Events
+/// [`EventHooks`] assembles one event per retired instruction. Events
 /// carry everything the profiler and the cycle-accurate pipeline simulator
 /// need: operand registers, effective address of memory operations, and
 /// resolved control-flow direction.
@@ -96,11 +97,13 @@ impl RunOutcome {
 
 /// Deterministic functional simulator for a [`Program`].
 ///
-/// The VM executes the architectural semantics only — no timing. Its trace
-/// events are consumed by `mim-profile` (statistics) and `mim-pipeline`
-/// (timing). Because execution is fully deterministic, a program needs to be
-/// profiled only once, which is the premise of the mechanistic modeling
-/// framework (paper §2.1).
+/// The VM executes the architectural semantics only — no timing — and
+/// holds the one copy of them: it is the reference interpreter, the
+/// differential oracle of [`BlockEngine`](crate::BlockEngine), and that
+/// engine's state and careful tail. Observers see its instructions
+/// through [`BlockHooks`]. Because execution is fully deterministic, a
+/// program needs to be profiled only once, which is the premise of the
+/// mechanistic modeling framework (paper §2.1).
 ///
 /// # Example
 ///
@@ -125,12 +128,12 @@ impl RunOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Vm<'p> {
-    program: &'p Program,
-    regs: [i64; NUM_REGS],
-    mem: Vec<i64>,
-    pc: u32,
-    halted: bool,
-    retired: u64,
+    pub(crate) program: &'p Program,
+    pub(crate) regs: [i64; NUM_REGS],
+    pub(crate) mem: Vec<i64>,
+    pub(crate) pc: u32,
+    pub(crate) halted: bool,
+    pub(crate) retired: u64,
 }
 
 impl<'p> Vm<'p> {
@@ -179,171 +182,154 @@ impl<'p> Vm<'p> {
         self.retired
     }
 
-    #[inline]
-    fn mem_word(&mut self, pc: u32, addr: u64) -> Result<usize, VmError> {
-        if !addr.is_multiple_of(WORD_BYTES) {
-            return Err(VmError::UnalignedAccess { pc, addr });
-        }
-        let idx = (addr / WORD_BYTES) as usize;
-        if idx >= self.mem.len() {
-            return Err(VmError::MemoryOutOfBounds {
-                pc,
-                addr,
-                memory_bytes: self.mem.len() as u64 * WORD_BYTES,
-            });
-        }
-        Ok(idx)
-    }
-
-    /// Executes a single instruction.
-    ///
-    /// Returns `Ok(None)` if the machine is halted (either already, or
-    /// because this step executed `halt`); otherwise returns the trace
-    /// event of the retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on memory faults, division by zero, or control
-    /// flow leaving the program text.
-    pub fn step(&mut self) -> Result<Option<TraceEvent>, VmError> {
-        if self.halted {
-            return Ok(None);
-        }
-        let pc = self.pc;
-        let inst = *self.program.fetch(pc).ok_or(VmError::PcOutOfRange {
-            pc,
-            text_len: self.program.len() as u32,
-        })?;
-
-        let a = self.regs[inst.src1.index()];
-        let b = self.regs[inst.src2.index()];
-        let imm = inst.imm;
-        let mut next_pc = pc + 1;
-        let mut eff_addr = None;
-        let mut taken = None;
-        let mut write: Option<i64> = None;
-
-        match inst.opcode {
-            Opcode::Add => write = Some(a.wrapping_add(b)),
-            Opcode::Sub => write = Some(a.wrapping_sub(b)),
-            Opcode::And => write = Some(a & b),
-            Opcode::Or => write = Some(a | b),
-            Opcode::Xor => write = Some(a ^ b),
-            Opcode::Sll => write = Some(a.wrapping_shl((b & 63) as u32)),
-            Opcode::Srl => write = Some(((a as u64).wrapping_shr((b & 63) as u32)) as i64),
-            Opcode::Sra => write = Some(a.wrapping_shr((b & 63) as u32)),
-            Opcode::Slt => write = Some(i64::from(a < b)),
-            Opcode::SltU => write = Some(i64::from((a as u64) < (b as u64))),
-            Opcode::Addi => write = Some(a.wrapping_add(imm)),
-            Opcode::Andi => write = Some(a & imm),
-            Opcode::Ori => write = Some(a | imm),
-            Opcode::Xori => write = Some(a ^ imm),
-            Opcode::Slli => write = Some(a.wrapping_shl((imm & 63) as u32)),
-            Opcode::Srli => write = Some(((a as u64).wrapping_shr((imm & 63) as u32)) as i64),
-            Opcode::Srai => write = Some(a.wrapping_shr((imm & 63) as u32)),
-            Opcode::Slti => write = Some(i64::from(a < imm)),
-            Opcode::Li => write = Some(imm),
-            Opcode::Mul => write = Some(a.wrapping_mul(b)),
-            Opcode::Div => {
-                if b == 0 {
-                    return Err(VmError::DivideByZero { pc });
-                }
-                write = Some(a.wrapping_div(b));
-            }
-            Opcode::Rem => {
-                if b == 0 {
-                    return Err(VmError::DivideByZero { pc });
-                }
-                write = Some(a.wrapping_rem(b));
-            }
-            Opcode::Ld => {
-                let addr = (a.wrapping_add(imm)) as u64;
-                let idx = self.mem_word(pc, addr)?;
-                eff_addr = Some(addr);
-                write = Some(self.mem[idx]);
-            }
-            Opcode::St => {
-                // src1 = value, src2 = base
-                let addr = (b.wrapping_add(imm)) as u64;
-                let idx = self.mem_word(pc, addr)?;
-                eff_addr = Some(addr);
-                self.mem[idx] = a;
-            }
-            Opcode::Br(cond) => {
-                let t = cond.eval(a, b);
-                taken = Some(t);
-                if t {
-                    next_pc = imm as u32;
-                }
-            }
-            Opcode::J => {
-                taken = Some(true);
-                next_pc = imm as u32;
-            }
-            Opcode::Nop => {}
-            Opcode::Halt => {
-                self.halted = true;
-                return Ok(None);
-            }
-        }
-
-        if let (Some(v), Some(dst)) = (write, inst.writes()) {
-            self.regs[dst.index()] = v;
-        }
-
-        self.pc = next_pc;
-        self.retired += 1;
-
-        Ok(Some(TraceEvent {
-            pc,
-            opcode: inst.opcode,
-            class: inst.class(),
-            dst: inst.writes(),
-            sources: inst.sources(),
-            eff_addr,
-            taken,
-            next_pc,
-        }))
-    }
-
     /// Runs until `halt` or until `limit` instructions have retired.
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] raised during execution.
     pub fn run(&mut self, limit: Option<u64>) -> Result<RunOutcome, VmError> {
-        self.run_with(limit, |_| {})
+        self.run_hooks(limit, &mut NoHooks)
     }
 
     /// Runs like [`run`](Vm::run) while invoking `observer` for every
-    /// retired instruction.
-    ///
-    /// This is the main driver used by the profiler and pipeline simulator:
-    /// the dynamic instruction stream is consumed on the fly, so arbitrarily
-    /// long executions need no trace storage.
+    /// retired instruction (through [`EventHooks`]).
     ///
     /// # Errors
     ///
     /// Propagates any [`VmError`] raised during execution.
-    pub fn run_with<F>(
-        &mut self,
-        limit: Option<u64>,
-        mut observer: F,
-    ) -> Result<RunOutcome, VmError>
+    pub fn run_with<F>(&mut self, limit: Option<u64>, observer: F) -> Result<RunOutcome, VmError>
     where
         F: FnMut(&TraceEvent),
     {
+        self.run_hooks(limit, &mut EventHooks::new(observer))
+    }
+
+    /// Runs one instruction at a time, firing `hooks` per instruction as
+    /// described on [`BlockHooks`] — every hook but
+    /// [`begin_block`](BlockHooks::begin_block), since the interpreter
+    /// enters no blocks.
+    ///
+    /// Counts as one functional execution pass
+    /// ([`functional_executions`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`VmError`] on memory faults, division by zero, or control
+    /// flow leaving the program text.
+    pub fn run_hooks<H: BlockHooks>(
+        &mut self,
+        limit: Option<u64>,
+        hooks: &mut H,
+    ) -> Result<RunOutcome, VmError> {
         count_functional_execution();
-        let limit = limit.unwrap_or(u64::MAX);
-        let start = self.retired;
-        while self.retired - start < limit {
-            match self.step()? {
-                Some(ev) => observer(&ev),
-                None => {
-                    return Ok(RunOutcome::Halted {
-                        instructions: self.retired,
-                    })
+        self.exec(limit.unwrap_or(u64::MAX), hooks)
+    }
+
+    /// The interpreter proper: at most `remaining` instructions, each
+    /// decoded off the program text. It is also the block engine's tail,
+    /// which is why it counts no execution pass of its own, and why it
+    /// stays out of line: the engine's dispatch loop calls it at most once
+    /// a run.
+    #[inline(never)]
+    pub(crate) fn exec<H: BlockHooks>(
+        &mut self,
+        mut remaining: u64,
+        hooks: &mut H,
+    ) -> Result<RunOutcome, VmError> {
+        while remaining > 0 {
+            if self.halted {
+                return Ok(RunOutcome::Halted {
+                    instructions: self.retired,
+                });
+            }
+            let pc = self.pc;
+            let inst = *self.program.fetch(pc).ok_or(VmError::PcOutOfRange {
+                pc,
+                text_len: self.program.len() as u32,
+            })?;
+            if inst.opcode == Opcode::Halt {
+                // Halt fires no hooks and does not retire or advance the PC.
+                self.halted = true;
+                return Ok(RunOutcome::Halted {
+                    instructions: self.retired,
+                });
+            }
+            let ev = event_template(&inst, pc);
+            hooks.before_instruction(&ev);
+            let a = self.regs[inst.src1.index()];
+            let b = self.regs[inst.src2.index()];
+            let imm = inst.imm;
+            let mut next_pc = pc + 1;
+            let mut taken = false;
+            let mut write: Option<i64> = None;
+            match inst.opcode {
+                Opcode::Add => write = Some(a.wrapping_add(b)),
+                Opcode::Sub => write = Some(a.wrapping_sub(b)),
+                Opcode::And => write = Some(a & b),
+                Opcode::Or => write = Some(a | b),
+                Opcode::Xor => write = Some(a ^ b),
+                Opcode::Sll => write = Some(a.wrapping_shl((b & 63) as u32)),
+                Opcode::Srl => write = Some(((a as u64).wrapping_shr((b & 63) as u32)) as i64),
+                Opcode::Sra => write = Some(a.wrapping_shr((b & 63) as u32)),
+                Opcode::Slt => write = Some(i64::from(a < b)),
+                Opcode::SltU => write = Some(i64::from((a as u64) < (b as u64))),
+                Opcode::Addi => write = Some(a.wrapping_add(imm)),
+                Opcode::Andi => write = Some(a & imm),
+                Opcode::Ori => write = Some(a | imm),
+                Opcode::Xori => write = Some(a ^ imm),
+                Opcode::Slli => write = Some(a.wrapping_shl((imm & 63) as u32)),
+                Opcode::Srli => write = Some(((a as u64).wrapping_shr((imm & 63) as u32)) as i64),
+                Opcode::Srai => write = Some(a.wrapping_shr((imm & 63) as u32)),
+                Opcode::Slti => write = Some(i64::from(a < imm)),
+                Opcode::Li => write = Some(imm),
+                Opcode::Mul => write = Some(a.wrapping_mul(b)),
+                Opcode::Div | Opcode::Rem => {
+                    if b == 0 {
+                        return Err(VmError::DivideByZero { pc });
+                    }
+                    write = Some(if inst.opcode == Opcode::Div {
+                        a.wrapping_div(b)
+                    } else {
+                        a.wrapping_rem(b)
+                    });
                 }
+                Opcode::Ld => {
+                    let addr = a.wrapping_add(imm) as u64;
+                    let word = checked_word(&self.mem, addr).map_err(|e| e.at(pc))?;
+                    hooks.mem_access(&ev, addr);
+                    write = Some(self.mem[word]);
+                }
+                Opcode::St => {
+                    // src1 = value, src2 = base.
+                    let addr = b.wrapping_add(imm) as u64;
+                    let word = checked_word(&self.mem, addr).map_err(|e| e.at(pc))?;
+                    hooks.mem_access(&ev, addr);
+                    self.mem[word] = a;
+                }
+                Opcode::Br(cond) => {
+                    taken = cond.eval(a, b);
+                    hooks.cond_branch(&ev, taken);
+                    if taken {
+                        next_pc = imm as u32;
+                    }
+                }
+                Opcode::J => {
+                    taken = true;
+                    next_pc = imm as u32;
+                }
+                Opcode::Nop => {}
+                Opcode::Halt => unreachable!("handled before hooks fire"),
+            }
+            if let Some(v) = write {
+                self.regs[inst.dst.index()] = v;
+            }
+            self.pc = next_pc;
+            self.retired += 1;
+            remaining -= 1;
+            if taken {
+                hooks.after_taken_branch(&ev, next_pc);
+            } else {
+                hooks.after_instruction(&ev);
             }
         }
         Ok(RunOutcome::LimitReached {

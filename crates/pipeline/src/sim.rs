@@ -185,10 +185,13 @@ impl PipelineSim {
     /// Simulates at most `limit` instructions (or to completion), driving
     /// a live functional execution.
     ///
-    /// Design-space sweeps should record the workload once
-    /// (`mim_trace::Trace::record`) and call
-    /// [`simulate_source`](PipelineSim::simulate_source) with a replay
-    /// instead — the simulation is then a pure timing pass.
+    /// Every call executes the program once more. A sweep over many
+    /// design points can record the workload once
+    /// (`mim_trace::Trace::record`) and pass a replay to
+    /// [`simulate_source`](PipelineSim::simulate_source) per point: the
+    /// replay delivers the same stream at about the live block engine's
+    /// rate and executes nothing, so the recording is the only functional
+    /// pass of the sweep.
     ///
     /// # Errors
     ///
@@ -233,10 +236,7 @@ impl PipelineSim {
     ///
     /// Propagates the source's [`TraceError`] (a functional fault for live
     /// sources, a corrupt recording for replays).
-    pub fn simulate_source<S: TraceSource + ?Sized>(
-        &self,
-        source: &mut S,
-    ) -> Result<SimResult, TraceError> {
+    pub fn simulate_source<S: TraceSource>(&self, source: &mut S) -> Result<SimResult, TraceError> {
         let name = source.name().to_string();
         let lat = Latencies::of(&self.machine);
         let mut hierarchy = Hierarchy::new(self.machine.hierarchy.clone());

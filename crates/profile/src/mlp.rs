@@ -75,7 +75,7 @@ pub fn estimate_mlp(
 /// # Errors
 ///
 /// Propagates the source's [`TraceError`].
-pub fn estimate_mlp_source<S: TraceSource + ?Sized>(
+pub fn estimate_mlp_source<S: TraceSource>(
     source: &mut S,
     hierarchy: &HierarchyConfig,
     rob_size: u32,

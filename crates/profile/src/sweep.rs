@@ -158,10 +158,11 @@ impl SweepProfiler {
     /// [`LiveVm::interpreted`](mim_trace::LiveVm::interpreted) yields the
     /// identical profile from the per-step interpreter.
     ///
-    /// Design-space sweeps should record the workload once
-    /// (`mim_trace::Trace::record`) and call
-    /// [`profile_source`](SweepProfiler::profile_source) with a replay
-    /// instead, so profiling performs no functional execution of its own.
+    /// This live pass costs one functional execution.
+    /// [`profile_source`](SweepProfiler::profile_source) over a replay of
+    /// an existing recording costs none and runs at about the same rate,
+    /// since both charge whole blocks; recording only to profile once
+    /// costs more than this pass.
     ///
     /// # Errors
     ///
@@ -178,19 +179,23 @@ impl SweepProfiler {
     }
 
     /// Profiles the dynamic instruction stream produced by any
-    /// [`TraceSource`], collecting all sweep statistics in one pass.
+    /// [`TraceSource`], collecting all sweep statistics in one pass. The
+    /// collector runs on the source's hooks, so a replay's whole blocks
+    /// are charged per block, exactly as [`profile`](SweepProfiler::profile)
+    /// charges the engine's. A sampling plan on the source filters only
+    /// its closure drivers, so a sampled replay is profiled whole.
     ///
     /// # Errors
     ///
     /// Propagates the source's [`TraceError`] (a functional fault for live
     /// sources, a corrupt recording for replays).
-    pub fn profile_source<S: TraceSource + ?Sized>(
+    pub fn profile_source<S: TraceSource>(
         &self,
         source: &mut S,
     ) -> Result<WorkloadProfile, TraceError> {
         let name = source.name().to_string();
         let mut collector = self.collector();
-        source.drive(&mut |ev| collector.observe(ev))?;
+        source.drive_hooks(&mut collector)?;
         Ok(collector.into_profile(name))
     }
 
@@ -215,11 +220,10 @@ impl SweepProfiler {
 /// tracker, multi-configuration caches, and multi-predictor — everything
 /// one retired instruction touches.
 ///
-/// The collector is both the [`TraceSource`] observer (via
-/// [`observe`](Collector::observe)) and a [`BlockHooks`] set. As an
-/// observer it charges each instruction's mix, dependencies and fetch as
-/// it arrives. As a hook set it works per block, from a static
-/// [`BlockSummary`] computed the first time the block runs:
+/// The collector is a [`BlockHooks`] set. An instruction that arrives
+/// outside a block has its mix, dependencies and fetch charged as it
+/// arrives. A block works from a static [`BlockSummary`] computed the
+/// first time the block runs:
 ///
 /// - per block, charged once at the end: the mix and the in-block
 ///   dependencies, times the block's execution count (both are sums);
@@ -237,8 +241,9 @@ impl SweepProfiler {
 /// still see every fetch run and data access in program order, which
 /// matters because the L2s are unified.
 ///
-/// The block engine's careful tail (a limit that ends mid-block) fires
-/// no `begin_block`, so its instructions take the per-instruction path.
+/// The interpreter, the block engine's careful tail and a replay's
+/// mid-block tail (a limit that ends mid-block) fire no `begin_block`, so
+/// their instructions take the per-instruction path.
 struct Collector {
     caches: MultiConfig,
     preds: MultiPredictor,
@@ -305,26 +310,6 @@ fn count(mix: &mut InstMix, class: InstClass) {
 }
 
 impl Collector {
-    /// Observes one retired instruction from a [`TraceSource`] stream.
-    fn observe(&mut self, ev: &TraceEvent) {
-        self.instruction(ev);
-        if let Some(addr) = ev.eff_addr {
-            self.mem_access(ev, addr);
-        }
-        if ev.class == InstClass::CondBranch {
-            self.cond_branch(ev, ev.taken == Some(true));
-        }
-    }
-
-    /// One instruction's mix, dependency and fetch accounting.
-    #[inline(always)]
-    fn instruction(&mut self, ev: &TraceEvent) {
-        count(&mut self.mix, ev.class);
-        self.deps.observe(ev);
-        self.caches
-            .access(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
-    }
-
     /// Charges the current block's next fetch run, which starts at the
     /// instruction about to retire.
     fn fetch_next_run(&mut self) {
@@ -390,7 +375,12 @@ impl BlockHooks for Collector {
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
         if self.left == 0 {
-            self.instruction(op);
+            // Outside a block: this instruction's mix, dependencies and
+            // fetch.
+            count(&mut self.mix, op.class);
+            self.deps.observe(op);
+            self.caches
+                .access(MemAccessKind::Fetch, Program::inst_addr(op.pc));
             return;
         }
         if self.left == self.run_at {

@@ -1,32 +1,69 @@
 //! Backend-parity sweep over every bundled workload: the block-compiled
 //! engine and the per-step interpreter must produce byte-identical
 //! recordings, identical live event streams and identical
-//! `WorkloadProfile`s.
+//! `WorkloadProfile`s, and replays of the recording — in memory and
+//! streamed from a file — must profile identically too.
+
+use std::fs::File;
 
 use mim_core::{DesignSpace, MachineConfig};
 use mim_isa::Program;
 use mim_profile::{SweepProfiler, WorkloadProfile};
-use mim_trace::{LiveVm, Trace, TraceSource};
+use mim_trace::{LiveVm, Replay, Trace, TraceSource};
 use mim_workloads::{mibench, spec, WorkloadSize};
 
-/// Profiles `p` on the block engine and through `profile_source` over the
-/// interpreter, both stopped at `limit`, and requires identical JSON.
-/// Returns the block engine's profile.
+/// An open file holding `trace`'s bytes (the path is unlinked at once;
+/// the open handle keeps the contents readable).
+fn file_of(trace: &Trace) -> File {
+    let path = std::env::temp_dir().join(format!(
+        "mim-block-parity-{}-{:?}.bin",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, trace.to_bytes()).unwrap();
+    let file = File::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    file
+}
+
+/// Profiles `p` on the block engine and through `profile_source` over
+/// the interpreter, an in-memory replay of the whole recording and a
+/// file replay of it, all stopped at `limit`, and requires identical
+/// JSON. Returns the block engine's profile.
 fn assert_profile_parity(
     profiler: &SweepProfiler,
     p: &Program,
     limit: Option<u64>,
 ) -> WorkloadProfile {
     let block = profiler.profile(p, limit).unwrap();
-    let interp = profiler
-        .profile_source(&mut LiveVm::interpreted(p).with_limit(limit))
-        .unwrap();
-    assert_eq!(
-        serde_json::to_string(&block).unwrap(),
-        serde_json::to_string(&interp).unwrap(),
-        "workload profile diverges on {} at limit {limit:?}",
-        p.name()
-    );
+    let trace = Trace::record(p, None).unwrap();
+    let others = [
+        (
+            "interpreter",
+            profiler.profile_source(&mut LiveVm::interpreted(p).with_limit(limit)),
+        ),
+        (
+            "in-memory replay",
+            profiler.profile_source(&mut trace.replay(p).unwrap().with_limit(limit)),
+        ),
+        (
+            "file replay",
+            profiler.profile_source(
+                &mut Replay::from_file(file_of(&trace), p)
+                    .unwrap()
+                    .with_limit(limit),
+            ),
+        ),
+    ];
+    let expected = serde_json::to_string(&block).unwrap();
+    for (backend, profile) in others {
+        assert_eq!(
+            expected,
+            serde_json::to_string(&profile.unwrap()).unwrap(),
+            "{backend} profile diverges on {} at limit {limit:?}",
+            p.name()
+        );
+    }
     block
 }
 
@@ -64,7 +101,8 @@ fn every_bundled_workload_is_backend_invariant() {
         assert_eq!(block_events, interp_events, "event count on {}", w.name());
         assert_eq!(block_outcome, interp_outcome, "outcome on {}", w.name());
 
-        // Profile parity: block-hook collection vs interpreter observer.
+        // Profile parity: the engine's hooks vs the interpreter's and
+        // the replays'.
         assert_profile_parity(&profiler, &p, None);
     }
 }
@@ -80,8 +118,9 @@ fn table2_sweep_is_backend_invariant() {
     }
 }
 
-/// Limits that end inside a block: the engine charges whole blocks at
-/// block entry, then finishes the window one instruction at a time.
+/// Limits that end inside a block: the engine and the replays charge
+/// whole blocks at block entry, then finish the window one instruction
+/// at a time.
 #[test]
 fn limits_that_end_mid_block_are_backend_invariant() {
     let profiler = SweepProfiler::for_design_space(&DesignSpace::paper_table2());

@@ -16,12 +16,20 @@
 //!   persisted across processes, with no second, decoded form.
 //! * [`TraceSource`] — the stream interface consumers are written
 //!   against; [`LiveVm`] (functional execution, the recording backend)
-//!   and [`Replay`] (trace replay) both implement it.
-//! * [`Replay`] — the one decoder over those bytes. [`Trace::replay`]
-//!   reads an in-memory trace's own slice; [`Replay::from_file`] feeds
-//!   the same cursor fixed [`STREAM_CHUNK_BYTES`] windows of a serialized
-//!   trace (a file or a store entry), so memory stays bounded by two
-//!   windows regardless of trace length.
+//!   and [`Replay`] (trace replay) both implement it. A source fires
+//!   `mim-isa`'s [`BlockHooks`](mim_isa::BlockHooks), the one observer
+//!   protocol of the instruction stream
+//!   ([`drive_hooks`](TraceSource::drive_hooks)); closure consumers use
+//!   the provided [`drive`](TraceSource::drive) and
+//!   [`drive_phased`](TraceSource::drive_phased).
+//! * [`Replay`] — the one decoder over those bytes. It walks the
+//!   program's compiled blocks and fires a whole block's hooks from its
+//!   static templates plus the recorded bits and addresses.
+//!   [`Trace::replay`] reads an in-memory trace's own slice;
+//!   [`Replay::from_file`] feeds the same cursor fixed
+//!   [`STREAM_CHUNK_BYTES`] windows of a serialized trace (a file or a
+//!   store entry), so memory stays bounded by two windows regardless of
+//!   trace length.
 //! * [`Sampling`] — systematic (SMARTS-style periodic) sampling of the
 //!   replayed stream for `Large` runs ([`Replay::with_sampling`]), with
 //!   per-window functional warming ([`SamplePhase::Warm`]) and a window
@@ -32,13 +40,13 @@
 //! `cond_branch`/`mem_access` hooks, which write the encoded streams as
 //! the program runs), held to ≥5× the per-step interpreter's
 //! throughput. [`Trace::record_interpreted`] and [`LiveVm::interpreted`]
-//! run that interpreter instead: the byte-identical oracle the engine is
-//! tested against. Replay then streams events faster than interpreted
-//! re-execution (no register file, no data memory, no ALU). Both are
-//! measured by the `trace_replay_throughput` bench in `mim-bench` and
-//! tracked in `BENCH_trace.json` — and, the bigger win, a design-space
-//! sweep amortizes the one recording over every design point instead of
-//! re-executing per point.
+//! run the same hooks on that interpreter instead: the byte-identical
+//! oracle the engine is tested against. Replay then streams events at
+//! about the block engine's rate, with no register file, no data memory
+//! and no ALU. Both are measured by the `trace_replay_throughput` bench
+//! in `mim-bench` and tracked in `BENCH_trace.json` — and, the bigger
+//! win, a design-space sweep amortizes the one recording over every
+//! design point instead of re-executing per point.
 //!
 //! ## Example: record once, replay everywhere
 //!

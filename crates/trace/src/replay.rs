@@ -1,8 +1,8 @@
 //! Replay: the one decoder over a trace's serialized bytes.
 //!
-//! [`Replay`] walks the program text and reads the recorded branch
-//! directions and effective addresses straight from the serialized
-//! encoding ([`Trace::to_bytes`](crate::Trace::to_bytes)). An in-memory
+//! [`Replay`] walks the program's compiled basic blocks and reads the
+//! recorded branch directions and effective addresses straight from the
+//! serialized encoding ([`Trace::to_bytes`](crate::Trace::to_bytes)). An in-memory
 //! trace is decoded from its own byte slice. A trace file
 //! ([`Replay::from_file`]) feeds the same cursor fixed [`CHUNK`]-byte
 //! windows, so replay memory stays bounded by two windows however long
@@ -20,10 +20,10 @@ use std::fs::File;
 use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::sync::Arc;
 
-use mim_isa::{InstClass, Program, RunOutcome, TraceEvent};
+use mim_isa::{Block, BlockCompiler, BlockHooks, InstClass, Program, RunOutcome, TraceEvent};
 
 use crate::error::TraceError;
-use crate::source::{SamplePhase, Sampling, TraceSource};
+use crate::source::{Sampling, TraceSource};
 use crate::trace::{read_varint, short_varint, unzigzag, Header, MAX_VARINT};
 
 /// Bytes per window of a file replay. Two sections are live during a
@@ -31,16 +31,19 @@ use crate::trace::{read_varint, short_varint, unzigzag, Header, MAX_VARINT};
 /// of cursor state — independent of trace length.
 pub const CHUNK: usize = 8 * 1024;
 
-/// Replays a recorded trace against its program, reconstructing the
-/// exact [`TraceEvent`] stream of the original execution without
-/// functional interpretation.
+/// Replays a recorded trace against its program, firing the same hooks
+/// the original execution fired, without functional interpretation.
 ///
 /// Construct via [`Trace::replay`](crate::Trace::replay) for an in-memory
 /// trace or [`Replay::from_file`] for a serialized one; both validate the
-/// program fingerprint first. The replay walks the program text following
-/// the recorded branch directions; per event it does a fetch, a
-/// static-field copy, and at most one bit or varint read — no register
-/// file, no data memory, no arithmetic.
+/// program fingerprint first. The replay walks the blocks
+/// [`BlockCompiler`] compiles, following the recorded branch directions.
+/// Each whole block fires [`begin_block`](BlockHooks::begin_block) and
+/// then its instructions' hooks over the block's static templates,
+/// taking one recorded bit per conditional branch and one address per
+/// load or store — no register file, no data memory, no arithmetic. A
+/// limit that ends mid-block fires that block's remaining instructions
+/// without `begin_block`, like the block engine's careful tail.
 pub struct Replay<'a> {
     program: &'a Program,
     header: Header,
@@ -129,8 +132,8 @@ impl<'a> Replay<'a> {
         self
     }
 
-    /// Restricts the observer to systematically sampled windows (see
-    /// [`Sampling`]); skipped events are still walked, not emitted.
+    /// Restricts the closure drivers to systematically sampled windows
+    /// (see [`Sampling`]); skipped events are still walked, not emitted.
     pub fn with_sampling(mut self, sampling: Sampling) -> Replay<'a> {
         self.sampling = Some(sampling);
         self
@@ -150,22 +153,11 @@ impl TraceSource for Replay<'_> {
         &self.header.name
     }
 
-    fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError> {
-        self.drive_phased(&mut |phase, ev| {
-            if phase == SamplePhase::Measure {
-                observer(ev);
-            }
-        })
-    }
-
     fn sampling(&self) -> Option<Sampling> {
         self.sampling
     }
 
-    fn drive_phased(
-        &mut self,
-        observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
-    ) -> Result<RunOutcome, TraceError> {
+    fn drive_hooks<H: BlockHooks>(&mut self, hooks: &mut H) -> Result<RunOutcome, TraceError> {
         if self.driven {
             return Err(TraceError::Exhausted {
                 source: self.header.name.clone(),
@@ -177,15 +169,14 @@ impl TraceSource for Replay<'_> {
             self.program,
             &self.header.name,
             total,
-            self.sampling,
             &mut self.cursor,
-            observer,
+            hooks,
         )?;
         if total == self.header.events {
             self.cursor.finish()?;
         }
 
-        // Mirror Vm::run_with: `Halted` only when the program halted
+        // Mirror Vm::run_hooks: `Halted` only when the program halted
         // strictly before the limit; hitting the limit exactly on the last
         // retired instruction reports `LimitReached`, like the live VM.
         if self.header.halted && self.header.events < self.limit {
@@ -375,87 +366,100 @@ impl<'a> Section<'a> {
     }
 }
 
-/// The replay walk: reconstructs `total` events of the dynamic
-/// instruction stream from the program text plus the cursor's two recorded
-/// streams, delivering each non-[`Skip`](SamplePhase::Skip) event to
-/// `observer` tagged with its phase under `sampling`.
+/// The replay walk: fires `hooks` over the first `total` instructions of
+/// the recorded execution, block by block, reading each block's branch
+/// bit and addresses from `cursor`.
 ///
-/// Skipped events are still walked (the control-flow chain must advance)
-/// but their [`TraceEvent`] is never materialized.
-fn walk(
+/// The walk checks every block entry against the program text before
+/// compiling it, so a damaged recording that steers control flow off the
+/// text is [`TraceError::Corrupt`], like one that reaches `halt` early or
+/// runs out of bits or addresses.
+fn walk<H: BlockHooks>(
     program: &Program,
     name: &str,
     total: u64,
-    sampling: Option<Sampling>,
     cursor: &mut Cursor<'_>,
-    observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
+    hooks: &mut H,
 ) -> Result<(), TraceError> {
+    let compiler = BlockCompiler::new(program);
+    // The blocks compiled so far, and each entry pc's index among them.
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut index = vec![u32::MAX; program.len()];
     let mut pc: u32 = 0;
     let mut pos: u64 = 0;
     while pos < total {
-        let inst = program.fetch(pc).ok_or_else(|| {
-            TraceError::Corrupt(format!(
+        let Some(slot) = index.get_mut(pc as usize) else {
+            return Err(TraceError::Corrupt(format!(
                 "replay of `{name}` left the program text at pc {pc}"
-            ))
-        })?;
-        let class = inst.class();
-        if class == InstClass::Halt {
+            )));
+        };
+        if *slot == u32::MAX {
+            *slot = blocks.len() as u32;
+            blocks.push(compiler.compile(pc));
+        }
+        let block = &blocks[*slot as usize];
+        if block.instructions() == 0 {
+            // Only a block entered at `halt` retires nothing.
             return Err(TraceError::Corrupt(format!(
                 "replay of `{name}` reached halt at pc {pc} with {} events left",
                 total - pos
             )));
         }
-
-        let mut eff_addr = None;
-        let mut taken = None;
-        let mut next_pc = pc + 1;
-        match class {
-            InstClass::Load | InstClass::Store => {
-                eff_addr = Some(cursor.next_addr()?.ok_or_else(|| {
-                    TraceError::Corrupt(format!(
-                        "replay of `{name}` ran out of addresses at pc {pc}"
-                    ))
-                })?);
-            }
-            InstClass::CondBranch => {
-                let t = cursor.next_bit()?.ok_or_else(|| {
-                    TraceError::Corrupt(format!(
-                        "replay of `{name}` ran out of branch bits at pc {pc}"
-                    ))
-                })?;
-                taken = Some(t);
-                if t {
-                    next_pc = inst.imm as u32;
-                }
-            }
-            InstClass::Jump => {
-                taken = Some(true);
-                next_pc = inst.imm as u32;
-            }
-            _ => {}
+        let events = if total - pos >= block.instructions() {
+            hooks.begin_block(block);
+            block.events()
+        } else {
+            &block.events()[..(total - pos) as usize]
+        };
+        let mut taken = false;
+        for ev in events {
+            taken = retire(block, ev, name, cursor, hooks)?;
         }
-
-        let phase = sampling.map_or(SamplePhase::Measure, |s| s.phase(pos));
-        let event_pc = pc;
-        pos += 1;
-        pc = next_pc;
-        if phase != SamplePhase::Skip {
-            observer(
-                phase,
-                &TraceEvent {
-                    pc: event_pc,
-                    opcode: inst.opcode,
-                    class,
-                    dst: inst.writes(),
-                    sources: inst.sources(),
-                    eff_addr,
-                    taken,
-                    next_pc,
-                },
-            );
-        }
+        pos += events.len() as u64;
+        pc = block.exit(taken);
     }
     Ok(())
+}
+
+/// Fires one instruction's hooks from its template `ev` in `block`,
+/// taking the branch bit or the address it calls for. Returns whether
+/// control left sequential flow.
+#[inline(always)]
+fn retire<H: BlockHooks>(
+    block: &Block,
+    ev: &TraceEvent,
+    name: &str,
+    cursor: &mut Cursor<'_>,
+    hooks: &mut H,
+) -> Result<bool, TraceError> {
+    let out_of = |what: &str| {
+        TraceError::Corrupt(format!(
+            "replay of `{name}` ran out of {what} at pc {}",
+            ev.pc
+        ))
+    };
+    hooks.before_instruction(ev);
+    match ev.class {
+        InstClass::Load | InstClass::Store => {
+            let addr = cursor.next_addr()?.ok_or_else(|| out_of("addresses"))?;
+            hooks.mem_access(ev, addr);
+        }
+        InstClass::CondBranch => {
+            let taken = cursor.next_bit()?.ok_or_else(|| out_of("branch bits"))?;
+            hooks.cond_branch(ev, taken);
+            if taken {
+                hooks.after_taken_branch(ev, block.exit(true));
+                return Ok(true);
+            }
+        }
+        InstClass::Jump => {
+            hooks.after_taken_branch(ev, ev.next_pc);
+            return Ok(true);
+        }
+        _ => {}
+    }
+    hooks.after_instruction(ev);
+    Ok(false)
 }
 
 fn io_corrupt(e: std::io::Error) -> TraceError {

@@ -1,7 +1,7 @@
 //! The [`TraceSource`] abstraction: one interface over live functional
 //! execution and recorded-trace replay.
 
-use mim_isa::{BlockEngine, Program, RunOutcome, TraceEvent, Vm};
+use mim_isa::{BlockEngine, BlockHooks, EventHooks, Program, RunOutcome, TraceEvent, Vm};
 
 use crate::error::TraceError;
 
@@ -9,22 +9,38 @@ use crate::error::TraceError;
 ///
 /// Timing consumers (`mim-pipeline`'s simulator, `mim-profile`'s
 /// profilers) are written against this trait, so they neither know nor
-/// care whether events come from a live [`Vm`] pass ([`LiveVm`]) or from a
-/// recorded [`Trace`](crate::Trace) ([`Replay`](crate::Replay)). That decoupling is the paper's §2.1
-/// framework applied to the whole stack: functional execution happens
-/// once, timing passes happen per design point.
+/// care whether events come from a live functional pass ([`LiveVm`]) or
+/// from a recorded [`Trace`](crate::Trace) ([`Replay`](crate::Replay)).
+/// That decoupling is the paper's §2.1 framework applied to the whole
+/// stack: functional execution happens once, timing passes happen per
+/// design point.
 ///
-/// A source is driven **once**: [`drive`](TraceSource::drive) consumes the
-/// stream from the source's current position to its end (instruction
-/// limits are a property of the source, fixed at construction). Replays
-/// enforce this: a second drive raises [`TraceError::Exhausted`] instead
-/// of silently reporting a successful zero-event pass.
+/// Every source is observed through `mim-isa`'s one hook protocol,
+/// [`BlockHooks`]: [`drive_hooks`](TraceSource::drive_hooks) is the one
+/// method a source implements. The closure drivers
+/// [`drive`](TraceSource::drive) and
+/// [`drive_phased`](TraceSource::drive_phased) are provided on top of
+/// it, through [`EventHooks`].
+///
+/// A source is driven **once**: a drive consumes the stream from the
+/// source's current position to its end (instruction limits are a
+/// property of the source, fixed at construction). Replays enforce this:
+/// a second drive raises [`TraceError::Exhausted`] instead of silently
+/// reporting a successful zero-event pass.
 pub trait TraceSource {
     /// Name of the workload producing the stream.
     fn name(&self) -> &str;
 
-    /// Drives `observer` over every remaining event of the stream and
-    /// reports how the underlying execution ended.
+    /// Fires `hooks` over every remaining instruction of the stream, as
+    /// described on [`BlockHooks`], and reports how the underlying
+    /// execution ended. Whole blocks arrive with
+    /// [`begin_block`](BlockHooks::begin_block) where the source runs
+    /// them whole: the block engine, and a replay away from its limit.
+    /// The interpreter and the instructions before a limit that ends
+    /// mid-block arrive without it.
+    ///
+    /// A source's sampling plan does not filter the hooks: they see the
+    /// whole walked stream.
     ///
     /// # Errors
     ///
@@ -34,7 +50,7 @@ pub trait TraceSource {
     /// (possible only for corrupted files —
     /// [`Trace::replay`](crate::Trace::replay) already rejects mismatched
     /// programs).
-    fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError>;
+    fn drive_hooks<H: BlockHooks>(&mut self, hooks: &mut H) -> Result<RunOutcome, TraceError>;
 
     /// The sampling plan governing this source's stream, if any.
     ///
@@ -45,25 +61,49 @@ pub trait TraceSource {
         None
     }
 
+    /// Drives `observer` over every event the source's sampling plan
+    /// measures — every event, for a source without a plan.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`drive_hooks`](TraceSource::drive_hooks).
+    fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError> {
+        if self.sampling().is_none() {
+            return self.drive_hooks(&mut EventHooks::new(observer));
+        }
+        self.drive_phased(&mut |phase, ev| {
+            if phase == SamplePhase::Measure {
+                observer(ev);
+            }
+        })
+    }
+
     /// Drives `observer` with each event tagged by its [`SamplePhase`]
-    /// under the source's sampling plan.
+    /// under the source's sampling plan (everything
+    /// [`SamplePhase::Measure`] without one).
     ///
     /// Sampled sources deliver [`SamplePhase::Warm`] events (walked for
     /// functional warming between detailed units) and
     /// [`SamplePhase::Measure`] events (inside a sample window);
     /// [`SamplePhase::Skip`] events are walked but never delivered — not
-    /// materializing them is where sampling's speedup comes from. The
-    /// default implementation wraps [`drive`](TraceSource::drive) and tags
-    /// everything [`SamplePhase::Measure`].
+    /// simulating them is where sampling's speedup comes from.
     ///
     /// # Errors
     ///
-    /// Same contract as [`drive`](TraceSource::drive).
+    /// Same contract as [`drive_hooks`](TraceSource::drive_hooks).
     fn drive_phased(
         &mut self,
         observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
     ) -> Result<RunOutcome, TraceError> {
-        self.drive(&mut |ev| observer(SamplePhase::Measure, ev))
+        let sampling = self.sampling();
+        let mut pos = 0u64;
+        self.drive_hooks(&mut EventHooks::new(|ev: &TraceEvent| {
+            let phase = sampling.map_or(SamplePhase::Measure, |s| s.phase(pos));
+            pos += 1;
+            if phase != SamplePhase::Skip {
+                observer(phase, ev);
+            }
+        }))
     }
 }
 
@@ -82,22 +122,22 @@ pub enum SamplePhase {
 }
 
 /// The functional backend a [`LiveVm`] drives: the per-step interpreter
-/// ([`Vm`]) or the block-compiled engine ([`BlockEngine`]). Both emit the
-/// identical [`TraceEvent`] stream; the choice only affects throughput.
+/// ([`Vm`]) or the block-compiled engine ([`BlockEngine`]). Both fire the
+/// same per-instruction hooks; only the engine adds `begin_block`, and
+/// the choice otherwise only affects throughput.
 enum Backend<'p> {
     Interp(Vm<'p>),
     Block(BlockEngine<'p>),
 }
 
 /// The live recording backend: drives a functional execution pass,
-/// emitting each retired instruction as it executes.
+/// firing the hooks of each retired instruction as it executes.
 ///
 /// This is the only [`TraceSource`] that actually executes the program;
-/// it backs the legacy program-based entry points
-/// (`PipelineSim::simulate`, `SweepProfiler::profile`) and
-/// [`Trace::record`](crate::Trace::record). [`LiveVm::new`] runs on the
-/// block-compiled [`BlockEngine`]; [`LiveVm::interpreted`] runs the
-/// per-step interpreter, which emits the byte-identical stream at a
+/// it backs the program-based entry points (`PipelineSim::simulate`,
+/// `SweepProfiler::profile`'s interpreted oracle). [`LiveVm::new`] runs
+/// on the block-compiled [`BlockEngine`]; [`LiveVm::interpreted`] runs
+/// the per-step interpreter, which yields the identical stream at a
 /// fraction of the throughput and serves as the differential oracle.
 pub struct LiveVm<'p> {
     program: &'p Program,
@@ -139,11 +179,11 @@ impl TraceSource for LiveVm<'_> {
         self.program.name()
     }
 
-    fn drive(&mut self, observer: &mut dyn FnMut(&TraceEvent)) -> Result<RunOutcome, TraceError> {
-        match &mut self.backend {
-            Backend::Interp(vm) => Ok(vm.run_with(self.limit, |ev| observer(ev))?),
-            Backend::Block(engine) => Ok(engine.run_with(self.limit, |ev| observer(ev))?),
-        }
+    fn drive_hooks<H: BlockHooks>(&mut self, hooks: &mut H) -> Result<RunOutcome, TraceError> {
+        Ok(match &mut self.backend {
+            Backend::Interp(vm) => vm.run_hooks(self.limit, hooks)?,
+            Backend::Block(engine) => engine.run_hooks(self.limit, hooks)?,
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 //! The recorded trace: a compact encoding of one functional execution.
 
-use mim_isa::{BlockEngine, BlockHooks, InstClass, Program, RunOutcome, TraceEvent, Vm, VmError};
+use mim_isa::{BlockEngine, BlockHooks, Program, RunOutcome, TraceEvent, Vm, VmError};
 
 use crate::error::TraceError;
 use crate::replay::Replay;
@@ -104,14 +104,7 @@ impl Trace {
     /// Propagates any [`VmError`] raised during execution.
     pub fn record_interpreted(program: &Program, limit: Option<u64>) -> Result<Trace, VmError> {
         let mut recorder = Recorder::new(program);
-        let outcome = Vm::new(program).run_with(limit, |ev| {
-            if ev.class == InstClass::CondBranch {
-                recorder.bit(ev.taken == Some(true));
-            }
-            if let Some(addr) = ev.eff_addr {
-                recorder.addr(addr);
-            }
-        })?;
+        let outcome = Vm::new(program).run_hooks(limit, &mut recorder)?;
         Ok(recorder.finish(outcome))
     }
 
@@ -435,8 +428,8 @@ impl Recorder {
     }
 }
 
-/// The block engine's recording hooks: exactly the two dynamic streams a
-/// [`Trace`] stores. Event counts and the halted flag come from the
+/// The recording hooks, on either backend: exactly the two dynamic
+/// streams a [`Trace`] stores. Event counts and the halted flag come from the
 /// engine's [`RunOutcome`], so every other hook stays a no-op and the
 /// fast path never materializes a [`TraceEvent`] the recording would
 /// discard.

@@ -9,7 +9,7 @@
 //! failing case is re-minimized by a greedy recipe shrinker before the
 //! test reports it.
 
-use mim_isa::{BlockEngine, Program, Reg, RunOutcome, TraceEvent, Vm, VmError};
+use mim_isa::{BlockEngine, EventHooks, Program, Reg, RunOutcome, TraceEvent, Vm, VmError};
 use mim_trace::Trace;
 use mim_workloads::synth::SyntheticRecipe;
 use proptest::prelude::*;
@@ -47,17 +47,17 @@ fn interp_run(p: &Program, limit: Option<u64>) -> RunState {
 fn block_run(p: &Program, limit: Option<u64>) -> RunState {
     let mut engine = BlockEngine::new(p);
     let mut events = Vec::new();
-    let result = engine.run_with(limit, |ev| events.push(*ev));
+    let result = engine.run_hooks(limit, &mut EventHooks::new(|ev| events.push(*ev)));
     RunState {
         result,
         events,
         regs: (0..32)
-            .map(|i| engine.reg(Reg::from_index(i).unwrap()))
+            .map(|i| engine.vm().reg(Reg::from_index(i).unwrap()))
             .collect(),
-        mem: engine.memory().to_vec(),
-        pc: engine.pc(),
-        halted: engine.is_halted(),
-        retired: engine.retired(),
+        mem: engine.vm().memory().to_vec(),
+        pc: engine.vm().pc(),
+        halted: engine.vm().is_halted(),
+        retired: engine.vm().retired(),
     }
 }
 
