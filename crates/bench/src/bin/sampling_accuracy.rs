@@ -4,9 +4,10 @@
 //! For each sampling fraction (1/5, 1/10, 1/50) the binary measures, on
 //! one recorded trace: CPI error vs the full detailed simulation, the
 //! reported 95% CI half-width, the wall-clock speedup over full
-//! simulation, and the streaming working set (the fixed replay buffer)
-//! against the full encoded trace — the peak-memory proxy for streaming
-//! vs materialized replay. The record asserts the headline contract:
+//! simulation (the median of five runs per side, alternated), and the
+//! streaming working set (the fixed replay buffer) against the full
+//! encoded trace — the peak-memory proxy for streaming vs materialized
+//! replay. The record asserts the headline contract:
 //! sampling 1 instruction in 10 (with full functional warming of caches
 //! and branch predictors in the gaps) is demonstrably faster than
 //! simulating everything.
@@ -33,8 +34,16 @@ struct FractionRecord {
     cpi: f64,
     cpi_error_percent: f64,
     ci95_half_width: f64,
-    /// Best-of-N wall seconds for the sampled run (warming included).
+    /// Median wall seconds of the sampled runs (warming included).
     wall_seconds: f64,
+    /// Every sampled run's wall seconds, in run order.
+    wall_samples: Vec<f64>,
+    /// Median wall seconds of the full runs alternated with the sampled
+    /// ones.
+    full_wall_seconds: f64,
+    /// Every alternated full run's wall seconds, in run order.
+    full_wall_samples: Vec<f64>,
+    /// `full_wall_seconds / wall_seconds`.
     speedup_vs_full: f64,
     /// Timeline intervals the plan's windows actually measured.
     phases_covered: u64,
@@ -52,6 +61,7 @@ struct BenchRecord {
     size: String,
     instructions: u64,
     full_cpi: f64,
+    /// Median wall seconds of every full run.
     full_wall_seconds: f64,
     /// Bytes a streaming replay holds resident, independent of trace
     /// length — the peak-memory proxy for the O(sample unit) claim.
@@ -67,15 +77,21 @@ struct BenchRecord {
 /// warming beats full simulation by at least this factor.
 const SPEEDUP_FLOOR_1_IN_10: f64 = 1.25;
 
-fn best_of<T>(runs: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::MAX;
-    let mut last = f();
-    for _ in 0..runs {
-        let t = Instant::now();
-        last = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, last)
+/// Timed runs per side of each speedup. The full and the sampled run
+/// alternate after one untimed run of each, and each side's time is the
+/// median of its runs, so one run slowed by the machine moves neither.
+const RUNS: usize = 5;
+
+fn seconds<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() -> std::io::Result<()> {
@@ -90,10 +106,11 @@ fn main() -> std::io::Result<()> {
     let trace = Trace::record(&program, None).expect("recording");
     let sim = PipelineSim::new(&MachineConfig::default_config());
 
-    let (full_wall, full) = best_of(5, || {
+    let run_full = || {
         let mut replay = trace.replay(&program).expect("replay");
         sim.simulate_source(&mut replay).expect("full sim")
-    });
+    };
+    let full = run_full();
 
     // Per-phase reference: a timeline-enabled full run (outside the timed
     // loops, so the wall-clock columns stay timeline-free). Sampled
@@ -124,10 +141,17 @@ fn main() -> std::io::Result<()> {
     let fractions: Vec<FractionRecord> = plans
         .iter()
         .map(|plan| {
-            let (wall, result) = best_of(5, || {
+            let run_sampled = || {
                 let mut replay = trace.replay(&program).expect("replay").with_sampling(*plan);
                 sim.simulate_source(&mut replay).expect("sampled sim")
-            });
+            };
+            let result = run_sampled();
+            let (mut full_wall_samples, mut wall_samples) = (Vec::new(), Vec::new());
+            for _ in 0..RUNS {
+                full_wall_samples.push(seconds(run_full));
+                wall_samples.push(seconds(run_sampled));
+            }
+            let (full_wall, wall) = (median(&full_wall_samples), median(&wall_samples));
             let stats = result.sampling.expect("sampled stats");
             let sampled_timeline = {
                 let mut replay = trace.replay(&program).expect("replay").with_sampling(*plan);
@@ -167,6 +191,9 @@ fn main() -> std::io::Result<()> {
                 cpi_error_percent: 100.0 * (stats.cpi - full.cpi()).abs() / full.cpi(),
                 ci95_half_width: stats.ci_half_width,
                 wall_seconds: wall,
+                wall_samples,
+                full_wall_seconds: full_wall,
+                full_wall_samples,
                 speedup_vs_full: full_wall / wall,
                 phases_covered: phase_errors.len() as u64,
                 phase_mean_error_percent: phase_mean,
@@ -181,13 +208,17 @@ fn main() -> std::io::Result<()> {
     std::fs::write(&path, trace.to_bytes())?;
     let stream = Replay::from_file(std::fs::File::open(&path)?, &program).expect("file replay");
     std::fs::remove_file(&path)?;
+    let every_full: Vec<f64> = fractions
+        .iter()
+        .flat_map(|f| f.full_wall_samples.iter().copied())
+        .collect();
     let record = BenchRecord {
         bench: "sampling_accuracy",
         workload: workload.name().to_string(),
         size: size.to_string(),
         instructions: trace.len(),
         full_cpi: full.cpi(),
-        full_wall_seconds: full_wall,
+        full_wall_seconds: median(&every_full),
         streaming_buffer_bytes: stream.buffer_bytes(),
         encoded_trace_bytes: trace.encoded_bytes(),
         timeline_interval,

@@ -47,7 +47,7 @@ impl FetchMemo {
     /// The memo's key of `addr`: fetches with equal keys share one L1I
     /// line and one ITLB page.
     #[inline(always)]
-    pub(crate) fn key(&self, addr: u64) -> u64 {
+    fn key(&self, addr: u64) -> u64 {
         addr >> self.shift
     }
 
@@ -60,6 +60,37 @@ impl FetchMemo {
         self.last = key;
         repeat
     }
+
+    /// Splits the fetch addresses of one straight-line stretch of code, in
+    /// program order, into [`FetchRun`]s: a new run starts wherever the
+    /// key (the L1I line or the ITLB page) changes.
+    pub(crate) fn runs(&self, addrs: impl IntoIterator<Item = u64>) -> Vec<FetchRun> {
+        let mut runs: Vec<FetchRun> = Vec::new();
+        for (offset, addr) in (0u32..).zip(addrs) {
+            match runs.last_mut() {
+                Some(run) if self.key(run.addr) == self.key(addr) => run.len += 1,
+                _ => runs.push(FetchRun {
+                    offset,
+                    addr,
+                    len: 1,
+                }),
+            }
+        }
+        runs
+    }
+}
+
+/// Consecutive instruction fetches of one straight-line stretch of code
+/// that share an L1I line and an ITLB page: only the first can miss, and
+/// the rest repeat it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchRun {
+    /// Position of the run's first fetch in the stretch.
+    pub offset: u32,
+    /// Address of the run's first fetch.
+    pub addr: u64,
+    /// Fetches in the run.
+    pub len: u32,
 }
 
 /// The level of the memory hierarchy that serviced an access.
@@ -210,6 +241,17 @@ impl Hierarchy {
     /// Accumulated miss counters.
     pub fn counts(&self) -> MissCounts {
         self.counts
+    }
+
+    /// Splits the fetch addresses of one straight-line stretch of code, in
+    /// program order, into [`FetchRun`]s, exactly as
+    /// [`MultiConfig::fetch_runs`](crate::MultiConfig::fetch_runs) does
+    /// for the same L1I and ITLB geometry. Once a run's first address is
+    /// fetched, each later fetch of the run is an L1 hit without a TLB
+    /// miss that changes no state and only counts in
+    /// [`MissCounts::inst_accesses`].
+    pub fn fetch_runs(&self, addrs: impl IntoIterator<Item = u64>) -> Vec<FetchRun> {
+        self.fetch.runs(addrs)
     }
 
     /// Performs one access; returns the servicing level and whether the

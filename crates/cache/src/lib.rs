@@ -35,7 +35,7 @@ mod tlb;
 
 pub use cache::{AccessResult, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, TlbConfig};
-pub use hierarchy::{Hierarchy, HierarchyConfig, MemAccessKind, MemLevel, MissCounts};
-pub use multi::{FetchRun, MultiConfig};
+pub use hierarchy::{FetchRun, Hierarchy, HierarchyConfig, MemAccessKind, MemLevel, MissCounts};
+pub use multi::MultiConfig;
 pub use stack_distance::StackDistance;
 pub use tlb::Tlb;

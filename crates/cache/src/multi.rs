@@ -2,21 +2,8 @@
 
 use crate::cache::SetAssocCache;
 use crate::config::CacheConfig;
-use crate::hierarchy::{FetchMemo, HierarchyConfig, MemAccessKind, MissCounts};
+use crate::hierarchy::{FetchMemo, FetchRun, HierarchyConfig, MemAccessKind, MissCounts};
 use crate::tlb::Tlb;
-
-/// Consecutive instruction fetches of one straight-line stretch of code
-/// that share an L1I line and an ITLB page: only the first can miss, and
-/// the rest repeat it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchRun {
-    /// Position of the run's first fetch in the stretch.
-    pub offset: u32,
-    /// Address of the run's first fetch.
-    pub addr: u64,
-    /// Fetches in the run.
-    pub len: u32,
-}
 
 /// Simulates one set of L1 caches/TLBs together with *many* candidate L2
 /// configurations in a single pass over the access stream.
@@ -101,18 +88,7 @@ impl MultiConfig {
     /// program order, into [`FetchRun`]s: a new run starts wherever the
     /// L1I line or the ITLB page changes.
     pub fn fetch_runs(&self, addrs: impl IntoIterator<Item = u64>) -> Vec<FetchRun> {
-        let mut runs: Vec<FetchRun> = Vec::new();
-        for (offset, addr) in (0u32..).zip(addrs) {
-            match runs.last_mut() {
-                Some(run) if self.fetch.key(run.addr) == self.fetch.key(addr) => run.len += 1,
-                _ => runs.push(FetchRun {
-                    offset,
-                    addr,
-                    len: 1,
-                }),
-            }
-        }
-        runs
+        self.fetch.runs(addrs)
     }
 
     /// Charges the fetches of `run`: counts them all in `inst_accesses`

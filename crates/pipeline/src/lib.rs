@@ -21,6 +21,22 @@
 //!   branch mispredictions that squash the front end (resolution in EX,
 //!   refill of `D` stages).
 //!
+//! ## Drivers
+//!
+//! [`PipelineSim::simulate_source`] is the simulator: a `BlockHooks` set
+//! (`mim-isa`'s one observer protocol) driven by any `mim-trace` source,
+//! live or replayed, full or sampled. The source fires the hooks; the
+//! simulator sends each instruction's fetch to the caches at
+//! `before_instruction`, its data access at `mem_access`, takes the
+//! branch direction at `cond_branch`, and runs the timing kernel at the
+//! after-hooks. Inside a whole block (`begin_block`) only the first fetch
+//! of each static fetch run reaches the caches, and a sampling plan is
+//! walked one phase run at a time.
+//! [`PipelineSim::simulate_events`] is its oracle: the event-walking loop
+//! over `TraceSource::drive_phased`, every fetch and every phase per
+//! event. The two share the timing kernel and give byte-equal
+//! [`SimResult`]s.
+//!
 //! ## Example
 //!
 //! ```

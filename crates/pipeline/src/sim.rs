@@ -10,8 +10,8 @@
 use mim_bpred::BranchPredictor;
 use mim_cache::{Hierarchy, MemAccessKind, MemLevel, MissCounts};
 use mim_core::{CpiTimeline, MachineConfig, StackComponent};
-use mim_isa::{InstClass, Program, TraceEvent, VmError, NUM_REGS};
-use mim_trace::{LiveVm, SamplePhase, TraceError, TraceSource};
+use mim_isa::{Block, BlockHooks, InstClass, Program, TraceEvent, VmError, NUM_REGS};
+use mim_trace::{LiveVm, PhaseRuns, SamplePhase, Sampling, TraceError, TraceSource};
 
 /// Statistics of a sampled simulation run ([`PipelineSim::simulate_source`]
 /// over a source with a sampling plan): the per-unit CPI population behind
@@ -212,23 +212,37 @@ impl PipelineSim {
     /// functional execution: the pipeline timing model consumes the
     /// recorded stream directly.
     ///
+    /// The simulator is a [`BlockHooks`] set driven through
+    /// [`TraceSource::drive_hooks`], so no [`TraceEvent`] is built per
+    /// instruction. Each instruction's fetch goes to the cache hierarchy
+    /// at [`before_instruction`](BlockHooks::before_instruction), its data
+    /// access at [`mem_access`](BlockHooks::mem_access), its branch
+    /// direction arrives at [`cond_branch`](BlockHooks::cond_branch), and
+    /// the timing kernel runs when it retires. Inside a whole block
+    /// ([`begin_block`](BlockHooks::begin_block)) only the first fetch of
+    /// each of the block's static fetch runs ([`Hierarchy::fetch_runs`])
+    /// reaches the hierarchy; the rest of the run is a known L1 hit.
+    /// [`simulate_events`](PipelineSim::simulate_events), the
+    /// event-walking oracle, gives a byte-equal [`SimResult`].
+    ///
     /// A source without a sampling plan ([`TraceSource::sampling`]) is
-    /// simulated in full: every event runs through the detailed timing
-    /// model and [`SimResult::cycles`] adds the two-cycle pipeline drain.
+    /// simulated in full: every instruction runs through the detailed
+    /// timing model and [`SimResult::cycles`] adds the two-cycle pipeline
+    /// drain.
     ///
     /// A source with a plan is simulated statistically, SMARTS-style,
-    /// over its phased stream ([`TraceSource::drive_phased`]):
-    /// [`SamplePhase::Warm`] events update cache-hierarchy and
-    /// branch-predictor **state** only ([`Hierarchy::warm`],
+    /// over its walked stream, one [`Sampling::phase_run`] per run of
+    /// positions: [`SamplePhase::Warm`] instructions update cache-hierarchy
+    /// and branch-predictor **state** only ([`Hierarchy::warm`],
     /// [`BranchPredictor::warm`] — no timing, no counters),
-    /// [`SamplePhase::Measure`] events run the full detailed timing model,
-    /// and skipped events are never materialized. Pipeline timing state
-    /// is continuous across sample units (the windows are simulated as if
-    /// concatenated), so per-unit cycle counts carry no per-unit
-    /// pipeline-fill/drain bias; cache and predictor state persist
-    /// throughout and are kept warm between windows by the plan's warm-up
-    /// events. The reported [`SimResult::cycles`] is the mean per-unit CPI
-    /// scaled by the full walked stream length, and
+    /// [`SamplePhase::Measure`] instructions run the full detailed timing
+    /// model, and skipped instructions are walked but touch nothing.
+    /// Pipeline timing state is continuous across sample units (the
+    /// windows are simulated as if concatenated), so per-unit cycle counts
+    /// carry no per-unit pipeline-fill/drain bias; cache and predictor
+    /// state persist throughout and are kept warm between windows by the
+    /// plan's warm-up instructions. The reported [`SimResult::cycles`] is
+    /// the mean per-unit CPI scaled by the full walked stream length, and
     /// [`SimResult::sampling`] carries the CLT 95% confidence half-width
     /// ±ε over the units.
     ///
@@ -238,169 +252,354 @@ impl PipelineSim {
     /// sources, a corrupt recording for replays).
     pub fn simulate_source<S: TraceSource>(&self, source: &mut S) -> Result<SimResult, TraceError> {
         let name = source.name().to_string();
-        let lat = Latencies::of(&self.machine);
-        let mut hierarchy = Hierarchy::new(self.machine.hierarchy.clone());
-        let mut predictor: Box<dyn BranchPredictor> = self.machine.predictor.build();
-        let mut st = PipeState::new(lat.cap);
-        let mut ctr = Counters::default();
+        let mut run = Run::new(self, source.sampling());
+        let outcome = source.drive_hooks(&mut run)?;
+        Ok(run.finish(name, outcome.instructions()))
+    }
 
-        // A sample unit closes after `length` measured events (window
-        // end), or at the first warm event of the next window for plans
-        // whose windows the stream truncates, or at stream end.
+    /// The differential oracle of
+    /// [`simulate_source`](PipelineSim::simulate_source): the same
+    /// simulation, walking whole [`TraceEvent`]s through the closure driver
+    /// [`TraceSource::drive_phased`]. Every event's fetch and data access
+    /// go to the hierarchy, warm or measured, and its sampling phase comes
+    /// from the driver. It shares only the timing kernel with
+    /// `simulate_source` and yields a byte-equal [`SimResult`], timeline
+    /// included, at a fraction of the throughput.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`simulate_source`](PipelineSim::simulate_source).
+    pub fn simulate_events<S: TraceSource>(&self, source: &mut S) -> Result<SimResult, TraceError> {
+        let name = source.name().to_string();
         let plan = source.sampling();
-        let unit_len = plan.map_or(u64::MAX, |s| s.length());
-        let mut unit_cpis: Vec<f64> = Vec::new();
-        let mut unit_insts: u64 = 0;
-        let mut unit_base: u64 = 0; // cycle watermark at unit start
-        let mut measured_cycles: u64 = 0;
-        let mut tl = self.timeline.map(TimelineAcc::new);
+        let mut run = Run::new(self, plan);
         // Walked-stream position of the next delivered event. Skipped
         // events are never delivered, but their positions are plan
         // arithmetic, so the timeline's interval boundaries stay aligned
         // with the full-simulation timeline of the same stream.
         let mut pos: u64 = 0;
-
-        macro_rules! close_unit {
-            () => {
-                let mark = st.watermark();
-                unit_cpis.push((mark - unit_base) as f64 / unit_insts as f64);
-                measured_cycles += mark - unit_base;
-                unit_base = mark;
-                unit_insts = 0;
-            };
-        }
-
         let outcome = source.drive_phased(&mut |phase, ev| {
-            if let (Some(acc), Some(plan)) = (tl.as_mut(), plan.as_ref()) {
+            if let (Some(acc), Some(plan)) = (run.tl.as_mut(), plan.as_ref()) {
                 while plan.phase(pos) == SamplePhase::Skip {
                     pos += 1;
-                    acc.tick(st.watermark());
+                    acc.tick(run.st.watermark());
                 }
             }
             match phase {
                 SamplePhase::Skip => {}
                 SamplePhase::Warm => {
-                    if unit_insts > 0 {
-                        close_unit!();
-                    }
-                    hierarchy.warm(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
+                    run.units.warm(run.st.watermark());
+                    run.hierarchy
+                        .warm(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
                     match ev.class {
                         InstClass::Load => {
-                            hierarchy.warm(MemAccessKind::Load, ev.eff_addr.expect("load address"));
+                            run.hierarchy
+                                .warm(MemAccessKind::Load, ev.eff_addr.expect("load address"));
                         }
                         InstClass::Store => {
-                            hierarchy
+                            run.hierarchy
                                 .warm(MemAccessKind::Store, ev.eff_addr.expect("store address"));
                         }
                         InstClass::CondBranch => {
-                            predictor.warm(ev.pc, ev.taken == Some(true));
+                            run.predictor.warm(ev.pc, ev.taken == Some(true));
                         }
                         _ => {}
                     }
                 }
                 SamplePhase::Measure => {
-                    self.step(
-                        &lat,
-                        &mut st,
-                        &mut hierarchy,
-                        predictor.as_mut(),
-                        &mut ctr,
-                        &mut tl,
-                        ev,
-                    );
-                    unit_insts += 1;
-                    if unit_insts == unit_len {
-                        close_unit!();
+                    run.fetch = run
+                        .hierarchy
+                        .access(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
+                    match ev.class {
+                        InstClass::Load => {
+                            run.data = run
+                                .hierarchy
+                                .access(MemAccessKind::Load, ev.eff_addr.expect("load address"));
+                        }
+                        InstClass::Store => {
+                            run.data = run
+                                .hierarchy
+                                .access(MemAccessKind::Store, ev.eff_addr.expect("store address"));
+                        }
+                        InstClass::CondBranch => run.taken = ev.taken == Some(true),
+                        _ => {}
                     }
+                    run.step(ev);
+                    run.units.measured(run.st.watermark());
                 }
             }
-            if let Some(acc) = tl.as_mut() {
+            if let Some(acc) = run.tl.as_mut() {
                 pos += 1;
-                acc.tick(st.watermark());
+                acc.tick(run.st.watermark());
             }
         })?;
-
         let walked = outcome.instructions();
-        if let Some(acc) = tl.as_mut() {
+        if let Some(acc) = run.tl.as_mut() {
             // Trailing skipped positions after the last delivered event.
             while pos < walked {
                 pos += 1;
-                acc.tick(st.watermark());
+                acc.tick(run.st.watermark());
             }
         }
-        let (instructions, cycles, sampling) = match plan {
+        Ok(run.finish(name, walked))
+    }
+}
+
+/// One simulation run: the machine's caches, predictor and pipeline
+/// state, the event counters, and the sample-unit and timeline
+/// bookkeeping. It is the [`BlockHooks`] set
+/// [`PipelineSim::simulate_source`] drives; the oracle
+/// [`PipelineSim::simulate_events`] feeds the same state whole events.
+struct Run {
+    ideal: SimIdealization,
+    lat: Latencies,
+    hierarchy: Hierarchy,
+    predictor: Box<dyn BranchPredictor>,
+    st: PipeState,
+    ctr: Counters,
+    tl: Option<TimelineAcc>,
+    units: Units,
+    sampled: bool,
+    /// The phases of the walked positions, and the current instruction's.
+    phases: PhaseRuns,
+    phase: SamplePhase,
+    fetches: BlockFetches,
+    /// The current instruction's fetch result: servicing level and ITLB
+    /// miss.
+    fetch: (MemLevel, bool),
+    /// The current instruction's data access result (loads and stores).
+    data: (MemLevel, bool),
+    /// The current conditional branch's direction.
+    taken: bool,
+}
+
+/// The static fetch runs of the blocks seen so far, by entry pc, and
+/// where the current block execution stands among them.
+///
+/// Inside a block, an instruction's fetch goes to the hierarchy only at
+/// the first instruction of a fetch run, or after a skipped instruction
+/// (which left the hierarchy's fetch memo behind). Every other fetch
+/// repeats the previous one's L1I line and ITLB page, which the memo
+/// would answer as an L1 hit without a TLB miss that changes no state:
+/// it is counted here instead, and added to
+/// [`MissCounts::inst_accesses`](mim_cache::MissCounts::inst_accesses) at
+/// the end. An instruction outside a block always goes to the hierarchy.
+#[derive(Default)]
+struct BlockFetches {
+    /// Index in `lens` of each entry pc's first run (`u32::MAX` for
+    /// blocks not seen yet).
+    first: Vec<u32>,
+    /// Every seen block's run lengths, in program order, block after
+    /// block.
+    lens: Vec<u32>,
+    /// Instructions of the current block execution still to arrive; 0
+    /// outside a block.
+    left: u64,
+    /// `left` at the first instruction of the next fetch run, or 0 when
+    /// the block has none left.
+    run_at: u64,
+    /// Index in `lens` of the next fetch run.
+    next: usize,
+    /// A skipped instruction came after the hierarchy's last fetch.
+    stale: bool,
+    /// Measured fetches answered here as repeats.
+    repeats: u64,
+}
+
+impl BlockFetches {
+    /// Enters `block`, splitting its fetches into runs the first time.
+    fn begin(&mut self, block: &Block, hierarchy: &Hierarchy) {
+        let pc = block.entry_pc() as usize;
+        if pc >= self.first.len() {
+            self.first.resize(pc + 1, u32::MAX);
+        }
+        if self.first[pc] == u32::MAX {
+            let events = block.events();
+            // Counting a block down from its length relies on every
+            // template retiring exactly once per whole execution.
+            assert_eq!(events.len() as u64, block.instructions());
+            self.first[pc] = self.lens.len() as u32;
+            let runs = hierarchy.fetch_runs(events.iter().map(|ev| Program::inst_addr(ev.pc)));
+            self.lens.extend(runs.iter().map(|run| run.len));
+        }
+        self.next = self.first[pc] as usize;
+        self.left = block.instructions();
+        self.run_at = self.left;
+    }
+
+    /// Advances past the instruction about to retire; true if its fetch
+    /// must go to the hierarchy.
+    #[inline(always)]
+    fn fresh(&mut self) -> bool {
+        if self.left == 0 {
+            return true;
+        }
+        let starts = self.left == self.run_at;
+        if starts {
+            self.run_at = self.left - u64::from(self.lens[self.next]);
+            self.next += 1;
+        }
+        self.left -= 1;
+        starts || self.stale
+    }
+}
+
+/// The sample units of a sampled run. A unit closes after `len` measured
+/// instructions (window end), or at the first warm instruction of the next
+/// window for plans whose windows the stream truncates, or at stream end.
+#[derive(Default)]
+struct Units {
+    /// Measured instructions per unit (`u64::MAX` for a full run).
+    len: u64,
+    cpis: Vec<f64>,
+    /// Measured instructions of the open unit.
+    insts: u64,
+    /// Cycle watermark at the open unit's start.
+    base: u64,
+    measured_cycles: u64,
+}
+
+impl Units {
+    /// One more measured instruction, the pipeline now at `mark`.
+    #[inline(always)]
+    fn measured(&mut self, mark: u64) {
+        self.insts += 1;
+        if self.insts == self.len {
+            self.close(mark);
+        }
+    }
+
+    /// A warm instruction: closes a unit its window left open.
+    #[inline(always)]
+    fn warm(&mut self, mark: u64) {
+        if self.insts > 0 {
+            self.close(mark);
+        }
+    }
+
+    fn close(&mut self, mark: u64) {
+        self.cpis
+            .push((mark - self.base) as f64 / self.insts as f64);
+        self.measured_cycles += mark - self.base;
+        self.base = mark;
+        self.insts = 0;
+    }
+}
+
+impl Run {
+    fn new(sim: &PipelineSim, plan: Option<Sampling>) -> Run {
+        let lat = Latencies::of(&sim.machine);
+        Run {
+            ideal: sim.ideal,
+            st: PipeState::new(lat.cap),
+            lat,
+            hierarchy: Hierarchy::new(sim.machine.hierarchy.clone()),
+            predictor: sim.machine.predictor.build(),
+            ctr: Counters::default(),
+            tl: sim.timeline.map(TimelineAcc::new),
+            units: Units {
+                len: plan.map_or(u64::MAX, |s| s.length()),
+                ..Units::default()
+            },
+            sampled: plan.is_some(),
+            phases: PhaseRuns::new(plan),
+            phase: SamplePhase::Measure,
+            fetches: BlockFetches::default(),
+            fetch: (MemLevel::L1, false),
+            data: (MemLevel::L1, false),
+            taken: false,
+        }
+    }
+
+    /// The result of a run that walked `walked` instructions.
+    fn finish(mut self, name: String, walked: u64) -> SimResult {
+        let mark = self.st.watermark();
+        let (instructions, cycles, sampling) = if !self.sampled {
             // Drain: memory + writeback stages after the last completion
             // event.
-            None => (ctr.retired, st.watermark() + 2, None),
-            Some(_) => {
-                if unit_insts > 0 {
-                    // Final (possibly truncated) unit at stream end.
-                    let mark = st.watermark();
-                    unit_cpis.push((mark - unit_base) as f64 / unit_insts as f64);
-                    measured_cycles += mark - unit_base;
-                }
-                let units = unit_cpis.len() as u64;
-                let mean = if units == 0 {
-                    0.0
-                } else {
-                    unit_cpis.iter().sum::<f64>() / units as f64
-                };
-                let half = if units >= 2 {
-                    let var = unit_cpis
-                        .iter()
-                        .map(|x| (x - mean) * (x - mean))
-                        .sum::<f64>()
-                        / (units - 1) as f64;
-                    1.96 * (var / units as f64).sqrt()
-                } else {
-                    0.0
-                };
-                let stats = SampledStats {
-                    units,
-                    measured_instructions: ctr.retired,
-                    measured_cycles,
-                    cpi: mean,
-                    ci_half_width: half,
-                    fraction: if walked == 0 {
-                        0.0
-                    } else {
-                        ctr.retired as f64 / walked as f64
-                    },
-                };
-                (walked, (mean * walked as f64).round() as u64, Some(stats))
+            (self.ctr.retired, mark + 2, None)
+        } else {
+            let units = &mut self.units;
+            if units.insts > 0 {
+                // Final (possibly truncated) unit at stream end.
+                units.close(mark);
             }
+            let n = units.cpis.len() as u64;
+            let mean = if n == 0 {
+                0.0
+            } else {
+                units.cpis.iter().sum::<f64>() / n as f64
+            };
+            let half = if n >= 2 {
+                let var = units
+                    .cpis
+                    .iter()
+                    .map(|x| (x - mean) * (x - mean))
+                    .sum::<f64>()
+                    / (n - 1) as f64;
+                1.96 * (var / n as f64).sqrt()
+            } else {
+                0.0
+            };
+            let stats = SampledStats {
+                units: n,
+                measured_instructions: self.ctr.retired,
+                measured_cycles: units.measured_cycles,
+                cpi: mean,
+                ci_half_width: half,
+                fraction: if walked == 0 {
+                    0.0
+                } else {
+                    self.ctr.retired as f64 / walked as f64
+                },
+            };
+            (walked, (mean * walked as f64).round() as u64, Some(stats))
         };
-        Ok(SimResult {
+        let mut misses = self.hierarchy.counts();
+        misses.inst_accesses += self.fetches.repeats;
+        SimResult {
             name,
             instructions,
             cycles,
-            misses: hierarchy.counts(),
-            branches: ctr.branches,
-            mispredicts: ctr.mispredicts,
-            taken_correct: ctr.taken_correct,
+            misses,
+            branches: self.ctr.branches,
+            mispredicts: self.ctr.mispredicts,
+            taken_correct: self.ctr.taken_correct,
             sampling,
-            timeline: tl.map(|acc| acc.finish(st.watermark())),
-        })
+            timeline: self.tl.map(|acc| acc.finish(mark)),
+        }
+    }
+
+    /// The current instruction retires: a measured one runs through the
+    /// timing kernel, and every walked position ticks the timeline.
+    #[inline(always)]
+    fn retire(&mut self, op: &TraceEvent) {
+        match self.phase {
+            SamplePhase::Measure => {
+                self.step(op);
+                self.units.measured(self.st.watermark());
+            }
+            SamplePhase::Warm => self.units.warm(self.st.watermark()),
+            SamplePhase::Skip => {}
+        }
+        if let Some(acc) = self.tl.as_mut() {
+            acc.tick(self.st.watermark());
+        }
     }
 
     /// One instruction through the timing kernel: fetch, execute entry,
     /// per-class effects. This is the detailed path shared by full and
-    /// sampled simulation; all pipeline state lives in `st` so callers
-    /// control its continuity. When a timeline accumulator is supplied,
-    /// miss/stall events charge their nominal penalties to it (interval
-    /// bookkeeping stays with the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &self,
-        lat: &Latencies,
-        st: &mut PipeState,
-        hierarchy: &mut Hierarchy,
-        predictor: &mut dyn BranchPredictor,
-        ctr: &mut Counters,
-        tl: &mut Option<TimelineAcc>,
-        ev: &TraceEvent,
-    ) {
-        ctr.retired += 1;
+    /// sampled simulation and by both drivers. The cache and predictor
+    /// outcomes arrive in `self.fetch`, `self.data` and `self.taken`; all
+    /// pipeline state lives in `self.st`, continuous across sample units.
+    /// When a timeline accumulator is present, miss/stall events charge
+    /// their nominal penalties to it (interval bookkeeping stays with the
+    /// driver).
+    fn step(&mut self, ev: &TraceEvent) {
+        let lat = &self.lat;
+        let st = &mut self.st;
+        let tl = &mut self.tl;
+        self.ctr.retired += 1;
         if let Some(acc) = tl.as_mut() {
             acc.measured();
         }
@@ -417,7 +616,7 @@ impl PipelineSim {
             st.fetch_slots = 0;
         }
         // I-cache / ITLB access in program order.
-        let (level, itlb_miss) = hierarchy.access(MemAccessKind::Fetch, Program::inst_addr(ev.pc));
+        let (level, itlb_miss) = self.fetch;
         let mut stall = match level {
             MemLevel::L1 => 0,
             MemLevel::L2 => lat.l2,
@@ -513,13 +712,7 @@ impl PipelineSim {
                 completion = t + l;
             }
             InstClass::Load | InstClass::Store => {
-                let kind = if ev.class == InstClass::Load {
-                    MemAccessKind::Load
-                } else {
-                    MemAccessKind::Store
-                };
-                let (dlevel, dtlb_miss) =
-                    hierarchy.access(kind, ev.eff_addr.expect("memory op has address"));
+                let (dlevel, dtlb_miss) = self.data;
                 let mut l = match dlevel {
                     MemLevel::L1 => lat.l1d,
                     MemLevel::L2 => lat.l2,
@@ -557,16 +750,16 @@ impl PipelineSim {
                 completion = mem_entry + l;
             }
             InstClass::CondBranch => {
-                ctr.branches += 1;
-                let taken = ev.taken == Some(true);
+                self.ctr.branches += 1;
+                let taken = self.taken;
                 let pred = if self.ideal.oracle_branches {
                     taken
                 } else {
-                    predictor.predict(ev.pc)
+                    self.predictor.predict(ev.pc)
                 };
-                predictor.update(ev.pc, taken);
+                self.predictor.update(ev.pc, taken);
                 if pred != taken {
-                    ctr.mispredicts += 1;
+                    self.ctr.mispredicts += 1;
                     if let Some(acc) = tl.as_mut() {
                         // First-order flush cost: the front-end refill.
                         acc.charge(StackComponent::BranchMiss, lat.depth);
@@ -575,7 +768,7 @@ impl PipelineSim {
                     st.fetch_min = st.fetch_min.max(t + 1);
                     st.fetch_slots = lat.w; // current fetch group ends
                 } else if taken {
-                    ctr.taken_correct += 1;
+                    self.ctr.taken_correct += 1;
                     // Correct taken prediction: one fetch bubble.
                     if !self.ideal.free_taken_bubbles {
                         if let Some(acc) = tl.as_mut() {
@@ -603,6 +796,71 @@ impl PipelineSim {
             }
         }
         st.last_completion = st.last_completion.max(completion);
+    }
+}
+
+impl BlockHooks for Run {
+    fn begin_block(&mut self, block: &Block) {
+        self.fetches.begin(block, &self.hierarchy);
+    }
+
+    #[inline(always)]
+    fn before_instruction(&mut self, op: &TraceEvent) {
+        self.phase = self.phases.next_phase();
+        let fresh = self.fetches.fresh();
+        match self.phase {
+            SamplePhase::Skip => self.fetches.stale = true,
+            SamplePhase::Warm => {
+                if fresh {
+                    self.fetches.stale = false;
+                    self.hierarchy
+                        .warm(MemAccessKind::Fetch, Program::inst_addr(op.pc));
+                }
+            }
+            SamplePhase::Measure => {
+                self.fetch = if fresh {
+                    self.fetches.stale = false;
+                    self.hierarchy
+                        .access(MemAccessKind::Fetch, Program::inst_addr(op.pc))
+                } else {
+                    self.fetches.repeats += 1;
+                    (MemLevel::L1, false)
+                };
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn mem_access(&mut self, op: &TraceEvent, addr: u64) {
+        let kind = if op.class == InstClass::Load {
+            MemAccessKind::Load
+        } else {
+            MemAccessKind::Store
+        };
+        match self.phase {
+            SamplePhase::Skip => {}
+            SamplePhase::Warm => self.hierarchy.warm(kind, addr),
+            SamplePhase::Measure => self.data = self.hierarchy.access(kind, addr),
+        }
+    }
+
+    #[inline(always)]
+    fn cond_branch(&mut self, op: &TraceEvent, taken: bool) {
+        match self.phase {
+            SamplePhase::Skip => {}
+            SamplePhase::Warm => self.predictor.warm(op.pc, taken),
+            SamplePhase::Measure => self.taken = taken,
+        }
+    }
+
+    #[inline(always)]
+    fn after_instruction(&mut self, op: &TraceEvent) {
+        self.retire(op);
+    }
+
+    #[inline(always)]
+    fn after_taken_branch(&mut self, op: &TraceEvent, _target: u32) {
+        self.retire(op);
     }
 }
 

@@ -33,7 +33,7 @@
 
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mim_bpred::PredictorConfig;
 use mim_cache::{CacheConfig, HierarchyConfig};
@@ -56,9 +56,27 @@ struct ProfileKey {
     workload: String,
     size: WorkloadSize,
     limit: Option<u64>,
+    sweep: Arc<Sweep>,
+}
+
+/// The candidate lists of one profiling sweep. Keys share one interned
+/// copy per sweep, so a lookup clones no configuration.
+#[derive(PartialEq, Eq)]
+struct Sweep {
     hierarchy: HierarchyConfig,
     l2s: Vec<CacheConfig>,
     predictors: Vec<PredictorConfig>,
+}
+
+impl Sweep {
+    fn is(
+        &self,
+        hierarchy: &HierarchyConfig,
+        l2s: &[CacheConfig],
+        predictors: &[PredictorConfig],
+    ) -> bool {
+        self.hierarchy == *hierarchy && self.l2s == l2s && self.predictors == predictors
+    }
 }
 
 /// Hashes the workload, size and limit only. Keys that differ only in
@@ -145,6 +163,9 @@ struct Inner {
     programs: Memo<ProgramKey, Arc<Program>>,
     traces: Memo<TraceKey, Arc<Trace>>,
     profiles: Memo<ProfileKey, Arc<WorkloadProfile>>,
+    /// The sweep of the last profile request, reused while requests
+    /// repeat it (a design-space grid asks once per cell).
+    last_sweep: Mutex<Option<Arc<Sweep>>>,
     disk: Option<DiskStore>,
     registry: Registry,
     m: StoreInstruments,
@@ -157,6 +178,7 @@ impl Inner {
             programs: memo(&registry, "program", None),
             traces: memo(&registry, "trace", capacity),
             profiles: memo(&registry, "profile", capacity),
+            last_sweep: Mutex::new(None),
             disk,
             m,
             registry,
@@ -366,13 +388,26 @@ impl WorkloadStore {
         l2s: &[CacheConfig],
         predictors: &[PredictorConfig],
     ) -> Result<Arc<WorkloadProfile>, EvalError> {
+        let sweep = {
+            let mut last = self
+                .inner
+                .last_sweep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match &*last {
+                Some(sweep) if sweep.is(hierarchy, l2s, predictors) => Arc::clone(sweep),
+                _ => Arc::clone(last.insert(Arc::new(Sweep {
+                    hierarchy: hierarchy.clone(),
+                    l2s: l2s.to_vec(),
+                    predictors: predictors.to_vec(),
+                }))),
+            }
+        };
         let key = ProfileKey {
             workload: spec.name().to_string(),
             size,
             limit,
-            hierarchy: hierarchy.clone(),
-            l2s: l2s.to_vec(),
-            predictors: predictors.to_vec(),
+            sweep,
         };
         self.inner
             .profiles
@@ -386,13 +421,14 @@ impl WorkloadStore {
         key: &ProfileKey,
     ) -> Result<Arc<WorkloadProfile>, EvalError> {
         let program = self.program(spec, key.size);
+        let sweep = &*key.sweep;
         if let Some(disk) = &self.inner.disk {
             if let Ok(Some(mut profile)) = disk.get_profile(
                 &program,
                 key.limit,
-                &key.hierarchy,
-                &key.l2s,
-                &key.predictors,
+                &sweep.hierarchy,
+                &sweep.l2s,
+                &sweep.predictors,
             ) {
                 // Entries are shared by program *content*; take this
                 // program's name so loads are indistinguishable from
@@ -404,9 +440,9 @@ impl WorkloadStore {
         }
         self.inner.m.profile_misses.inc();
         let profiler = SweepProfiler::new(
-            key.hierarchy.clone(),
-            key.l2s.clone(),
-            key.predictors.clone(),
+            sweep.hierarchy.clone(),
+            sweep.l2s.clone(),
+            sweep.predictors.clone(),
         );
         let trace_key = (spec.name().to_string(), key.size, key.limit);
         let profile = match self.inner.traces.get(&trace_key) {
@@ -429,9 +465,9 @@ impl WorkloadStore {
             disk.put_profile(
                 &program,
                 key.limit,
-                &key.hierarchy,
-                &key.l2s,
-                &key.predictors,
+                &sweep.hierarchy,
+                &sweep.l2s,
+                &sweep.predictors,
                 &profile,
             )
             .ok();

@@ -91,7 +91,7 @@ mod trace;
 
 pub use error::TraceError;
 pub use replay::{Replay, CHUNK as STREAM_CHUNK_BYTES};
-pub use source::{LiveVm, SamplePhase, Sampling, TraceSource};
+pub use source::{LiveVm, PhaseRuns, SamplePhase, Sampling, TraceSource};
 pub use trace::Trace;
 
 #[cfg(test)]

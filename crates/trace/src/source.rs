@@ -95,11 +95,9 @@ pub trait TraceSource {
         &mut self,
         observer: &mut dyn FnMut(SamplePhase, &TraceEvent),
     ) -> Result<RunOutcome, TraceError> {
-        let sampling = self.sampling();
-        let mut pos = 0u64;
+        let mut runs = PhaseRuns::new(self.sampling());
         self.drive_hooks(&mut EventHooks::new(|ev: &TraceEvent| {
-            let phase = sampling.map_or(SamplePhase::Measure, |s| s.phase(pos));
-            pos += 1;
+            let phase = runs.next_phase();
             if phase != SamplePhase::Skip {
                 observer(phase, ev);
             }
@@ -313,6 +311,32 @@ impl Sampling {
         }
     }
 
+    /// The [`SamplePhase`] of stream position `pos` and how many positions
+    /// from `pos` on keep it: to the end of the warm-up, skip stretch or
+    /// window that holds `pos`. Each run is maximal, except that windows
+    /// back to back (`length == period`) are counted one window at a time.
+    ///
+    /// Walking the stream run by run takes one division per run where
+    /// [`phase`](Sampling::phase) takes two per position.
+    pub fn phase_run(&self, pos: u64) -> (SamplePhase, u64) {
+        // Distance from `pos` to the next window start, or the phase and
+        // the rest of the window holding `pos`.
+        let gap = if pos < self.offset {
+            self.offset - pos
+        } else {
+            let into = (pos - self.offset) % self.period;
+            if into < self.length {
+                return (SamplePhase::Measure, self.length - into);
+            }
+            self.period - into
+        };
+        if gap <= self.warmup {
+            (SamplePhase::Warm, gap)
+        } else {
+            (SamplePhase::Skip, gap - self.warmup)
+        }
+    }
+
     /// Fraction of the stream observed (`length / period`).
     pub fn fraction(&self) -> f64 {
         self.length as f64 / self.period as f64
@@ -322,5 +346,49 @@ impl Sampling {
     /// be scaled to estimate full-stream values (`period / length`).
     pub fn scale(&self) -> f64 {
         self.period as f64 / self.length as f64
+    }
+}
+
+/// A walk over the phases of successive stream positions from position 0,
+/// one [`Sampling::phase_run`] per run: the countdown that
+/// [`TraceSource::drive_phased`] and the sampled timing simulation share.
+/// Without a plan every position is [`SamplePhase::Measure`].
+#[derive(Debug, Clone)]
+pub struct PhaseRuns {
+    plan: Option<Sampling>,
+    phase: SamplePhase,
+    /// Positions of the current run still to come.
+    left: u64,
+    /// The first position of the next run.
+    next: u64,
+}
+
+impl PhaseRuns {
+    /// A walk from position 0 under `plan`.
+    pub fn new(plan: Option<Sampling>) -> PhaseRuns {
+        PhaseRuns {
+            plan,
+            phase: SamplePhase::Measure,
+            left: if plan.is_some() { 0 } else { u64::MAX },
+            next: 0,
+        }
+    }
+
+    /// The phase of the next position.
+    #[inline(always)]
+    pub fn next_phase(&mut self) -> SamplePhase {
+        if self.left == 0 {
+            self.start_run();
+        }
+        self.left -= 1;
+        self.phase
+    }
+
+    #[cold]
+    fn start_run(&mut self) {
+        // `left` starts at 0 only under a plan.
+        let plan = self.plan.expect("a run ends only under a plan");
+        (self.phase, self.left) = plan.phase_run(self.next);
+        self.next = self.next.saturating_add(self.left);
     }
 }
