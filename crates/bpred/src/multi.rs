@@ -22,17 +22,6 @@ pub struct PredictorStats {
     pub taken_correct: u64,
 }
 
-impl PredictorStats {
-    /// Misprediction rate (0 if no branches).
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-}
-
 /// Profiles several predictors simultaneously over a single branch stream.
 ///
 /// Mirrors the paper's profiler, which collects "branch misprediction rates
@@ -139,8 +128,6 @@ mod tests {
             assert_eq!(s.branches, 5000);
             assert!(s.mispredicts <= s.branches);
             assert!(s.taken_correct <= s.branches - s.mispredicts);
-            let r = s.misprediction_rate();
-            assert!((0.0..=1.0).contains(&r));
         }
     }
 

@@ -7,8 +7,6 @@ use crate::config::CacheConfig;
 pub struct AccessResult {
     /// True if the access hit.
     pub hit: bool,
-    /// Block number evicted by this access, if a valid block was displaced.
-    pub evicted: Option<u64>,
 }
 
 /// A set-associative cache with true LRU replacement.
@@ -40,8 +38,6 @@ pub struct SetAssocCache {
     /// `sets - 1`: a block's set is `block & set_mask`.
     set_mask: u64,
     ways: usize,
-    accesses: u64,
-    misses: u64,
 }
 
 const INVALID: u64 = u64::MAX;
@@ -66,8 +62,6 @@ impl SetAssocCache {
             set_mask: sets - 1,
             ways,
             config,
-            accesses: 0,
-            misses: 0,
         }
     }
 
@@ -76,37 +70,10 @@ impl SetAssocCache {
         &self.config
     }
 
-    /// Total accesses observed.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss rate (0 if no accesses yet).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Resets counters (contents are preserved).
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
-
-    /// Accesses the byte address, updating LRU state and counters.
+    /// Accesses the byte address, updating LRU state.
     ///
-    /// Reads and writes behave identically (write-allocate); the caller can
-    /// use [`probe`](SetAssocCache::probe) for a side-effect-free lookup.
+    /// Reads and writes behave identically (write-allocate).
     pub fn access(&mut self, addr: u64) -> AccessResult {
-        self.accesses += 1;
         let block = addr >> self.block_shift;
         let base = self.set_base(block);
         let set_tags = &mut self.tags[base..base + self.ways];
@@ -114,40 +81,19 @@ impl SetAssocCache {
         if let Some(pos) = set_tags.iter().position(|&t| t == block) {
             // Hit: move to MRU position.
             set_tags[..=pos].rotate_right(1);
-            return AccessResult {
-                hit: true,
-                evicted: None,
-            };
+            return AccessResult { hit: true };
         }
 
         // Miss: evict LRU way, insert at MRU.
-        self.misses += 1;
-        let victim = set_tags[self.ways - 1];
         set_tags.rotate_right(1);
         set_tags[0] = block;
-        AccessResult {
-            hit: false,
-            evicted: (victim != INVALID).then_some(victim),
-        }
-    }
-
-    /// Looks up the address without updating recency or counters.
-    pub fn probe(&self, addr: u64) -> bool {
-        let block = addr >> self.block_shift;
-        let base = self.set_base(block);
-        self.tags[base..base + self.ways].contains(&block)
+        AccessResult { hit: false }
     }
 
     /// Index in `tags` of the first way of `block`'s set.
     #[inline]
     fn set_base(&self, block: u64) -> usize {
         (block & self.set_mask) as usize * self.ways
-    }
-
-    /// Invalidates all contents and resets counters.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.reset_counters();
     }
 }
 
@@ -160,6 +106,11 @@ mod tests {
         SetAssocCache::new(CacheConfig::new("toy", size, assoc, 64).unwrap())
     }
 
+    /// Misses among `addrs`, accessed in order.
+    fn misses(c: &mut SetAssocCache, addrs: impl IntoIterator<Item = u64>) -> usize {
+        addrs.into_iter().filter(|&a| !c.access(a).hit).count()
+    }
+
     #[test]
     fn cold_misses_then_hits() {
         let mut c = toy(4096, 4);
@@ -167,9 +118,7 @@ mod tests {
         assert!(c.access(0).hit);
         assert!(c.access(63).hit); // same block
         assert!(!c.access(64).hit); // next block
-        assert_eq!(c.accesses(), 4);
-        assert_eq!(c.misses(), 2);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(misses(&mut toy(4096, 4), [0, 0, 63, 64]), 2);
     }
 
     #[test]
@@ -179,11 +128,10 @@ mod tests {
         c.access(0); // block 0
         c.access(64); // block 1
         c.access(0); // touch block 0 -> block 1 is LRU
-        let r = c.access(128); // block 2 evicts block 1
-        assert_eq!(r.evicted, Some(1));
-        assert!(c.probe(0));
-        assert!(!c.probe(64));
-        assert!(c.probe(128));
+        assert!(!c.access(128).hit); // block 2 evicts block 1
+        assert!(c.access(0).hit);
+        assert!(c.access(128).hit);
+        assert!(!c.access(64).hit);
     }
 
     #[test]
@@ -199,42 +147,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_has_no_side_effects() {
-        let mut c = toy(128, 2);
-        c.access(0);
-        c.access(64);
-        // probe the LRU block; must not refresh recency
-        assert!(c.probe(0));
-        c.access(128); // evicts true LRU = block 0
-        assert!(!c.probe(0));
-        assert!(c.probe(64));
-    }
-
-    #[test]
-    fn flush_invalidates() {
-        let mut c = toy(4096, 4);
-        c.access(0);
-        c.flush();
-        assert!(!c.probe(0));
-        assert_eq!(c.accesses(), 0);
-        assert!(!c.access(0).hit);
-    }
-
-    #[test]
     fn bigger_cache_never_misses_more_lru_inclusion() {
         // LRU inclusion property: doubling associativity at same set count
         // cannot increase misses (checked on a pseudo-random trace).
         let mut small = SetAssocCache::new(CacheConfig::new("s", 2048, 2, 64).unwrap());
         let mut large = SetAssocCache::new(CacheConfig::new("l", 4096, 4, 64).unwrap());
         let mut x: u64 = 0x12345;
-        for _ in 0..10_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = (x >> 20) % 65536;
-            small.access(addr);
-            large.access(addr);
-        }
-        assert!(large.misses() <= small.misses());
+        let addrs: Vec<u64> = (0..10_000)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 20) % 65536
+            })
+            .collect();
+        let small_misses = misses(&mut small, addrs.iter().copied());
+        assert!(misses(&mut large, addrs) <= small_misses);
     }
 }

@@ -4,11 +4,14 @@
 //!
 //! * [`CacheConfig`] / [`SetAssocCache`] — set-associative LRU caches,
 //! * [`Tlb`] — fully-associative LRU translation lookaside buffers,
-//! * [`Hierarchy`] — a two-level hierarchy (split L1s + unified L2 + TLBs)
-//!   matching the machine in the ISPASS 2012 paper (Table 2),
-//! * [`MultiConfig`] — single-pass simulation of many L2 configurations at
-//!   once, the technique the paper's profiler uses (§2.1) so one profiling
-//!   run covers the whole design space,
+//! * [`Hierarchy`] — the two-level hierarchy of the ISPASS 2012 paper's
+//!   machine (Table 2): split L1s and TLBs in front of one unified L2, or
+//!   of many L2 candidates at once, the single-pass technique the paper's
+//!   profiler uses (§2.1) so one profiling run covers the whole design
+//!   space; the simulator drives the one-candidate form,
+//! * [`FetchRun`] / [`BlockFetches`] — a basic block's fetches split per
+//!   L1I line and ITLB page, and the countdown that charges each run once
+//!   per block execution,
 //! * [`StackDistance`] — Mattson LRU stack-distance histograms, computing
 //!   miss counts for *every* fully-associative capacity in one pass.
 //!
@@ -29,13 +32,13 @@
 mod cache;
 mod config;
 mod hierarchy;
-mod multi;
 mod stack_distance;
 mod tlb;
 
 pub use cache::{AccessResult, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError, TlbConfig};
-pub use hierarchy::{FetchRun, Hierarchy, HierarchyConfig, MemAccessKind, MemLevel, MissCounts};
-pub use multi::MultiConfig;
+pub use hierarchy::{
+    BlockFetches, FetchRun, Hierarchy, HierarchyConfig, MemAccessKind, MemLevel, MissCounts,
+};
 pub use stack_distance::StackDistance;
 pub use tlb::Tlb;

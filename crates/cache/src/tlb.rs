@@ -24,7 +24,6 @@ use crate::config::TlbConfig;
 #[derive(Debug, Clone)]
 pub struct Tlb {
     inner: SetAssocCache,
-    config: TlbConfig,
 }
 
 impl Tlb {
@@ -39,33 +38,12 @@ impl Tlb {
         let cache_config = config.cache_config().expect("invalid TLB geometry");
         Tlb {
             inner: SetAssocCache::new(cache_config),
-            config,
         }
-    }
-
-    /// The TLB's geometry.
-    pub fn config(&self) -> TlbConfig {
-        self.config
     }
 
     /// Translates the byte address, returning hit/miss and updating LRU.
     pub fn access(&mut self, addr: u64) -> crate::cache::AccessResult {
         self.inner.access(addr)
-    }
-
-    /// Total accesses observed.
-    pub fn accesses(&self) -> u64 {
-        self.inner.accesses()
-    }
-
-    /// Total misses observed.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Invalidates all entries and resets counters.
-    pub fn flush(&mut self) {
-        self.inner.flush();
     }
 }
 
@@ -86,15 +64,19 @@ mod tests {
         for p in 0..4u64 {
             assert!(t.access(p * 4096 + 8).hit);
         }
-        assert_eq!(t.misses(), 4);
-        assert_eq!(t.accesses(), 8);
     }
 
     #[test]
     fn default_geometry_matches_paper_setup() {
-        let t = Tlb::new(TlbConfig::default_tlb());
-        assert_eq!(t.config().entries, 32);
-        assert_eq!(t.config().page_bytes, 4096);
+        // 32 entries of 4 KiB pages: 32 pages fit, a 33rd evicts the LRU.
+        let mut t = Tlb::new(TlbConfig::default_tlb());
+        let misses = |t: &mut Tlb, pages: std::ops::Range<u64>| {
+            pages.filter(|p| !t.access(p * 4096 + 4095).hit).count()
+        };
+        assert_eq!(misses(&mut t, 0..32), 32);
+        assert_eq!(misses(&mut t, 0..32), 0);
+        assert_eq!(misses(&mut t, 32..33), 1);
+        assert_eq!(misses(&mut t, 0..1), 1);
     }
 
     #[test]

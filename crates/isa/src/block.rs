@@ -683,12 +683,6 @@ impl<'p> BlockEngine<'p> {
         &self.vm
     }
 
-    /// Mutable access to the architectural state (to parameterize a
-    /// kernel through [`Vm::set_reg`] before running).
-    pub fn vm_mut(&mut self) -> &mut Vm<'p> {
-        &mut self.vm
-    }
-
     /// The engine's block cache (compiled-block count, for tests and
     /// instrumentation).
     pub fn cache(&self) -> &BlockCache {
@@ -1672,22 +1666,6 @@ mod tests {
             engine.run(Some(0)).unwrap(),
             RunOutcome::LimitReached { instructions: 0 }
         );
-    }
-
-    #[test]
-    fn set_reg_parameterizes_like_vm() {
-        let mut b = ProgramBuilder::new();
-        b.addi(Reg::R2, Reg::R1, 5);
-        b.halt();
-        let p = b.build();
-        let mut vm = Vm::new(&p);
-        vm.set_reg(Reg::R1, 37);
-        vm.run(None).unwrap();
-        let mut engine = BlockEngine::new(&p);
-        engine.vm_mut().set_reg(Reg::R1, 37);
-        engine.run(None).unwrap();
-        assert_eq!(vm.reg(Reg::R2), engine.vm().reg(Reg::R2));
-        assert_eq!(engine.vm().reg(Reg::R2), 42);
     }
 
     #[test]

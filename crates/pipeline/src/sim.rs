@@ -8,7 +8,7 @@
 //! handful of max-constraints over its predecessors.
 
 use mim_bpred::BranchPredictor;
-use mim_cache::{Hierarchy, MemAccessKind, MemLevel, MissCounts};
+use mim_cache::{BlockFetches, Hierarchy, MemAccessKind, MemLevel, MissCounts};
 use mim_core::{CpiTimeline, MachineConfig, StackComponent};
 use mim_isa::{Block, BlockHooks, InstClass, Program, TraceEvent, VmError, NUM_REGS};
 use mim_trace::{LiveVm, PhaseRuns, SamplePhase, Sampling, TraceError, TraceSource};
@@ -220,8 +220,9 @@ impl PipelineSim {
     /// direction arrives at [`cond_branch`](BlockHooks::cond_branch), and
     /// the timing kernel runs when it retires. Inside a whole block
     /// ([`begin_block`](BlockHooks::begin_block)) only the first fetch of
-    /// each of the block's static fetch runs ([`Hierarchy::fetch_runs`])
-    /// reaches the hierarchy; the rest of the run is a known L1 hit.
+    /// each of the block's static fetch runs reaches the hierarchy; the
+    /// rest of the run is a known L1 hit. The profiler walks the same
+    /// [`BlockFetches`] countdown over the same runs.
     /// [`simulate_events`](PipelineSim::simulate_events), the
     /// event-walking oracle, gives a byte-equal [`SimResult`].
     ///
@@ -363,7 +364,17 @@ struct Run {
     /// The phases of the walked positions, and the current instruction's.
     phases: PhaseRuns,
     phase: SamplePhase,
+    /// The blocks' fetch runs and the current block's countdown. Inside a
+    /// block, an instruction's fetch goes to the hierarchy only at the
+    /// first instruction of a fetch run, or after a skipped instruction;
+    /// every other measured fetch is a known L1 hit, counted in `repeats`.
     fetches: BlockFetches,
+    /// A skipped instruction came after the hierarchy's last fetch, which
+    /// left its fetch memo behind.
+    stale: bool,
+    /// Measured fetches answered as repeats, added to
+    /// [`MissCounts::inst_accesses`] at the end.
+    repeats: u64,
     /// The current instruction's fetch result: servicing level and ITLB
     /// miss.
     fetch: (MemLevel, bool),
@@ -371,77 +382,6 @@ struct Run {
     data: (MemLevel, bool),
     /// The current conditional branch's direction.
     taken: bool,
-}
-
-/// The static fetch runs of the blocks seen so far, by entry pc, and
-/// where the current block execution stands among them.
-///
-/// Inside a block, an instruction's fetch goes to the hierarchy only at
-/// the first instruction of a fetch run, or after a skipped instruction
-/// (which left the hierarchy's fetch memo behind). Every other fetch
-/// repeats the previous one's L1I line and ITLB page, which the memo
-/// would answer as an L1 hit without a TLB miss that changes no state:
-/// it is counted here instead, and added to
-/// [`MissCounts::inst_accesses`](mim_cache::MissCounts::inst_accesses) at
-/// the end. An instruction outside a block always goes to the hierarchy.
-#[derive(Default)]
-struct BlockFetches {
-    /// Index in `lens` of each entry pc's first run (`u32::MAX` for
-    /// blocks not seen yet).
-    first: Vec<u32>,
-    /// Every seen block's run lengths, in program order, block after
-    /// block.
-    lens: Vec<u32>,
-    /// Instructions of the current block execution still to arrive; 0
-    /// outside a block.
-    left: u64,
-    /// `left` at the first instruction of the next fetch run, or 0 when
-    /// the block has none left.
-    run_at: u64,
-    /// Index in `lens` of the next fetch run.
-    next: usize,
-    /// A skipped instruction came after the hierarchy's last fetch.
-    stale: bool,
-    /// Measured fetches answered here as repeats.
-    repeats: u64,
-}
-
-impl BlockFetches {
-    /// Enters `block`, splitting its fetches into runs the first time.
-    fn begin(&mut self, block: &Block, hierarchy: &Hierarchy) {
-        let pc = block.entry_pc() as usize;
-        if pc >= self.first.len() {
-            self.first.resize(pc + 1, u32::MAX);
-        }
-        if self.first[pc] == u32::MAX {
-            let events = block.events();
-            // Counting a block down from its length relies on every
-            // template retiring exactly once per whole execution.
-            assert_eq!(events.len() as u64, block.instructions());
-            self.first[pc] = self.lens.len() as u32;
-            let runs = hierarchy.fetch_runs(events.iter().map(|ev| Program::inst_addr(ev.pc)));
-            self.lens.extend(runs.iter().map(|run| run.len));
-        }
-        self.next = self.first[pc] as usize;
-        self.left = block.instructions();
-        self.run_at = self.left;
-    }
-
-    /// Advances past the instruction about to retire; true if its fetch
-    /// must go to the hierarchy.
-    #[inline(always)]
-    fn fresh(&mut self) -> bool {
-        if self.left == 0 {
-            return true;
-        }
-        let starts = self.left == self.run_at;
-        if starts {
-            self.run_at = self.left - u64::from(self.lens[self.next]);
-            self.next += 1;
-        }
-        self.left -= 1;
-        starts || self.stale
-    }
 }
 
 /// The sample units of a sampled run. A unit closes after `len` measured
@@ -505,6 +445,8 @@ impl Run {
             phases: PhaseRuns::new(plan),
             phase: SamplePhase::Measure,
             fetches: BlockFetches::default(),
+            stale: false,
+            repeats: 0,
             fetch: (MemLevel::L1, false),
             data: (MemLevel::L1, false),
             taken: false,
@@ -555,8 +497,8 @@ impl Run {
             };
             (walked, (mean * walked as f64).round() as u64, Some(stats))
         };
-        let mut misses = self.hierarchy.counts();
-        misses.inst_accesses += self.fetches.repeats;
+        let mut misses = self.hierarchy.counts(0);
+        misses.inst_accesses += self.repeats;
         SimResult {
             name,
             instructions,
@@ -801,29 +743,34 @@ impl Run {
 
 impl BlockHooks for Run {
     fn begin_block(&mut self, block: &Block) {
-        self.fetches.begin(block, &self.hierarchy);
+        self.fetches.begin(
+            &self.hierarchy,
+            block.entry_pc(),
+            block.instructions(),
+            || block.events().iter().map(|ev| Program::inst_addr(ev.pc)),
+        );
     }
 
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
         self.phase = self.phases.next_phase();
-        let fresh = self.fetches.fresh();
+        let fresh = !self.fetches.in_block() || self.fetches.step().is_some() || self.stale;
         match self.phase {
-            SamplePhase::Skip => self.fetches.stale = true,
+            SamplePhase::Skip => self.stale = true,
             SamplePhase::Warm => {
                 if fresh {
-                    self.fetches.stale = false;
+                    self.stale = false;
                     self.hierarchy
                         .warm(MemAccessKind::Fetch, Program::inst_addr(op.pc));
                 }
             }
             SamplePhase::Measure => {
                 self.fetch = if fresh {
-                    self.fetches.stale = false;
+                    self.stale = false;
                     self.hierarchy
                         .access(MemAccessKind::Fetch, Program::inst_addr(op.pc))
                 } else {
-                    self.fetches.repeats += 1;
+                    self.repeats += 1;
                     (MemLevel::L1, false)
                 };
             }

@@ -1,7 +1,7 @@
 //! The one-pass profiler and its design-space sweep variant.
 
 use mim_bpred::{MultiPredictor, PredictorConfig, PredictorStats};
-use mim_cache::{CacheConfig, FetchRun, HierarchyConfig, MemAccessKind, MissCounts, MultiConfig};
+use mim_cache::{BlockFetches, CacheConfig, Hierarchy, HierarchyConfig, MemAccessKind, MissCounts};
 use mim_core::{BranchStats, InstMix, MachineConfig, ModelInputs};
 use mim_isa::{Block, BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
 use mim_trace::{TraceError, TraceSource};
@@ -90,7 +90,7 @@ impl std::fmt::Display for WorkloadProfile {
 }
 
 /// Profiles a workload once for an entire design space: all L2 cache
-/// candidates via single-pass multi-configuration simulation and all
+/// candidates via one many-candidate [`Hierarchy`] and all
 /// branch predictors via multi-predictor profiling (paper §2.1).
 ///
 /// # Example
@@ -202,23 +202,19 @@ impl SweepProfiler {
     /// A fresh statistics collector for this sweep's candidate lists.
     fn collector(&self) -> Collector {
         Collector {
-            caches: MultiConfig::new(&self.base, self.l2s.clone()),
+            caches: Hierarchy::sweep(&self.base, self.l2s.clone()),
             preds: MultiPredictor::new(&self.predictors),
             deps: DepTracker::new(),
             mix: InstMix::default(),
-            l2_count: self.l2s.len(),
             summaries: Vec::new(),
-            left: 0,
-            block: 0,
-            next_run: 0,
-            run_at: 0,
+            fetches: BlockFetches::default(),
         }
     }
 }
 
 /// The profiling pass's mutable state: instruction mix, dependency
-/// tracker, multi-configuration caches, and multi-predictor — everything
-/// one retired instruction touches.
+/// tracker, the many-candidate cache hierarchy, and multi-predictor —
+/// everything one retired instruction touches.
 ///
 /// The collector is a [`BlockHooks`] set. An instruction that arrives
 /// outside a block has its mix, dependencies and fetch charged as it
@@ -245,39 +241,29 @@ impl SweepProfiler {
 /// mid-block tail (a limit that ends mid-block) fire no `begin_block`, so
 /// their instructions take the per-instruction path.
 struct Collector {
-    caches: MultiConfig,
+    caches: Hierarchy,
     preds: MultiPredictor,
     deps: DepTracker,
     /// The mix of the per-instruction paths; the blocks' mix is added in
     /// [`into_profile`](Collector::into_profile).
     mix: InstMix,
-    l2_count: usize,
     /// Static summaries of the blocks seen so far, by entry pc.
     summaries: Vec<Option<BlockSummary>>,
-    /// Instructions of the current block execution still to arrive; 0
-    /// outside a block.
-    left: u64,
-    /// Entry pc of the current block, indexing `summaries`.
-    block: usize,
-    /// The current block's next fetch run.
-    next_run: usize,
-    /// `left` at the first instruction of the next fetch run, or 0 when
-    /// the block has none left (read only inside a block).
-    run_at: u64,
+    /// The blocks' fetch runs and the current block's countdown.
+    fetches: BlockFetches,
 }
 
-/// The static facts of one basic block and how often it ran: its mix,
-/// its dependency summary and its fetch runs.
+/// The static facts of one basic block and how often it ran: its mix and
+/// its dependency summary.
 struct BlockSummary {
     /// Uninterrupted executions of the block.
     executions: u64,
     mix: InstMix,
     deps: BlockDeps,
-    fetches: Vec<FetchRun>,
 }
 
 impl BlockSummary {
-    fn of(block: &Block, caches: &MultiConfig) -> BlockSummary {
+    fn of(block: &Block) -> BlockSummary {
         let events = block.events();
         // Charging a whole block at entry relies on every template
         // retiring exactly once per uninterrupted execution.
@@ -290,7 +276,6 @@ impl BlockSummary {
             executions: 0,
             mix,
             deps: BlockDeps::of(events),
-            fetches: caches.fetch_runs(events.iter().map(|ev| Program::inst_addr(ev.pc))),
         }
     }
 }
@@ -310,21 +295,6 @@ fn count(mix: &mut InstMix, class: InstClass) {
 }
 
 impl Collector {
-    /// Charges the current block's next fetch run, which starts at the
-    /// instruction about to retire.
-    fn fetch_next_run(&mut self) {
-        let runs = &self.summaries[self.block]
-            .as_ref()
-            .expect("the current block has a summary")
-            .fetches;
-        let run = &runs[self.next_run];
-        self.caches.fetch_run(run);
-        self.next_run += 1;
-        self.run_at = runs
-            .get(self.next_run)
-            .map_or(0, |next| self.left - u64::from(next.offset - run.offset));
-    }
-
     fn into_profile(mut self, name: String) -> WorkloadProfile {
         for s in self.summaries.iter().flatten() {
             let (n, m) = (s.executions, &s.mix);
@@ -338,7 +308,9 @@ impl Collector {
             self.deps.charge_local(&s.deps, n);
         }
         let (deps_unit, deps_ll, deps_load) = self.deps.into_histograms();
-        let misses = (0..self.l2_count).map(|i| self.caches.counts(i)).collect();
+        let misses = (0..self.caches.candidates())
+            .map(|i| self.caches.counts(i))
+            .collect();
         WorkloadProfile {
             name,
             num_insts: self.mix.total(),
@@ -358,35 +330,28 @@ impl BlockHooks for Collector {
         if pc >= self.summaries.len() {
             self.summaries.resize_with(pc + 1, || None);
         }
-        let summary =
-            self.summaries[pc].get_or_insert_with(|| BlockSummary::of(block, &self.caches));
+        let summary = self.summaries[pc].get_or_insert_with(|| BlockSummary::of(block));
         summary.executions += 1;
         self.deps.observe_block(&summary.deps);
-        self.block = pc;
-        self.next_run = 0;
-        self.left = block.instructions();
-        // The first fetch run starts at the block's first instruction, and
-        // no access comes between here and there, so it is charged now.
-        if self.left > 0 {
-            self.fetch_next_run();
-        }
+        self.fetches
+            .begin(&self.caches, block.entry_pc(), block.instructions(), || {
+                block.events().iter().map(|ev| Program::inst_addr(ev.pc))
+            });
     }
 
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
-        if self.left == 0 {
-            // Outside a block: this instruction's mix, dependencies and
-            // fetch.
-            count(&mut self.mix, op.class);
-            self.deps.observe(op);
-            self.caches
-                .access(MemAccessKind::Fetch, Program::inst_addr(op.pc));
+        if self.fetches.in_block() {
+            if let Some(run) = self.fetches.step() {
+                self.caches.fetch_run(&run);
+            }
             return;
         }
-        if self.left == self.run_at {
-            self.fetch_next_run();
-        }
-        self.left -= 1;
+        // Outside a block: this instruction's mix, dependencies and fetch.
+        count(&mut self.mix, op.class);
+        self.deps.observe(op);
+        self.caches
+            .access(MemAccessKind::Fetch, Program::inst_addr(op.pc));
     }
 
     #[inline(always)]
@@ -473,6 +438,22 @@ mod tests {
         for w in eight_way.windows(2) {
             assert!(w[1].l2d_misses + w[1].l2i_misses <= w[0].l2d_misses + w[0].l2i_misses);
         }
+    }
+
+    /// An empty L2 list profiles without a panic and reports no miss
+    /// counts.
+    #[test]
+    fn no_l2_candidate_profiles_without_misses() {
+        let machine = MachineConfig::default_config();
+        let profiler = SweepProfiler::new(
+            machine.hierarchy.clone(),
+            Vec::new(),
+            vec![machine.predictor.clone()],
+        );
+        let p = mibench::sha().program(WorkloadSize::Tiny);
+        let profile = profiler.profile(&p, None).unwrap();
+        assert!(profile.misses.is_empty());
+        assert_eq!(profile.mix.total(), profile.num_insts);
     }
 
     #[test]

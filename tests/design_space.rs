@@ -23,6 +23,41 @@ fn sweep_profile_matches_per_point_profilers() {
     }
 }
 
+/// The profiler's one pass over all eight Table 2 L2s charges each
+/// candidate exactly the miss counts the detailed simulator sees at a
+/// design point with that L2, for every bundled workload.
+#[test]
+fn sim_and_profiler_agree_on_every_l2_candidate() {
+    let space = DesignSpace::paper_table2();
+    let sweep = SweepProfiler::for_design_space(&space);
+    let points: Vec<_> = (0..space.l2_configs().len())
+        .map(|i| {
+            space
+                .points()
+                .find(|p| p.l2_index == i)
+                .expect("every L2 has a point")
+        })
+        .collect();
+    assert_eq!(points.len(), 8);
+    let workloads = mim::workloads::mibench::all()
+        .into_iter()
+        .chain(mim::workloads::spec::all());
+    for w in workloads {
+        let program = w.program(WorkloadSize::Tiny);
+        let profile = sweep.profile(&program, None).unwrap();
+        for point in &points {
+            let sim = PipelineSim::new(&point.machine).simulate(&program).unwrap();
+            assert_eq!(
+                profile.misses[point.l2_index],
+                sim.misses,
+                "{} at {}",
+                w.name(),
+                point.machine.id()
+            );
+        }
+    }
+}
+
 #[test]
 fn model_error_is_bounded_across_sampled_space() {
     let space = DesignSpace::paper_table2();
