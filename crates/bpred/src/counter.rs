@@ -2,49 +2,29 @@
 
 /// A 2-bit saturating counter with states 0 (strongly not-taken) through
 /// 3 (strongly taken).
-///
-/// # Example
-///
-/// ```
-/// use mim_bpred::SatCounter;
-///
-/// let mut c = SatCounter::weakly_not_taken();
-/// assert!(!c.taken());
-/// c.train(true);
-/// assert!(c.taken()); // 1 -> 2 crosses the threshold
-/// c.train(true);
-/// c.train(true); // saturates at 3
-/// c.train(false);
-/// assert!(c.taken()); // hysteresis: one not-taken doesn't flip it
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SatCounter(u8);
+pub(crate) struct SatCounter(u8);
 
 impl SatCounter {
     /// State 1: predict not-taken, one `taken` away from flipping.
-    pub fn weakly_not_taken() -> SatCounter {
+    pub(crate) fn weakly_not_taken() -> SatCounter {
         SatCounter(1)
     }
 
     /// State 2: predict taken, one `not-taken` away from flipping.
-    pub fn weakly_taken() -> SatCounter {
+    pub(crate) fn weakly_taken() -> SatCounter {
         SatCounter(2)
-    }
-
-    /// Current raw state (0–3).
-    pub fn state(self) -> u8 {
-        self.0
     }
 
     /// Current prediction: taken if the state is 2 or 3.
     #[inline]
-    pub fn taken(self) -> bool {
+    pub(crate) fn taken(self) -> bool {
         self.0 >= 2
     }
 
     /// Trains the counter toward the actual outcome, saturating at 0 and 3.
     #[inline]
-    pub fn train(&mut self, taken: bool) {
+    pub(crate) fn train(&mut self, taken: bool) {
         if taken {
             if self.0 < 3 {
                 self.0 += 1;
@@ -72,11 +52,11 @@ mod tests {
         for _ in 0..10 {
             c.train(false);
         }
-        assert_eq!(c.state(), 0);
+        assert_eq!(c.0, 0);
         for _ in 0..10 {
             c.train(true);
         }
-        assert_eq!(c.state(), 3);
+        assert_eq!(c.0, 3);
     }
 
     #[test]

@@ -9,11 +9,10 @@ use crate::predictor::{check_bits, BranchPredictor};
 /// `Gshare::new(12)` is the paper's "1 KB global history" configuration:
 /// 2^12 = 4096 two-bit counters.
 #[derive(Debug, Clone)]
-pub struct Gshare {
+pub(crate) struct Gshare {
     table: Vec<SatCounter>,
     history: u32,
     mask: u32,
-    name: String,
 }
 
 impl Gshare {
@@ -23,19 +22,18 @@ impl Gshare {
     /// # Panics
     ///
     /// Panics if `history_bits` is 0 or exceeds 24.
-    pub fn new(history_bits: u32) -> Gshare {
+    pub(crate) fn new(history_bits: u32) -> Gshare {
         let entries = check_bits("history_bits", history_bits);
         Gshare {
             table: vec![SatCounter::default(); entries],
             history: 0,
             mask: (entries - 1) as u32,
-            name: format!("gshare-{history_bits}b"),
         }
     }
 
     /// Current global history register (low bits are the most recent
     /// outcomes).
-    pub fn history(&self) -> u32 {
+    pub(crate) fn history(&self) -> u32 {
         self.history
     }
 
@@ -54,14 +52,6 @@ impl BranchPredictor for Gshare {
         let i = self.index(pc);
         self.table[i].train(taken);
         self.history = ((self.history << 1) | u32::from(taken)) & self.mask;
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.table.len() as u64 * 2
     }
 }
 
@@ -116,10 +106,5 @@ mod tests {
             p.update(0, true);
         }
         assert!(p.history() <= 0xF);
-    }
-
-    #[test]
-    fn storage_matches_geometry() {
-        assert_eq!(Gshare::new(12).storage_bits(), 8192); // 1 KB
     }
 }

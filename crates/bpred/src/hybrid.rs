@@ -13,13 +13,12 @@ use crate::predictor::{check_bits, BranchPredictor};
 /// `Hybrid::new(10, 10, 12)` is the paper's "3.5 KB hybrid, 10b local and
 /// 12b global history" design point.
 #[derive(Debug, Clone)]
-pub struct Hybrid {
+pub(crate) struct Hybrid {
     local: LocalPredictor,
     global: Gshare,
     /// Chooser: state >= 2 selects the global component.
     chooser: Vec<SatCounter>,
     chooser_mask: u32,
-    name: String,
 }
 
 impl Hybrid {
@@ -28,14 +27,17 @@ impl Hybrid {
     /// # Panics
     ///
     /// Panics if any bit-width is 0 or exceeds 24.
-    pub fn new(local_index_bits: u32, local_history_bits: u32, global_history_bits: u32) -> Hybrid {
+    pub(crate) fn new(
+        local_index_bits: u32,
+        local_history_bits: u32,
+        global_history_bits: u32,
+    ) -> Hybrid {
         let chooser_entries = check_bits("global_history_bits", global_history_bits);
         Hybrid {
             local: LocalPredictor::new(local_index_bits, local_history_bits),
             global: Gshare::new(global_history_bits),
             chooser: vec![SatCounter::weakly_taken(); chooser_entries],
             chooser_mask: (chooser_entries - 1) as u32,
-            name: format!("hybrid-{local_history_bits}l-{global_history_bits}g"),
         }
     }
 
@@ -45,7 +47,7 @@ impl Hybrid {
     }
 
     /// True if the chooser currently selects the global component for `pc`.
-    pub fn selects_global(&self, pc: u32) -> bool {
+    fn selects_global(&self, pc: u32) -> bool {
         self.chooser[self.chooser_index(pc)].taken()
     }
 }
@@ -70,25 +72,11 @@ impl BranchPredictor for Hybrid {
         self.local.update(pc, taken);
         self.global.update(pc, taken);
     }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.local.storage_bits() + self.global.storage_bits() + self.chooser.len() as u64 * 2
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn storage_matches_paper_hybrid() {
-        // 1.5 KB local + 1 KB global + 1 KB chooser = 3.5 KB = 28672 bits.
-        assert_eq!(Hybrid::new(10, 10, 12).storage_bits(), 28_672);
-    }
 
     #[test]
     fn learns_local_periodic_pattern() {

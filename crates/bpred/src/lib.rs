@@ -1,4 +1,4 @@
-//! # mim-bpred — branch predictors and single-pass multi-predictor profiling
+//! # mim-bpred — branch predictors and their branch counts
 //!
 //! Branch-direction predictors used by the MIM toolkit, covering the two
 //! configurations of the paper's design space (Table 2):
@@ -7,41 +7,39 @@
 //! * a 3.5 KB **hybrid** predictor combining a 10-bit local-history
 //!   component with a 12-bit global-history component via a chooser.
 //!
-//! [`Bimodal`] and [`LocalPredictor`] are also exported as building blocks
-//! and baselines. [`MultiPredictor`] profiles many predictors over one
-//! branch stream in a single pass, mirroring the paper's profiler (§2.1):
+//! [`PredictorConfig`] is the one description of a predictor: its name,
+//! its storage budget and the predictor it [`build`](PredictorConfig::build)s.
+//! [`BranchStats`] is the one branch count, recorded by
+//! [`BranchStats::record`] wherever a prediction meets its outcome: the
+//! profiler, which runs every candidate over one branch stream (§2.1:
 //! "we also collect branch misprediction rates for multiple branch
-//! predictors in a single run".
+//! predictors in a single run"), and the detailed simulator.
 //!
 //! ## Example
 //!
 //! ```
-//! use mim_bpred::{BranchPredictor, PredictorConfig};
+//! use mim_bpred::{BranchStats, PredictorConfig};
 //!
 //! let mut p = PredictorConfig::gshare_1k().build();
+//! let mut stats = BranchStats::default();
 //! // An always-taken branch becomes predictable once the global history
 //! // register saturates (12 history bits -> all-ones after 12 outcomes).
 //! for _ in 0..20 {
+//!     stats.record(p.predict(0x40), true);
 //!     p.update(0x40, true);
 //! }
 //! assert!(p.predict(0x40));
+//! assert_eq!(stats.branches, 20);
+//! assert_eq!(stats.mispredicts + stats.taken_correct, 20);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bimodal;
 mod counter;
 mod gshare;
 mod hybrid;
 mod local;
-mod multi;
 mod predictor;
 
-pub use bimodal::Bimodal;
-pub use counter::SatCounter;
-pub use gshare::Gshare;
-pub use hybrid::Hybrid;
-pub use local::LocalPredictor;
-pub use multi::{MultiPredictor, PredictorStats};
-pub use predictor::{BranchPredictor, PredictorConfig};
+pub use predictor::{BranchPredictor, BranchStats, PredictorConfig};

@@ -9,15 +9,13 @@ use crate::predictor::{check_bits, BranchPredictor};
 /// This is the local component of the paper's 3.5 KB hybrid predictor
 /// (10-bit local histories).
 #[derive(Debug, Clone)]
-pub struct LocalPredictor {
+pub(crate) struct LocalPredictor {
     /// Per-branch local history registers, indexed by PC.
     histories: Vec<u32>,
     /// Pattern history table indexed by a local history value.
     pht: Vec<SatCounter>,
     index_mask: u32,
     history_mask: u32,
-    history_bits: u32,
-    name: String,
 }
 
 impl LocalPredictor {
@@ -27,7 +25,7 @@ impl LocalPredictor {
     /// # Panics
     ///
     /// Panics if either parameter is 0 or exceeds 24.
-    pub fn new(index_bits: u32, history_bits: u32) -> LocalPredictor {
+    pub(crate) fn new(index_bits: u32, history_bits: u32) -> LocalPredictor {
         let entries = check_bits("index_bits", index_bits);
         let patterns = check_bits("history_bits", history_bits);
         LocalPredictor {
@@ -35,8 +33,6 @@ impl LocalPredictor {
             pht: vec![SatCounter::default(); patterns],
             index_mask: (entries - 1) as u32,
             history_mask: (patterns - 1) as u32,
-            history_bits,
-            name: format!("local-{index_bits}b-{history_bits}h"),
         }
     }
 
@@ -56,14 +52,6 @@ impl BranchPredictor for LocalPredictor {
         self.pht[(h & self.history_mask) as usize].train(taken);
         let slot = (pc & self.index_mask) as usize;
         self.histories[slot] = ((h << 1) | u32::from(taken)) & self.history_mask;
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.histories.len() as u64 * u64::from(self.history_bits) + self.pht.len() as u64 * 2
     }
 }
 
@@ -94,12 +82,6 @@ mod tests {
             p.update(2, pat_b[i % 3]);
         }
         assert_eq!(misp, 0);
-    }
-
-    #[test]
-    fn storage_matches_paper_local_component() {
-        // 1024 x 10-bit histories + 1024 x 2-bit counters = 12288 bits = 1.5 KB
-        assert_eq!(LocalPredictor::new(10, 10).storage_bits(), 12_288);
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! The predictor trait and validated configurations.
+//! The predictor trait, its configurations and the branch counts.
 
 use serde::{Deserialize, Serialize};
 
-use crate::bimodal::Bimodal;
 use crate::gshare::Gshare;
 use crate::hybrid::Hybrid;
-use crate::local::LocalPredictor;
 
 /// A conditional-branch direction predictor.
 ///
 /// Implementations are deterministic state machines; `predict` is
-/// side-effect-free and `update` trains on the resolved outcome. The trait
-/// is object-safe so heterogeneous predictor sets can be profiled together
-/// (see [`MultiPredictor`](crate::MultiPredictor)).
+/// side-effect-free and `update` trains on the resolved outcome. Sampled
+/// simulation warms a predictor between sample units with `update` alone.
 pub trait BranchPredictor {
     /// Predicts the direction of the conditional branch at `pc`
     /// (an instruction index or byte address; implementations hash it).
@@ -21,24 +18,6 @@ pub trait BranchPredictor {
     /// Trains the predictor with the resolved direction of the branch at
     /// `pc`.
     fn update(&mut self, pc: u32, taken: bool);
-
-    /// Functional warming: trains on a resolved branch without any
-    /// prediction being observed — the cheap update path sampled
-    /// simulation drives between detailed sample units so the predictor
-    /// enters each unit with the state a full run would have.
-    ///
-    /// Defaults to [`update`](BranchPredictor::update); implementations
-    /// whose training depends on the prior prediction may override.
-    fn warm(&mut self, pc: u32, taken: bool) {
-        self.update(pc, taken);
-    }
-
-    /// Short human-readable description (e.g. `"gshare-1KB"`).
-    fn name(&self) -> &str;
-
-    /// Total predictor storage budget in bits (for reporting and the power
-    /// model).
-    fn storage_bits(&self) -> u64;
 }
 
 /// Validated, serializable predictor configuration.
@@ -49,21 +28,9 @@ pub trait BranchPredictor {
 /// geometries; [`build`](PredictorConfig::build) instantiates the predictor.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredictorConfig {
-    /// PC-indexed table of 2-bit counters.
-    Bimodal {
-        /// log2 of the number of counters.
-        index_bits: u32,
-    },
     /// Global-history XOR PC indexed table of 2-bit counters.
     Gshare {
         /// Number of global history bits (also log2 of the table size).
-        history_bits: u32,
-    },
-    /// Two-level local-history predictor.
-    Local {
-        /// log2 of the number of per-branch history registers.
-        index_bits: u32,
-        /// Bits of local history per branch (log2 of the pattern table).
         history_bits: u32,
     },
     /// Hybrid (tournament) of a local and a global component with a
@@ -97,15 +64,10 @@ impl PredictorConfig {
         }
     }
 
-    /// Short name used in reports and config listings.
+    /// Short name used in reports, config listings and stored profiles.
     pub fn name(&self) -> String {
         match self {
-            PredictorConfig::Bimodal { index_bits } => format!("bimodal-{index_bits}b"),
             PredictorConfig::Gshare { history_bits } => format!("gshare-{history_bits}b"),
-            PredictorConfig::Local {
-                index_bits,
-                history_bits,
-            } => format!("local-{index_bits}b-{history_bits}h"),
             PredictorConfig::Hybrid {
                 local_history_bits,
                 global_history_bits,
@@ -114,20 +76,41 @@ impl PredictorConfig {
         }
     }
 
+    /// Total predictor storage budget in bits (for reporting and the power
+    /// model), from the geometry: two bits per counter, plus the local
+    /// component's history registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the widths [`build`](PredictorConfig::build) rejects.
+    pub fn storage_bits(&self) -> u64 {
+        let counters = |field, bits| check_bits(field, bits) as u64 * 2;
+        match *self {
+            PredictorConfig::Gshare { history_bits } => counters("history_bits", history_bits),
+            PredictorConfig::Hybrid {
+                local_index_bits,
+                local_history_bits,
+                global_history_bits,
+            } => {
+                // The global component and the chooser are the same size.
+                let global = counters("global_history_bits", global_history_bits);
+                let histories = check_bits("index_bits", local_index_bits) as u64
+                    * u64::from(local_history_bits);
+                histories + counters("history_bits", local_history_bits) + 2 * global
+            }
+        }
+    }
+
     /// Instantiates the predictor.
     ///
     /// # Panics
     ///
-    /// Panics if any bit-width parameter exceeds 24 (tables would be
-    /// unreasonably large); design-space configurations are far below this.
+    /// Panics if any bit-width parameter is 0 or exceeds 24 (tables would
+    /// be unreasonably large); design-space configurations are far below
+    /// this.
     pub fn build(&self) -> Box<dyn BranchPredictor> {
         match *self {
-            PredictorConfig::Bimodal { index_bits } => Box::new(Bimodal::new(index_bits)),
             PredictorConfig::Gshare { history_bits } => Box::new(Gshare::new(history_bits)),
-            PredictorConfig::Local {
-                index_bits,
-                history_bits,
-            } => Box::new(LocalPredictor::new(index_bits, history_bits)),
             PredictorConfig::Hybrid {
                 local_index_bits,
                 local_history_bits,
@@ -149,36 +132,69 @@ pub(crate) fn check_bits(field: &str, bits: u32) -> usize {
     1usize << bits
 }
 
+/// Branch-prediction counts of one predictor over a branch stream.
+///
+/// These are exactly the branch-related model inputs: `mispredicts` feeds
+/// the branch-misprediction penalty (paper Eq. 4) and `taken_correct` feeds
+/// the taken-branch hit penalty (§3.3).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BranchStats {
+    /// Conditional branches executed.
+    pub branches: u64,
+    /// Mispredicted conditional branches.
+    pub mispredicts: u64,
+    /// Correctly predicted branches whose prediction was taken (each costs
+    /// one fetch bubble — the taken-branch hit penalty, §3.3).
+    pub taken_correct: u64,
+}
+
+impl BranchStats {
+    /// Counts one conditional branch predicted `predicted` that resolved
+    /// `taken`.
+    #[inline(always)]
+    pub fn record(&mut self, predicted: bool, taken: bool) {
+        self.branches += 1;
+        if predicted != taken {
+            self.mispredicts += 1;
+        } else if taken {
+            self.taken_correct += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_configs_have_expected_storage() {
-        let g = PredictorConfig::gshare_1k().build();
-        assert_eq!(g.storage_bits(), 4096 * 2); // 1 KB
-        let h = PredictorConfig::hybrid_3_5k().build();
+        // 4096*2 bits = 1 KB.
+        assert_eq!(PredictorConfig::gshare_1k().storage_bits(), 8_192);
         // 1024*10 (local histories) + 1024*2 (local PHT)
         // + 4096*2 (global) + 4096*2 (chooser) = 28672 bits = 3.5 KB
-        assert_eq!(h.storage_bits(), 28_672);
+        assert_eq!(PredictorConfig::hybrid_3_5k().storage_bits(), 28_672);
     }
 
     #[test]
-    fn names_are_distinct_and_nonempty() {
-        let configs = [
-            PredictorConfig::Bimodal { index_bits: 10 },
-            PredictorConfig::gshare_1k(),
-            PredictorConfig::Local {
-                index_bits: 10,
-                history_bits: 10,
-            },
-            PredictorConfig::hybrid_3_5k(),
-        ];
-        let names: Vec<String> = configs.iter().map(|c| c.name()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), names.len());
+    fn storage_follows_every_width() {
+        assert_eq!(
+            PredictorConfig::Gshare { history_bits: 4 }.storage_bits(),
+            32
+        );
+        // 8*4 (local histories) + 16*2 (local PHT) + 32*2 (global)
+        // + 32*2 (chooser) = 192 bits.
+        let hybrid = PredictorConfig::Hybrid {
+            local_index_bits: 3,
+            local_history_bits: 4,
+            global_history_bits: 5,
+        };
+        assert_eq!(hybrid.storage_bits(), 192);
+    }
+
+    #[test]
+    fn names_keep_their_stored_form() {
+        assert_eq!(PredictorConfig::gshare_1k().name(), "gshare-12b");
+        assert_eq!(PredictorConfig::hybrid_3_5k().name(), "hybrid-10l-12g");
     }
 
     #[test]
@@ -188,40 +204,35 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must be in 1..=24")]
+    fn oversized_tables_have_no_storage_budget() {
+        let _ = PredictorConfig::Hybrid {
+            local_index_bits: 10,
+            local_history_bits: 25,
+            global_history_bits: 12,
+        }
+        .storage_bits();
+    }
+
+    #[test]
     fn trait_is_object_safe_and_usable() {
         let mut p: Box<dyn BranchPredictor> = PredictorConfig::gshare_1k().build();
         let before = p.predict(12);
         p.update(12, !before);
-        assert!(!p.name().is_empty());
     }
 
     #[test]
-    fn warming_trains_identically_to_update() {
-        // Interleaving warm and update calls must evolve the same state
-        // as training with update alone: sampled simulation relies on
-        // warm-path training being indistinguishable from measured-path
-        // training.
-        for config in [PredictorConfig::gshare_1k(), PredictorConfig::hybrid_3_5k()] {
-            let mut warmed = config.build();
-            let mut trained = config.build();
-            for i in 0..500u32 {
-                let pc = (i * 7) % 64;
-                let taken = (i / 3) % 2 == 0;
-                if i % 2 == 0 {
-                    warmed.warm(pc, taken);
-                } else {
-                    warmed.update(pc, taken);
-                }
-                trained.update(pc, taken);
-            }
-            for pc in 0..64 {
-                assert_eq!(
-                    warmed.predict(pc),
-                    trained.predict(pc),
-                    "{} diverged at pc {pc}",
-                    config.name()
-                );
-            }
-        }
+    fn record_counts_each_branch_once() {
+        let mut stats = BranchStats::default();
+        stats.record(true, true);
+        stats.record(false, false);
+        stats.record(true, false);
+        stats.record(false, true);
+        let expected = BranchStats {
+            branches: 4,
+            mispredicts: 2,
+            taken_correct: 1,
+        };
+        assert_eq!(stats, expected);
     }
 }

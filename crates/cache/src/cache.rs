@@ -30,7 +30,6 @@ pub struct AccessResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    config: CacheConfig,
     /// Tags per set, most-recently-used first; `INVALID` marks empty ways.
     tags: Vec<u64>,
     /// `log2(block_bytes)`: an address's block number is `addr >> block_shift`.
@@ -61,13 +60,7 @@ impl SetAssocCache {
             block_shift: config.block_bytes().trailing_zeros(),
             set_mask: sets - 1,
             ways,
-            config,
         }
-    }
-
-    /// The cache's geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Accesses the byte address, updating LRU state.

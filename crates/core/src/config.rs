@@ -377,8 +377,8 @@ impl DesignSpace {
         &self.l2s
     }
 
-    /// The branch-predictor candidates (the axis the multi-predictor
-    /// profiler covers).
+    /// The branch-predictor candidates (the axis the profiler runs over
+    /// one branch stream).
     pub fn predictor_configs(&self) -> &[PredictorConfig] {
         &self.predictors
     }

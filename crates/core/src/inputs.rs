@@ -1,5 +1,6 @@
 //! Model inputs: the program and program–machine statistics of Table 1.
 
+use mim_bpred::BranchStats;
 use mim_cache::MissCounts;
 use serde::{Deserialize, Serialize};
 
@@ -116,18 +117,6 @@ impl FromIterator<usize> for DepHistogram {
         }
         h
     }
-}
-
-/// Branch-prediction statistics for the *selected* predictor configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BranchStats {
-    /// Conditional branches executed.
-    pub branches: u64,
-    /// Mispredicted conditional branches.
-    pub mispredicts: u64,
-    /// Correctly predicted branches whose prediction was taken (each costs
-    /// one fetch bubble — the taken-branch hit penalty, §3.3).
-    pub taken_correct: u64,
 }
 
 /// Everything the mechanistic model needs to predict performance of one

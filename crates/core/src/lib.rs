@@ -64,7 +64,7 @@ pub use config::{ConfigError, DesignPoint, DesignSpace, MachineConfig};
 pub fn cycles_to_seconds(cycles: f64, frequency_ghz: f64) -> f64 {
     cycles * 1e-9 / frequency_ghz
 }
-pub use inputs::{BranchStats, DepHistogram, InstMix, ModelInputs, MAX_DEP_DISTANCE};
+pub use inputs::{DepHistogram, InstMix, ModelInputs, MAX_DEP_DISTANCE};
 pub use model::MechanisticModel;
 pub use ooo::{OooConfig, OooModel};
 pub use rng::SplitMix64;

@@ -218,7 +218,8 @@ impl MechanisticModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inputs::{BranchStats, DepHistogram, InstMix};
+    use crate::inputs::{DepHistogram, InstMix};
+    use mim_bpred::BranchStats;
 
     fn machine_w(width: u32) -> MachineConfig {
         MachineConfig {

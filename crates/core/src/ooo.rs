@@ -149,8 +149,8 @@ impl OooModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inputs::BranchStats;
     use crate::model::MechanisticModel;
+    use mim_bpred::BranchStats;
 
     fn inputs_with_everything() -> ModelInputs {
         let mut inputs = ModelInputs::synthetic("mixed", 100_000);

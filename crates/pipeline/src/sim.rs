@@ -7,7 +7,7 @@
 //! simulator, because every instruction's stage timings follow from a
 //! handful of max-constraints over its predecessors.
 
-use mim_bpred::BranchPredictor;
+use mim_bpred::{BranchPredictor, BranchStats};
 use mim_cache::{BlockFetches, Hierarchy, MemAccessKind, MemLevel, MissCounts};
 use mim_core::{CpiTimeline, MachineConfig, StackComponent};
 use mim_isa::{Block, BlockHooks, InstClass, Program, TraceEvent, VmError, NUM_REGS};
@@ -36,6 +36,10 @@ pub struct SampledStats {
 }
 
 /// Outcome of a detailed simulation run.
+///
+/// Its miss and branch counts are the types the profiler reports per
+/// candidate ([`MissCounts`], [`BranchStats`]), so a run at a design point
+/// compares field for field with that point's profiled model inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Workload name.
@@ -48,12 +52,10 @@ pub struct SimResult {
     /// Cache/TLB miss counters observed during the run (sampled runs
     /// count measured events only; warming updates state, not counters).
     pub misses: MissCounts,
-    /// Conditional branches executed (measured events only when sampled).
-    pub branches: u64,
-    /// Mispredicted conditional branches.
-    pub mispredicts: u64,
-    /// Correctly predicted taken branches.
-    pub taken_correct: u64,
+    /// Branch counts of the machine's predictor (sampled runs count
+    /// measured branches only; oracle prediction counts every branch as
+    /// predicted right).
+    pub branch: BranchStats,
     /// Sampling statistics (`None` for full, unsampled runs).
     pub sampling: Option<SampledStats>,
     /// Per-interval CPI-stack timeline (`None` unless requested via
@@ -235,7 +237,7 @@ impl PipelineSim {
     /// over its walked stream, one [`Sampling::phase_run`] per run of
     /// positions: [`SamplePhase::Warm`] instructions update cache-hierarchy
     /// and branch-predictor **state** only ([`Hierarchy::warm`],
-    /// [`BranchPredictor::warm`] — no timing, no counters),
+    /// [`BranchPredictor::update`] — no timing, no counters),
     /// [`SamplePhase::Measure`] instructions run the full detailed timing
     /// model, and skipped instructions are walked but touch nothing.
     /// Pipeline timing state is continuous across sample units (the
@@ -302,7 +304,7 @@ impl PipelineSim {
                                 .warm(MemAccessKind::Store, ev.eff_addr.expect("store address"));
                         }
                         InstClass::CondBranch => {
-                            run.predictor.warm(ev.pc, ev.taken == Some(true));
+                            run.predictor.update(ev.pc, ev.taken == Some(true));
                         }
                         _ => {}
                     }
@@ -347,7 +349,7 @@ impl PipelineSim {
 }
 
 /// One simulation run: the machine's caches, predictor and pipeline
-/// state, the event counters, and the sample-unit and timeline
+/// state, the retired and branch counts, and the sample-unit and timeline
 /// bookkeeping. It is the [`BlockHooks`] set
 /// [`PipelineSim::simulate_source`] drives; the oracle
 /// [`PipelineSim::simulate_events`] feeds the same state whole events.
@@ -357,7 +359,9 @@ struct Run {
     hierarchy: Hierarchy,
     predictor: Box<dyn BranchPredictor>,
     st: PipeState,
-    ctr: Counters,
+    /// Instructions run through the timing kernel.
+    retired: u64,
+    branch: BranchStats,
     tl: Option<TimelineAcc>,
     units: Units,
     sampled: bool,
@@ -435,7 +439,8 @@ impl Run {
             lat,
             hierarchy: Hierarchy::new(sim.machine.hierarchy.clone()),
             predictor: sim.machine.predictor.build(),
-            ctr: Counters::default(),
+            retired: 0,
+            branch: BranchStats::default(),
             tl: sim.timeline.map(TimelineAcc::new),
             units: Units {
                 len: plan.map_or(u64::MAX, |s| s.length()),
@@ -459,7 +464,7 @@ impl Run {
         let (instructions, cycles, sampling) = if !self.sampled {
             // Drain: memory + writeback stages after the last completion
             // event.
-            (self.ctr.retired, mark + 2, None)
+            (self.retired, mark + 2, None)
         } else {
             let units = &mut self.units;
             if units.insts > 0 {
@@ -485,14 +490,14 @@ impl Run {
             };
             let stats = SampledStats {
                 units: n,
-                measured_instructions: self.ctr.retired,
+                measured_instructions: self.retired,
                 measured_cycles: units.measured_cycles,
                 cpi: mean,
                 ci_half_width: half,
                 fraction: if walked == 0 {
                     0.0
                 } else {
-                    self.ctr.retired as f64 / walked as f64
+                    self.retired as f64 / walked as f64
                 },
             };
             (walked, (mean * walked as f64).round() as u64, Some(stats))
@@ -504,9 +509,7 @@ impl Run {
             instructions,
             cycles,
             misses,
-            branches: self.ctr.branches,
-            mispredicts: self.ctr.mispredicts,
-            taken_correct: self.ctr.taken_correct,
+            branch: self.branch,
             sampling,
             timeline: self.tl.map(|acc| acc.finish(mark)),
         }
@@ -541,7 +544,7 @@ impl Run {
         let lat = &self.lat;
         let st = &mut self.st;
         let tl = &mut self.tl;
-        self.ctr.retired += 1;
+        self.retired += 1;
         if let Some(acc) = tl.as_mut() {
             acc.measured();
         }
@@ -692,7 +695,6 @@ impl Run {
                 completion = mem_entry + l;
             }
             InstClass::CondBranch => {
-                self.ctr.branches += 1;
                 let taken = self.taken;
                 let pred = if self.ideal.oracle_branches {
                     taken
@@ -700,8 +702,8 @@ impl Run {
                     self.predictor.predict(ev.pc)
                 };
                 self.predictor.update(ev.pc, taken);
+                self.branch.record(pred, taken);
                 if pred != taken {
-                    self.ctr.mispredicts += 1;
                     if let Some(acc) = tl.as_mut() {
                         // First-order flush cost: the front-end refill.
                         acc.charge(StackComponent::BranchMiss, lat.depth);
@@ -710,7 +712,6 @@ impl Run {
                     st.fetch_min = st.fetch_min.max(t + 1);
                     st.fetch_slots = lat.w; // current fetch group ends
                 } else if taken {
-                    self.ctr.taken_correct += 1;
                     // Correct taken prediction: one fetch bubble.
                     if !self.ideal.free_taken_bubbles {
                         if let Some(acc) = tl.as_mut() {
@@ -795,7 +796,7 @@ impl BlockHooks for Run {
     fn cond_branch(&mut self, op: &TraceEvent, taken: bool) {
         match self.phase {
             SamplePhase::Skip => {}
-            SamplePhase::Warm => self.predictor.warm(op.pc, taken),
+            SamplePhase::Warm => self.predictor.update(op.pc, taken),
             SamplePhase::Measure => self.taken = taken,
         }
     }
@@ -896,15 +897,6 @@ impl PipeState {
     fn watermark(&self) -> u64 {
         self.last_completion.max(self.mem_busy_until)
     }
-}
-
-/// Event-count statistics accumulated over the measured stream.
-#[derive(Default)]
-struct Counters {
-    branches: u64,
-    mispredicts: u64,
-    taken_correct: u64,
-    retired: u64,
 }
 
 /// Builds a [`CpiTimeline`] during simulation: per-interval event-charged
@@ -1217,13 +1209,13 @@ mod tests {
         deep.frontend_depth = 6;
         let rs = PipelineSim::new(&shallow).simulate(&p).unwrap();
         let rd = PipelineSim::new(&deep).simulate(&p).unwrap();
-        assert_eq!(rs.mispredicts, rd.mispredicts);
+        assert_eq!(rs.branch.mispredicts, rd.branch.mispredicts);
         assert!(
-            rs.mispredicts > 1000,
+            rs.branch.mispredicts > 1000,
             "need plentiful mispredicts: {}",
-            rs.mispredicts
+            rs.branch.mispredicts
         );
-        let delta = (rd.cycles - rs.cycles) as f64 / rs.mispredicts as f64;
+        let delta = (rd.cycles - rs.cycles) as f64 / rs.branch.mispredicts as f64;
         assert!(
             (delta - 4.0).abs() < 0.8,
             "per-mispredict depth delta: {delta} (expected ~4)"
@@ -1256,8 +1248,7 @@ mod tests {
             let prof = Profiler::new(&m).profile(&p).unwrap();
             assert_eq!(sim.instructions, prof.num_insts, "{}", w.name());
             assert_eq!(sim.misses, prof.misses, "{}", w.name());
-            assert_eq!(sim.mispredicts, prof.branch.mispredicts, "{}", w.name());
-            assert_eq!(sim.taken_correct, prof.branch.taken_correct, "{}", w.name());
+            assert_eq!(sim.branch, prof.branch, "{}", w.name());
         }
     }
 
@@ -1311,15 +1302,15 @@ mod tests {
             // untouched by idealization.
             assert_eq!(r.instructions, full.instructions, "{ideal:?}");
             assert_eq!(r.misses, full.misses, "{ideal:?}");
-            assert_eq!(r.branches, full.branches, "{ideal:?}");
+            assert_eq!(r.branch.branches, full.branch.branches, "{ideal:?}");
         }
         // Oracle prediction eliminates mispredicts entirely.
         let oracle = run(SimIdealization {
             oracle_branches: true,
             ..SimIdealization::none()
         });
-        assert_eq!(oracle.mispredicts, 0);
-        assert!(full.mispredicts > 0);
+        assert_eq!(oracle.branch.mispredicts, 0);
+        assert!(full.branch.mispredicts > 0);
         // A memory-bound kernel loses most of its cycles to the D-cache
         // knob.
         let mcf = mim_workloads::spec::mcf_like().program(mim_workloads::WorkloadSize::Tiny);
@@ -1360,7 +1351,7 @@ mod tests {
         assert_eq!(stats.ci_half_width, 0.0);
         assert_eq!(sampled.instructions, full.instructions);
         assert_eq!(sampled.misses, full.misses);
-        assert_eq!(sampled.mispredicts, full.mispredicts);
+        assert_eq!(sampled.branch.mispredicts, full.branch.mispredicts);
         // Full reporting adds the +2 drain that the watermark delta omits.
         assert_eq!(sampled.cycles + 2, full.cycles);
     }
@@ -1444,7 +1435,7 @@ mod tests {
         assert_eq!(timed.cycles, plain.cycles);
         assert_eq!(timed.instructions, plain.instructions);
         assert_eq!(timed.misses, plain.misses);
-        assert_eq!(timed.mispredicts, plain.mispredicts);
+        assert_eq!(timed.branch.mispredicts, plain.branch.mispredicts);
         // The timeline accounts for every instruction, and with the +2
         // pipeline-drain constant, every cycle.
         assert_eq!(tl.interval(), 5000);

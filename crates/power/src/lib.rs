@@ -113,7 +113,7 @@ impl Activity {
             mem_accesses: c.l2i_misses + c.l2d_misses,
             mul_ops: inputs.mix.mul,
             div_ops: inputs.mix.div,
-            bpred_lookups: sim.branches,
+            bpred_lookups: sim.branch.branches,
         }
     }
 }
@@ -149,6 +149,11 @@ impl EnergyReport {
 }
 
 /// McPAT-style analytical energy model for one machine configuration.
+///
+/// The branch predictor's access energy and area follow its storage
+/// budget, which its configuration computes from the geometry
+/// ([`MachineConfig::predictor`]'s `storage_bits`); no predictor table is
+/// built.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     machine: MachineConfig,
@@ -215,7 +220,7 @@ impl EnergyModel {
             + m.hierarchy.l2.size_bytes()) as f64
             / 1024.0
             * tech::CACHE_AREA_PER_KB;
-        let bpred_bits = m.predictor.build().storage_bits() as f64;
+        let bpred_bits = m.predictor.storage_bits() as f64;
         let bpred = bpred_bits / (8.0 * 1024.0) * tech::CACHE_AREA_PER_KB;
         core + caches + bpred
     }
@@ -236,7 +241,7 @@ impl EnergyModel {
         let l1i = Self::cache_access_pj(m.hierarchy.l1i.size_bytes(), m.hierarchy.l1i.assoc());
         let l1d = Self::cache_access_pj(m.hierarchy.l1d.size_bytes(), m.hierarchy.l1d.assoc());
         let l2 = Self::cache_access_pj(m.hierarchy.l2.size_bytes(), m.hierarchy.l2.assoc());
-        let bpred_bits = m.predictor.build().storage_bits() as f64;
+        let bpred_bits = m.predictor.storage_bits() as f64;
         let bpred = tech::BPRED_COEF * bpred_bits.sqrt();
 
         let dynamic_pj = activity.instructions as f64 * per_inst

@@ -8,7 +8,8 @@
 //! * **mixed program–machine statistics** — cache/TLB miss counts for
 //!   *every* cache configuration of interest (via single-pass multi-
 //!   configuration cache simulation) and misprediction counts for *every*
-//!   branch predictor of interest (via multi-predictor profiling).
+//!   branch predictor of interest (each one predicting the same branch
+//!   stream).
 //!
 //! [`SweepProfiler`] implements exactly that: one functional-simulation
 //! pass produces a [`WorkloadProfile`] from which
@@ -43,4 +44,4 @@ mod sweep;
 
 pub use deps::DepTracker;
 pub use mlp::{estimate_mlp, estimate_mlp_source, MlpEstimate};
-pub use sweep::{Profiler, SweepProfiler, WorkloadProfile};
+pub use sweep::{PredictorStats, Profiler, SweepProfiler, WorkloadProfile};

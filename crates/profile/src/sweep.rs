@@ -1,8 +1,8 @@
 //! The one-pass profiler and its design-space sweep variant.
 
-use mim_bpred::{MultiPredictor, PredictorConfig, PredictorStats};
+use mim_bpred::{BranchPredictor, BranchStats, PredictorConfig};
 use mim_cache::{BlockFetches, CacheConfig, Hierarchy, HierarchyConfig, MemAccessKind, MissCounts};
-use mim_core::{BranchStats, InstMix, MachineConfig, ModelInputs};
+use mim_core::{InstMix, MachineConfig, ModelInputs};
 use mim_isa::{Block, BlockEngine, BlockHooks, InstClass, Program, TraceEvent, VmError};
 use mim_trace::{TraceError, TraceSource};
 use serde::{Deserialize, Serialize};
@@ -32,8 +32,34 @@ pub struct WorkloadProfile {
     pub deps_load: mim_core::DepHistogram,
     /// Miss counts per L2 candidate (indexed like the sweep's L2 list).
     pub misses: Vec<MissCounts>,
-    /// Prediction statistics per predictor candidate.
+    /// Prediction statistics per predictor candidate (indexed like the
+    /// sweep's predictor list).
     pub branch: Vec<PredictorStats>,
+}
+
+/// One predictor candidate's record in a [`WorkloadProfile`]: its
+/// [`PredictorConfig::name`] and its [`BranchStats`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PredictorStats {
+    /// Predictor name.
+    pub name: String,
+    /// Conditional branches observed.
+    pub branches: u64,
+    /// Mispredicted conditional branches.
+    pub mispredicts: u64,
+    /// Correctly predicted branches whose prediction was taken.
+    pub taken_correct: u64,
+}
+
+impl PredictorStats {
+    /// The candidate's counts, as the model reads them.
+    pub fn counts(&self) -> BranchStats {
+        BranchStats {
+            branches: self.branches,
+            mispredicts: self.mispredicts,
+            taken_correct: self.taken_correct,
+        }
+    }
 }
 
 impl WorkloadProfile {
@@ -44,7 +70,6 @@ impl WorkloadProfile {
     ///
     /// Panics if either index is out of range for the profiled sweep.
     pub fn inputs_for(&self, l2_index: usize, predictor_index: usize) -> ModelInputs {
-        let b = &self.branch[predictor_index];
         ModelInputs {
             name: self.name.clone(),
             num_insts: self.num_insts,
@@ -53,11 +78,7 @@ impl WorkloadProfile {
             deps_ll: self.deps_ll.clone(),
             deps_load: self.deps_load.clone(),
             misses: self.misses[l2_index],
-            branch: BranchStats {
-                branches: b.branches,
-                mispredicts: b.mispredicts,
-                taken_correct: b.taken_correct,
-            },
+            branch: self.branch[predictor_index].counts(),
         }
     }
 }
@@ -91,7 +112,7 @@ impl std::fmt::Display for WorkloadProfile {
 
 /// Profiles a workload once for an entire design space: all L2 cache
 /// candidates via one many-candidate [`Hierarchy`] and all
-/// branch predictors via multi-predictor profiling (paper §2.1).
+/// branch predictors over the one branch stream (paper §2.1).
 ///
 /// # Example
 ///
@@ -175,7 +196,7 @@ impl SweepProfiler {
         let mut collector = self.collector();
         let mut engine = BlockEngine::new(program);
         engine.run_hooks(limit, &mut collector)?;
-        Ok(collector.into_profile(program.name().to_string()))
+        Ok(collector.into_profile(program.name().to_string(), &self.predictors))
     }
 
     /// Profiles the dynamic instruction stream produced by any
@@ -196,14 +217,18 @@ impl SweepProfiler {
         let name = source.name().to_string();
         let mut collector = self.collector();
         source.drive_hooks(&mut collector)?;
-        Ok(collector.into_profile(name))
+        Ok(collector.into_profile(name, &self.predictors))
     }
 
     /// A fresh statistics collector for this sweep's candidate lists.
     fn collector(&self) -> Collector {
         Collector {
             caches: Hierarchy::sweep(&self.base, self.l2s.clone()),
-            preds: MultiPredictor::new(&self.predictors),
+            preds: self
+                .predictors
+                .iter()
+                .map(|p| (p.build(), BranchStats::default()))
+                .collect(),
             deps: DepTracker::new(),
             mix: InstMix::default(),
             summaries: Vec::new(),
@@ -213,8 +238,8 @@ impl SweepProfiler {
 }
 
 /// The profiling pass's mutable state: instruction mix, dependency
-/// tracker, the many-candidate cache hierarchy, and multi-predictor —
-/// everything one retired instruction touches.
+/// tracker, the many-candidate cache hierarchy, and each predictor
+/// candidate with its counts — everything one retired instruction touches.
 ///
 /// The collector is a [`BlockHooks`] set. An instruction that arrives
 /// outside a block has its mix, dependencies and fetch charged as it
@@ -230,7 +255,8 @@ impl SweepProfiler {
 ///   one [`FetchRun`] (one per L1I line and ITLB page the block crosses)
 ///   to the fetch memo, the ITLB, the L1I and, on a miss, the L2s;
 /// - per instruction: a countdown to the next fetch run, then the data
-///   accesses and the branch outcomes.
+///   accesses and the branch outcomes, each recorded against every
+///   predictor candidate before that candidate trains on it.
 ///
 /// The orders give the same profile because neither the mix nor the
 /// dependency tracker reads the caches or the predictors, and the caches
@@ -242,7 +268,8 @@ impl SweepProfiler {
 /// their instructions take the per-instruction path.
 struct Collector {
     caches: Hierarchy,
-    preds: MultiPredictor,
+    /// Each predictor candidate and its counts, in the sweep's order.
+    preds: Vec<(Box<dyn BranchPredictor>, BranchStats)>,
     deps: DepTracker,
     /// The mix of the per-instruction paths; the blocks' mix is added in
     /// [`into_profile`](Collector::into_profile).
@@ -295,7 +322,7 @@ fn count(mix: &mut InstMix, class: InstClass) {
 }
 
 impl Collector {
-    fn into_profile(mut self, name: String) -> WorkloadProfile {
+    fn into_profile(mut self, name: String, predictors: &[PredictorConfig]) -> WorkloadProfile {
         for s in self.summaries.iter().flatten() {
             let (n, m) = (s.executions, &s.mix);
             self.mix.alu += n * m.alu;
@@ -319,7 +346,16 @@ impl Collector {
             deps_ll,
             deps_load,
             misses,
-            branch: self.preds.into_stats(),
+            branch: predictors
+                .iter()
+                .zip(&self.preds)
+                .map(|(config, (_, b))| PredictorStats {
+                    name: config.name(),
+                    branches: b.branches,
+                    mispredicts: b.mispredicts,
+                    taken_correct: b.taken_correct,
+                })
+                .collect(),
         }
     }
 }
@@ -368,7 +404,10 @@ impl BlockHooks for Collector {
     fn cond_branch(&mut self, op: &TraceEvent, taken: bool) {
         // Conditional branches only — jumps are always-taken and handled
         // analytically by the model.
-        self.preds.observe(op.pc, taken);
+        for (predictor, stats) in &mut self.preds {
+            stats.record(predictor.predict(op.pc), taken);
+            predictor.update(op.pc, taken);
+        }
     }
 }
 

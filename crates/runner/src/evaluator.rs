@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mim_bpred::PredictorConfig;
+use mim_bpred::{BranchStats, PredictorConfig};
 use mim_cache::{CacheConfig, HierarchyConfig, MissCounts};
 use mim_core::{
     CpiStack, CpiTimeline, DesignPoint, DesignSpace, MachineConfig, MechanisticModel, ModelInputs,
@@ -28,7 +28,7 @@ use mim_workloads::WorkloadSize;
 
 use mim_trace::{Sampling, TraceError};
 
-use crate::result::{BranchSummary, EvalError, EvalKind, EvalResult, SamplingSummary};
+use crate::result::{EvalError, EvalKind, EvalResult, SamplingSummary};
 use crate::spec::WorkloadSpec;
 use crate::store::WorkloadStore;
 
@@ -180,7 +180,7 @@ pub struct Measurement {
     cpi: f64,
     stack: Option<CpiStack>,
     misses: MissCounts,
-    branch: BranchSummary,
+    branch: BranchStats,
     /// The activity the energy model charges, when energy is on.
     activity: Option<Activity>,
     sampling: Option<SamplingSummary>,
@@ -195,11 +195,7 @@ impl Measurement {
             cycles: stack.total_cycles(),
             cpi: stack.cpi(),
             misses: inputs.misses,
-            branch: BranchSummary {
-                branches: inputs.branch.branches,
-                mispredicts: inputs.branch.mispredicts,
-                taken_correct: inputs.branch.taken_correct,
-            },
+            branch: inputs.branch,
             activity: energy.then(|| Activity::from_model(inputs, stack.total_cycles())),
             stack: Some(stack),
             sampling: None,
@@ -500,11 +496,7 @@ impl Method for Sim {
             cpi: sim.sampling.as_ref().map_or(sim.cpi(), |stats| stats.cpi),
             stack: None,
             misses: sim.misses,
-            branch: BranchSummary {
-                branches: sim.branches,
-                mispredicts: sim.mispredicts,
-                taken_correct: sim.taken_correct,
-            },
+            branch: sim.branch,
             activity: inputs.map(|inputs| Activity::from_sim(&sim, &inputs)),
             sampling: sim.sampling.as_ref().map(|stats| SamplingSummary {
                 units: stats.units,

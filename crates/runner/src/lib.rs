@@ -84,7 +84,7 @@ pub use experiment::{
     parallel_map, print_comparison, resolve_threads, CpiComparison, Experiment, ExperimentReport,
     ExperimentTiming,
 };
-pub use result::{BranchSummary, EvalError, EvalKind, EvalResult, SamplingSummary};
+pub use result::{EvalError, EvalKind, EvalResult, SamplingSummary};
 pub use spec::WorkloadSpec;
 pub use store::{StoreStats, WorkloadStore};
 

@@ -4,6 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
+use mim_bpred::BranchStats;
 use mim_cache::MissCounts;
 use mim_core::{CpiStack, CpiTimeline};
 use mim_isa::VmError;
@@ -43,17 +44,6 @@ impl fmt::Display for EvalKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Branch outcome counters, uniform across evaluators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BranchSummary {
-    /// Conditional branches executed.
-    pub branches: u64,
-    /// Mispredicted conditional branches.
-    pub mispredicts: u64,
-    /// Correctly predicted branches whose prediction was taken.
-    pub taken_correct: u64,
 }
 
 /// Sampling statistics attached to results from the sampled simulator.
@@ -110,7 +100,7 @@ pub struct EvalResult {
     /// Cache/TLB miss counters, when the evaluator observes them.
     pub misses: Option<MissCounts>,
     /// Branch counters, when the evaluator observes them.
-    pub branch: Option<BranchSummary>,
+    pub branch: Option<BranchStats>,
     /// Energy/EDP evaluation, when the experiment enables it.
     pub energy: Option<EnergyReport>,
     /// Sampling statistics (sampled simulator only).

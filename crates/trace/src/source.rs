@@ -197,8 +197,8 @@ impl TraceSource for LiveVm<'_> {
 /// measuring program cold-start.
 ///
 /// Intended for `Large` runs where even replay is worth truncating:
-/// consumers observe `length/period` of the stream and scale additive
-/// statistics by [`scale`](Sampling::scale). The replay still *walks* the
+/// consumers observe [`fraction`](Sampling::fraction) (`length/period`)
+/// of the stream. The replay still *walks* the
 /// skipped events (the control-flow chain must advance), but skipping the
 /// observer — the expensive part, cache/predictor simulation — is where
 /// the time goes.
@@ -285,12 +285,6 @@ impl Sampling {
         self.offset
     }
 
-    /// True if the event at stream position `pos` is inside a sample
-    /// window.
-    pub fn contains(&self, pos: u64) -> bool {
-        self.phase(pos) == SamplePhase::Measure
-    }
-
     /// The [`SamplePhase`] of the event at stream position `pos`:
     /// `Measure` inside a window, `Warm` within `warmup` events before a
     /// window start, `Skip` otherwise.
@@ -340,12 +334,6 @@ impl Sampling {
     /// Fraction of the stream observed (`length / period`).
     pub fn fraction(&self) -> f64 {
         self.length as f64 / self.period as f64
-    }
-
-    /// Factor by which additive statistics gathered under this plan should
-    /// be scaled to estimate full-stream values (`period / length`).
-    pub fn scale(&self) -> f64 {
-        self.period as f64 / self.length as f64
     }
 }
 

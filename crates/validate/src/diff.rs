@@ -432,9 +432,7 @@ impl DifferentialRun {
                     inputs
                 }),
                 ErrorTerm::Branch => evaluator.with_inputs_map(move |mut inputs| {
-                    inputs.branch.branches = sim_branch.branches;
-                    inputs.branch.mispredicts = sim_branch.mispredicts;
-                    inputs.branch.taken_correct = sim_branch.taken_correct;
+                    inputs.branch = sim_branch;
                     inputs
                 }),
                 // Base/long-lat/deps carry no externally measured counts.

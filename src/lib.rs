@@ -6,7 +6,7 @@
 //!
 //! * [`isa`] — virtual RISC-style ISA, program builder, functional VM
 //! * [`cache`] — set-associative caches, TLBs, single-pass multi-config sweeps
-//! * [`bpred`] — branch predictors and multi-predictor profiling
+//! * [`bpred`] — branch predictors, their configurations and branch counts
 //! * [`core`] — **the paper's mechanistic model**: Eq. 1–16, CPI stacks,
 //!   machine configurations, design spaces, and the out-of-order interval
 //!   model used as a comparator (paper §6.1)

@@ -1,7 +1,7 @@
 //! Cross-crate design-space behaviour: single-pass sweep consistency,
 //! model accuracy across machine shapes, and EDP sanity.
 
-use mim::core::{DesignSpace, MachineConfig, MechanisticModel};
+use mim::core::{DesignPoint, DesignSpace, MachineConfig, MechanisticModel};
 use mim::power::{Activity, EnergyModel};
 use mim::prelude::*;
 use mim::profile::SweepProfiler;
@@ -23,33 +23,49 @@ fn sweep_profile_matches_per_point_profilers() {
     }
 }
 
-/// The profiler's one pass over all eight Table 2 L2s charges each
-/// candidate exactly the miss counts the detailed simulator sees at a
-/// design point with that L2, for every bundled workload.
+/// The profiler's one pass over all eight Table 2 L2s and both
+/// predictors charges each candidate exactly the miss and branch counts
+/// the detailed simulator sees at a design point with that candidate, for
+/// every bundled workload.
 #[test]
-fn sim_and_profiler_agree_on_every_l2_candidate() {
+fn sim_and_profiler_agree_on_every_candidate() {
     let space = DesignSpace::paper_table2();
     let sweep = SweepProfiler::for_design_space(&space);
-    let points: Vec<_> = (0..space.l2_configs().len())
-        .map(|i| {
-            space
-                .points()
-                .find(|p| p.l2_index == i)
-                .expect("every L2 has a point")
-        })
+    let first = |matches: &dyn Fn(&DesignPoint) -> bool| {
+        space
+            .points()
+            .find(|p| matches(p))
+            .expect("every candidate has a point")
+    };
+    let l2_points: Vec<_> = (0..space.l2_configs().len())
+        .map(|i| first(&|p| p.l2_index == i))
         .collect();
-    assert_eq!(points.len(), 8);
+    let predictor_points: Vec<_> = (0..space.predictor_configs().len())
+        .map(|j| first(&|p| p.predictor_index == j))
+        .collect();
+    assert_eq!(l2_points.len(), 8);
+    assert_eq!(predictor_points.len(), 2);
     let workloads = mim::workloads::mibench::all()
         .into_iter()
         .chain(mim::workloads::spec::all());
     for w in workloads {
         let program = w.program(WorkloadSize::Tiny);
         let profile = sweep.profile(&program, None).unwrap();
-        for point in &points {
-            let sim = PipelineSim::new(&point.machine).simulate(&program).unwrap();
+        let simulate =
+            |point: &DesignPoint| PipelineSim::new(&point.machine).simulate(&program).unwrap();
+        for point in &l2_points {
             assert_eq!(
                 profile.misses[point.l2_index],
-                sim.misses,
+                simulate(point).misses,
+                "{} at {}",
+                w.name(),
+                point.machine.id()
+            );
+        }
+        for point in &predictor_points {
+            assert_eq!(
+                profile.branch[point.predictor_index].counts(),
+                simulate(point).branch,
                 "{} at {}",
                 w.name(),
                 point.machine.id()
