@@ -137,20 +137,71 @@ mod tests {
         );
     }
 
-    #[test]
-    fn chooser_moves_toward_correct_component() {
-        let mut p = Hybrid::new(4, 4, 4);
-        // Force repeated disagreement where global is right: an alternating
-        // pattern is learnable by gshare history but not by a fresh local
-        // history that aliases... simply verify chooser state changes.
-        let before: Vec<bool> = (0..4).map(|pc| p.selects_global(pc)).collect();
-        let mut taken = true;
-        for _ in 0..256 {
-            p.update(1, taken);
-            taken = !taken;
+    /// Feeds `stream` (pc, outcome) pairs and returns, for the branches
+    /// at `target` where the two components disagreed, whether the
+    /// chooser selected the global component: the first such branch and
+    /// every one in the last quarter of the stream.
+    fn chooser_at_disagreements(
+        p: &mut Hybrid,
+        stream: &[(u32, bool)],
+        target: u32,
+    ) -> (bool, Vec<bool>) {
+        let mut first = None;
+        let mut late = Vec::new();
+        for (i, &(pc, taken)) in stream.iter().enumerate() {
+            if pc == target && p.local.predict(pc) != p.global.predict(pc) {
+                let global = p.selects_global(pc);
+                first.get_or_insert(global);
+                if i >= stream.len() * 3 / 4 {
+                    late.push(global);
+                }
+            }
+            p.update(pc, taken);
         }
-        let after: Vec<bool> = (0..4).map(|pc| p.selects_global(pc)).collect();
-        // Not asserting a direction — only that the chooser is live state.
-        assert!(before.len() == after.len());
+        (first.expect("the components disagreed"), late)
+    }
+
+    #[test]
+    fn chooser_turns_to_the_local_component_when_only_it_predicts() {
+        // One branch with period 4 (T T T N): with two bits of global
+        // history the gshare entry after T T sees T and N in turn and is
+        // always wrong there, while eight bits of local history resolve it.
+        let mut p = Hybrid::new(4, 8, 2);
+        let pattern = [true, true, true, false];
+        let stream: Vec<(u32, bool)> = (0..1024).map(|i| (5, pattern[i % 4])).collect();
+        let (first, late) = chooser_at_disagreements(&mut p, &stream, 5);
+        assert!(first, "a fresh chooser starts on the global component");
+        assert!(!late.is_empty());
+        assert!(
+            late.iter().all(|&global| !global),
+            "chooser still selects global at {} of {} late disagreements",
+            late.iter().filter(|&&g| g).count(),
+            late.len()
+        );
+    }
+
+    #[test]
+    fn chooser_turns_to_the_global_component_when_only_it_predicts() {
+        // Branch 2 repeats branch 1's pseudo-random outcome: the global
+        // history holds that outcome, branch 2's own local history does
+        // not. Start from a chooser that selects local everywhere.
+        let mut p = Hybrid::new(4, 4, 8);
+        p.chooser.fill(SatCounter::weakly_not_taken());
+        let mut x: u64 = 0xace1;
+        let mut stream = Vec::new();
+        for _ in 0..4096 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
+            let outcome = (x >> 40) & 1 == 1;
+            stream.push((1, outcome));
+            stream.push((2, outcome));
+        }
+        let (first, late) = chooser_at_disagreements(&mut p, &stream, 2);
+        assert!(!first, "the chooser starts on the local component");
+        let global = late.iter().filter(|&&g| g).count();
+        assert!(
+            global * 10 >= late.len() * 9,
+            "chooser selects global at only {global} of {} late disagreements",
+            late.len()
+        );
     }
 }

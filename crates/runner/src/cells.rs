@@ -343,4 +343,28 @@ mod tests {
             assert_ne!(k1, other);
         }
     }
+
+    #[test]
+    fn keys_are_pinned_so_cached_cells_stay_addressable() {
+        // Keys that earlier builds computed: a change here orphans every
+        // cell a client or a long-lived server already keyed.
+        let base = MachineConfig::default_config();
+        let tiny = WorkloadSize::Tiny;
+        assert_eq!(
+            CellMemo::key("sha", tiny, None, &base, "model", false, None),
+            0xd03e_b205_94ca_a102
+        );
+        assert_eq!(
+            CellMemo::key(
+                "qsort",
+                WorkloadSize::Small,
+                Some(20_000),
+                &base,
+                "sim",
+                true,
+                Some(1_000)
+            ),
+            0xcf35_e061_2015_61f3
+        );
+    }
 }

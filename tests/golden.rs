@@ -1,6 +1,8 @@
 //! Golden snapshot tests: the `--quick` JSON outputs of the
-//! `fig3_validation`, `fig9_edp`, and `table2` binaries are checked in
-//! under `tests/golden/` and must regenerate **byte-identically**.
+//! `fig3_validation`, `fig9_edp`, and `table2` binaries, and a small
+//! model-and-energy `ExperimentReport` in compact and pretty form, are
+//! checked in under `tests/golden/` and must regenerate
+//! **byte-identically**.
 //!
 //! Tolerance-band assertions catch gross regressions; these snapshots
 //! catch *silent numeric drift* — a profiler counting one extra event, a
@@ -9,6 +11,9 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden` and review the JSON diff
 //! like any other code change.
 
+use mim::core::DesignSpace;
+use mim::runner::{EvalKind, Experiment};
+use mim::workloads::{mibench, WorkloadSize};
 use mim_bench::figures;
 
 fn check(name: &str, golden: &str, actual: &str) {
@@ -56,5 +61,32 @@ fn table2_design_points_json_is_byte_stable() {
         "table2_design_points",
         include_str!("golden/table2_design_points.json"),
         &actual,
+    );
+}
+
+#[test]
+fn experiment_report_json_is_byte_stable() {
+    // The dse_sweep shape in miniature: model and energy over a few
+    // Table-2 points for two kernels.
+    let report = Experiment::new()
+        .title("golden")
+        .workloads([mibench::sha(), mibench::crc32()])
+        .size(WorkloadSize::Tiny)
+        .design_space(DesignSpace::paper_table2())
+        .stride(47)
+        .evaluators([EvalKind::Model])
+        .energy(true)
+        .run()
+        .expect("experiment");
+    assert_eq!(report.rows.len(), 10);
+    check(
+        "experiment_report",
+        include_str!("golden/experiment_report.json"),
+        &report.to_json(),
+    );
+    check(
+        "experiment_report_compact",
+        include_str!("golden/experiment_report_compact.json"),
+        &serde_json::to_string(&report).expect("serialize"),
     );
 }
