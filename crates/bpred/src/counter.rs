@@ -25,13 +25,11 @@ impl SatCounter {
     /// Trains the counter toward the actual outcome, saturating at 0 and 3.
     #[inline]
     pub(crate) fn train(&mut self, taken: bool) {
-        if taken {
-            if self.0 < 3 {
-                self.0 += 1;
-            }
-        } else if self.0 > 0 {
-            self.0 -= 1;
-        }
+        // A select between the two saturated steps, not a branch on the
+        // (unpredictable) outcome.
+        let up = (self.0 + 1).min(3);
+        let down = self.0.saturating_sub(1);
+        self.0 = if taken { up } else { down };
     }
 }
 

@@ -64,11 +64,17 @@ impl BranchPredictor for Hybrid {
     fn update(&mut self, pc: u32, taken: bool) {
         let local_pred = self.local.predict(pc);
         let global_pred = self.global.predict(pc);
-        // Train the chooser only when the components disagree.
-        if local_pred != global_pred {
-            let i = self.chooser_index(pc);
-            self.chooser[i].train(global_pred == taken);
-        }
+        // Train the chooser only when the components disagree: a select
+        // between the trained and the current counter, not a branch.
+        let i = self.chooser_index(pc);
+        let current = self.chooser[i];
+        let mut trained = current;
+        trained.train(global_pred == taken);
+        self.chooser[i] = if local_pred != global_pred {
+            trained
+        } else {
+            current
+        };
         self.local.update(pc, taken);
         self.global.update(pc, taken);
     }

@@ -154,11 +154,8 @@ impl BranchStats {
     #[inline(always)]
     pub fn record(&mut self, predicted: bool, taken: bool) {
         self.branches += 1;
-        if predicted != taken {
-            self.mispredicts += 1;
-        } else if taken {
-            self.taken_correct += 1;
-        }
+        self.mispredicts += u64::from(predicted != taken);
+        self.taken_correct += u64::from(predicted & taken);
     }
 }
 

@@ -1,11 +1,18 @@
 //! Offline stand-in for `serde`, providing the subset this workspace uses.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors a minimal, API-compatible serialization framework: a
-//! self-describing [`Value`] tree, [`Serialize`]/[`Deserialize`] traits
-//! converting to and from it, and derive macros (see `serde_derive`)
-//! handling named-field structs and enums. Field order is preserved, so
-//! serialization is fully deterministic.
+//! vendors a minimal, API-compatible serialization framework, with
+//! derive macros (see `serde_derive`) for named-field structs and enums.
+//!
+//! Serialization streams: [`Serialize::serialize`] walks a value and
+//! calls a [`Serializer`] sink once per scalar and once at each start and
+//! end of a sequence or map, in field declaration order, so the bytes are
+//! fully deterministic. `serde_json`'s writer is such a sink and encodes
+//! in place without building anything in between; so is any
+//! `fmt::Write` it wraps, a hasher included. [`Serialize::to_value`]
+//! runs the same walk into a sink that builds a self-describing [`Value`]
+//! tree, which is also what parsing produces and what [`Deserialize`]
+//! reads from.
 //!
 //! Supported derive attributes: `#[serde(skip)]` on a named struct field
 //! (omitted when serializing, `Default::default()` when deserializing).
@@ -107,10 +114,111 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Serialization into the [`Value`] tree.
+/// A sink that serialized values stream into.
+///
+/// A value is one scalar call, or a `begin_seq` … `end_seq` /
+/// `begin_map` … `end_map` pair around its elements; inside a map each
+/// element is a [`key`](Serializer::key) followed by one value.
+pub trait Serializer {
+    /// A `null` (also `None` and non-finite floats in JSON).
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A signed integer.
+    fn i64(&mut self, v: i64);
+    /// An unsigned integer.
+    fn u64(&mut self, v: u64);
+    /// A floating-point number.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence.
+    fn begin_seq(&mut self);
+    /// Closes the innermost sequence.
+    fn end_seq(&mut self);
+    /// Opens a map.
+    fn begin_map(&mut self);
+    /// The key of the map entry whose value comes next.
+    fn key(&mut self, k: &str);
+    /// Closes the innermost map.
+    fn end_map(&mut self);
+}
+
+/// Serialization: a walk of the value into a [`Serializer`].
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Streams `self` into `s`.
+    fn serialize<S: Serializer>(&self, s: &mut S);
+
+    /// Builds the [`Value`] tree of `self`.
+    fn to_value(&self) -> Value {
+        let mut builder = ValueBuilder::default();
+        self.serialize(&mut builder);
+        builder.done.expect("a serialized value is complete")
+    }
+}
+
+/// The [`Serializer`] behind [`Serialize::to_value`].
+#[derive(Default)]
+struct ValueBuilder {
+    /// The unfinished arrays and objects, innermost last, each with the
+    /// key its next value goes under.
+    open: Vec<(Value, Option<String>)>,
+    done: Option<Value>,
+}
+
+impl ValueBuilder {
+    fn push(&mut self, value: Value) {
+        match self.open.last_mut() {
+            Some((Value::Array(items), _)) => items.push(value),
+            Some((Value::Object(fields), key)) => {
+                fields.push((key.take().expect("a map value follows its key"), value));
+            }
+            _ => self.done = Some(value),
+        }
+    }
+
+    fn close(&mut self) {
+        let (value, _) = self.open.pop().expect("every end has its begin");
+        self.push(value);
+    }
+}
+
+impl Serializer for ValueBuilder {
+    fn null(&mut self) {
+        self.push(Value::Null);
+    }
+    fn bool(&mut self, v: bool) {
+        self.push(Value::Bool(v));
+    }
+    fn i64(&mut self, v: i64) {
+        self.push(Value::Int(v));
+    }
+    fn u64(&mut self, v: u64) {
+        self.push(Value::UInt(v));
+    }
+    fn f64(&mut self, v: f64) {
+        self.push(Value::Float(v));
+    }
+    fn str(&mut self, v: &str) {
+        self.push(Value::Str(v.to_string()));
+    }
+    fn begin_seq(&mut self) {
+        self.open.push((Value::Array(Vec::new()), None));
+    }
+    fn end_seq(&mut self) {
+        self.close();
+    }
+    fn begin_map(&mut self) {
+        self.open.push((Value::Object(Vec::new()), None));
+    }
+    fn key(&mut self, k: &str) {
+        if let Some((_, key)) = self.open.last_mut() {
+            *key = Some(k.to_string());
+        }
+    }
+    fn end_map(&mut self) {
+        self.close();
+    }
 }
 
 /// Deserialization out of the [`Value`] tree.
@@ -142,8 +250,8 @@ pub fn de_field<T: Deserialize>(fields: &[(String, Value)], key: &str) -> Result
 macro_rules! impl_ser_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.u64(*self as u64);
             }
         }
     )*};
@@ -153,8 +261,8 @@ impl_ser_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.i64(*self as i64);
             }
         }
     )*};
@@ -162,83 +270,90 @@ macro_rules! impl_ser_int {
 impl_ser_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.f64(*self);
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.f64(f64::from(*self));
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.bool(*self);
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self);
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (*self).to_value()
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(s),
+            None => s.null(),
         }
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+impl<T: Serialize> Serialize for [T] {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_seq();
+        for item in self {
+            item.serialize(s);
+        }
+        s.end_seq();
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_map();
+        for (k, v) in self {
+            s.key(k);
+            v.serialize(s);
+        }
+        s.end_map();
     }
 }
 
 macro_rules! impl_ser_tuple {
     ($(($($n:tt $t:ident),+)),+) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.begin_seq();
+                $(self.$n.serialize(s);)+
+                s.end_seq();
             }
         }
     )+};
@@ -252,6 +367,26 @@ impl_ser_tuple!(
 );
 
 impl Serialize for Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        match self {
+            Value::Null => s.null(),
+            Value::Bool(b) => s.bool(*b),
+            Value::Int(i) => s.i64(*i),
+            Value::UInt(u) => s.u64(*u),
+            Value::Float(f) => s.f64(*f),
+            Value::Str(v) => s.str(v),
+            Value::Array(items) => items.serialize(s),
+            Value::Object(fields) => {
+                s.begin_map();
+                for (k, v) in fields {
+                    s.key(k);
+                    v.serialize(s);
+                }
+                s.end_map();
+            }
+        }
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }
@@ -396,6 +531,30 @@ mod tests {
         let o: Option<u8> = None;
         assert_eq!(o.to_value(), Value::Null);
         assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
+    }
+
+    #[test]
+    fn to_value_builds_nested_trees_in_order() {
+        let mut map = BTreeMap::new();
+        map.insert("b".to_string(), vec![Some(1u8), None]);
+        map.insert("a".to_string(), Vec::new());
+        let tree = Value::Object(vec![
+            ("a".to_string(), Value::Array(Vec::new())),
+            (
+                "b".to_string(),
+                Value::Array(vec![Value::UInt(1), Value::Null]),
+            ),
+        ]);
+        assert_eq!(map.to_value(), tree);
+        let nested = (tree.clone(), [-1i32], "x");
+        assert_eq!(
+            nested.to_value(),
+            Value::Array(vec![
+                tree,
+                Value::Array(vec![Value::Int(-1)]),
+                Value::Str("x".to_string()),
+            ])
+        );
     }
 
     #[test]

@@ -205,50 +205,51 @@ fn tuple_binders(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("__f{i}")).collect()
 }
 
-/// `#[derive(Serialize)]` — implements `serde::Serialize` by building a
-/// `serde::Value` tree.
+/// Statements streaming each non-skipped field, bound to `access(name)`,
+/// as one map entry.
+fn ser_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| {
+            format!(
+                "__s.key(\"{n}\");\nserde::Serialize::serialize({v}, __s);\n",
+                n = f.name,
+                v = access(&f.name)
+            )
+        })
+        .collect()
+}
+
+/// `#[derive(Serialize)]` — implements `serde::Serialize` by streaming
+/// the fields, in declaration order, into the `serde::Serializer` sink.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let out = match parse_item(input) {
+    let (name, body) = match parse_item(input) {
         Item::Struct(name, fields) => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
-                    "__fields.push((\"{n}\".to_string(), serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
-            format!(
-                "#[allow(unused_mut, unused_variables)]\n\
-                 impl serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> serde::Value {{\n\
-                         let mut __fields: Vec<(String, serde::Value)> = Vec::new();\n\
-                         {pushes}\
-                         serde::Value::Object(__fields)\n\
-                     }}\n\
-                 }}"
-            )
+            let entries = ser_fields(&fields, |n| format!("&self.{n}"));
+            (name, format!("__s.begin_map();\n{entries}__s.end_map();"))
         }
         Item::Enum(name, variants) => {
             let mut arms = String::new();
             for v in &variants {
                 match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{v} => serde::Value::Str(\"{v}\".to_string()),\n",
-                        v = v.name
-                    )),
+                    VariantKind::Unit => {
+                        arms.push_str(&format!("{name}::{v} => __s.str(\"{v}\"),\n", v = v.name))
+                    }
                     VariantKind::Tuple(n) => {
                         let binders = tuple_binders(*n);
-                        let pat = binders.join(", ");
-                        let items = binders
+                        let items: String = binders
                             .iter()
-                            .map(|b| format!("serde::Serialize::to_value({b})"))
-                            .collect::<Vec<_>>()
-                            .join(", ");
+                            .map(|b| format!("serde::Serialize::serialize({b}, __s);\n"))
+                            .collect();
                         arms.push_str(&format!(
-                            "{name}::{v}({pat}) => serde::Value::Object(vec![(\
-                                 \"{v}\".to_string(), serde::Value::Array(vec![{items}]))]),\n",
-                            v = v.name
+                            "{name}::{v}({pat}) => {{\n\
+                                 __s.begin_map();\n__s.key(\"{v}\");\n__s.begin_seq();\n\
+                                 {items}__s.end_seq();\n__s.end_map();\n\
+                             }}\n",
+                            v = v.name,
+                            pat = binders.join(", ")
                         ));
                     }
                     VariantKind::Struct(fields) => {
@@ -257,37 +258,30 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                             .map(|f| f.name.clone())
                             .collect::<Vec<_>>()
                             .join(", ");
-                        let items = fields
-                            .iter()
-                            .filter(|f| !f.skip)
-                            .map(|f| {
-                                format!(
-                                    "(\"{n}\".to_string(), serde::Serialize::to_value({n}))",
-                                    n = f.name
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
+                        let entries = ser_fields(fields, str::to_string);
                         arms.push_str(&format!(
-                            "{name}::{v} {{ {pat} }} => serde::Value::Object(vec![(\
-                                 \"{v}\".to_string(), serde::Value::Object(vec![{items}]))]),\n",
+                            "{name}::{v} {{ {pat} }} => {{\n\
+                                 __s.begin_map();\n__s.key(\"{v}\");\n__s.begin_map();\n\
+                                 {entries}__s.end_map();\n__s.end_map();\n\
+                             }}\n",
                             v = v.name
                         ));
                     }
                 }
             }
-            format!(
-                "#[allow(unused_mut, unused_variables)]\n\
-                 impl serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> serde::Value {{\n\
-                         match self {{\n{arms}\n}}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("match self {{\n{arms}}}"))
         }
     };
-    out.parse()
-        .expect("serde derive: generated code must parse")
+    format!(
+        "#[allow(unused_variables)]\n\
+         impl serde::Serialize for {name} {{\n\
+             fn serialize<__S: serde::Serializer>(&self, __s: &mut __S) {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde derive: generated code must parse")
 }
 
 /// `#[derive(Deserialize)]` — implements `serde::Deserialize` by reading a

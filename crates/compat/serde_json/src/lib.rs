@@ -1,13 +1,16 @@
-//! Offline stand-in for `serde_json`: serializes the `serde` shim's
-//! [`Value`] tree to JSON text and parses JSON text back.
+//! Offline stand-in for `serde_json`: writes any [`Serialize`] value as
+//! JSON text and parses JSON text back through the `serde` shim's
+//! [`Value`] tree.
 //!
-//! Output is deterministic: object fields keep declaration order, floats
-//! use Rust's shortest round-trip formatting, and pretty output indents
-//! with two spaces.
+//! The writer is a [`Serializer`] sink over any [`fmt::Write`]: values
+//! stream into it and it writes in place, with no tree in between and no
+//! allocation per scalar. Output is deterministic: object fields keep
+//! declaration order, floats use Rust's shortest round-trip formatting,
+//! and pretty output indents with two spaces.
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 /// Error produced by JSON serialization or parsing.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,95 +47,218 @@ pub type Result<T> = std::result::Result<T, Error>;
 // Writing
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The JSON writer: a [`Serializer`] over a [`fmt::Write`].
+///
+/// `depth` counts the open arrays and objects; `first` is true until the
+/// innermost one gets its first element, and `after_key` while an
+/// object's key waits for its value. The first write error is kept and
+/// every later write is skipped.
+struct Writer<W> {
+    out: W,
+    pretty: bool,
+    depth: usize,
+    first: bool,
+    after_key: bool,
+    result: fmt::Result,
 }
 
-fn write_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        let s = format!("{f}");
-        out.push_str(&s);
-        // Keep the float/integer distinction through a round trip.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            out.push_str(".0");
-        }
-    } else {
-        // JSON has no NaN/Infinity; emit null like serde_json's lossy modes.
-        out.push_str("null");
-    }
-}
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Array(items) => {
-            write_seq(out, ('[', ']'), items.iter(), indent, |out, item, ind| {
-                write_value(out, item, ind)
-            })
-        }
-        Value::Object(fields) => write_seq(
+impl<W: fmt::Write> Writer<W> {
+    fn new(out: W, pretty: bool) -> Writer<W> {
+        Writer {
             out,
-            ('{', '}'),
-            fields.iter(),
-            indent,
-            |out, (k, v), ind| {
-                escape_into(out, k);
-                out.push(':');
-                if ind.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, ind);
-            },
-        ),
+            pretty,
+            depth: 0,
+            first: true,
+            after_key: false,
+            result: Ok(()),
+        }
+    }
+
+    fn write(&mut self, s: &str) {
+        if self.result.is_ok() {
+            self.result = self.out.write_str(s);
+        }
+    }
+
+    /// A line break and the indentation of the current depth.
+    fn newline(&mut self) {
+        self.write("\n");
+        for _ in 0..self.depth {
+            self.write("  ");
+        }
+    }
+
+    /// Starts an element: the separator and line break before it, unless
+    /// it is an object value (its key wrote them) or the top-level value.
+    fn element(&mut self) {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return;
+        }
+        if !std::mem::take(&mut self.first) {
+            self.write(",");
+        }
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    fn open(&mut self, bracket: &str) {
+        self.element();
+        self.write(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: &str) {
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.first = false;
+        self.write(bracket);
+    }
+
+    fn escaped(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.write("\"");
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so the runs between them end on
+            // char boundaries.
+            self.write(&s[run..i]);
+            run = i + 1;
+            if escape.is_empty() {
+                let hex = [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]];
+                self.write("\\u00");
+                self.write(std::str::from_utf8(&hex).expect("ASCII"));
+            } else {
+                self.write(escape);
+            }
+        }
+        self.write(&s[run..]);
+        self.write("\"");
+    }
+
+    /// `v`'s decimal digits, from a buffer on the stack.
+    fn digits(&mut self, mut v: u64, negative: bool) {
+        let mut buf = [0u8; 21];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if negative {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        self.write(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
     }
 }
 
-fn write_seq<T>(
-    out: &mut String,
-    (open, close): (char, char),
-    items: impl ExactSizeIterator<Item = T>,
-    indent: Option<usize>,
-    mut write_item: impl FnMut(&mut String, T, Option<usize>),
-) {
-    out.push(open);
-    let len = items.len();
-    if len == 0 {
-        out.push(close);
-        return;
+impl<W: fmt::Write> Serializer for Writer<W> {
+    fn null(&mut self) {
+        self.element();
+        self.write("null");
     }
-    let inner = indent.map(|i| i + 1);
-    for (i, item) in items.enumerate() {
-        if let Some(level) = inner {
-            out.push('\n');
-            out.push_str(&"  ".repeat(level));
+
+    fn bool(&mut self, v: bool) {
+        self.element();
+        self.write(if v { "true" } else { "false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.element();
+        self.digits(v.unsigned_abs(), v < 0);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.element();
+        self.digits(v, false);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.element();
+        if !v.is_finite() {
+            // JSON has no NaN/Infinity; emit null like serde_json's lossy modes.
+            self.write("null");
+            return;
         }
-        write_item(out, item, inner);
-        if i + 1 < len {
-            out.push(',');
+        // `Display` is the shortest round-trip form and never uses an
+        // exponent, so it prints a `.` exactly when `v` is not integral;
+        // integral values get a `.0` to keep the float/integer
+        // distinction through a round trip. Below 2^53 every integer is a
+        // double of its own, so there `Display` prints the exact digits
+        // (`-0` for negative zero), which are cheaper to write.
+        let integral = v.fract() == 0.0;
+        if integral && v.abs() < 9_007_199_254_740_992.0 {
+            self.digits(v.abs() as u64, v.is_sign_negative());
+        } else if self.result.is_ok() {
+            self.result = write!(self.out, "{v}");
+        }
+        if integral {
+            self.write(".0");
         }
     }
-    if let Some(level) = indent {
-        out.push('\n');
-        out.push_str(&"  ".repeat(level));
+
+    fn str(&mut self, v: &str) {
+        self.element();
+        self.escaped(v);
     }
-    out.push(close);
+
+    fn begin_seq(&mut self) {
+        self.open("[");
+    }
+
+    fn end_seq(&mut self) {
+        self.close("]");
+    }
+
+    fn begin_map(&mut self) {
+        self.open("{");
+    }
+
+    fn key(&mut self, k: &str) {
+        self.element();
+        self.escaped(k);
+        self.write(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    fn end_map(&mut self) {
+        self.close("}");
+    }
+}
+
+fn write_json<W: fmt::Write, T: Serialize + ?Sized>(out: W, value: &T, pretty: bool) -> Result<()> {
+    let mut writer = Writer::new(out, pretty);
+    value.serialize(&mut writer);
+    writer
+        .result
+        .map_err(|_| Error::new("the JSON output failed to write"))
+}
+
+/// Writes `value` as compact JSON into `out`, any [`fmt::Write`] sink: a
+/// `String`, a formatter, or a hasher fed the exact bytes that
+/// [`to_string`] would return.
+///
+/// # Errors
+///
+/// Returns an [`Error`] if `out` fails to write.
+pub fn to_writer<W: fmt::Write, T: Serialize + ?Sized>(out: W, value: &T) -> Result<()> {
+    write_json(out, value, false)
 }
 
 /// Serializes `value` as compact JSON.
@@ -142,7 +268,7 @@ fn write_seq<T>(
 /// Infallible for the shim's value model; kept fallible for API parity.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None);
+    write_json(&mut out, value, false)?;
     Ok(out)
 }
 
@@ -153,7 +279,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 /// Infallible for the shim's value model; kept fallible for API parity.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(0));
+    write_json(&mut out, value, true)?;
     Ok(out)
 }
 
@@ -443,6 +569,36 @@ mod tests {
         assert_eq!(json, "2.0");
         let round: f64 = from_str(&json).unwrap();
         assert_eq!(round, 2.0);
+    }
+
+    #[test]
+    fn floats_write_as_display_does() {
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            44_881.0,
+            9_007_199_254_740_991.0,
+            -9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1_152_921_504_606_846_976.0,
+            1e21,
+            f64::MAX,
+            0.5,
+            -2.25,
+            1e-7,
+            5e-324,
+        ];
+        for f in edges {
+            let display = format!("{f}");
+            let expected = if display.contains('.') {
+                display
+            } else {
+                format!("{display}.0")
+            };
+            assert_eq!(to_string(&f).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -170,14 +170,22 @@ fn opcode_code(op: Opcode) -> u8 {
 /// arithmetic must never change — keys written by older builds would stop
 /// matching.
 ///
+/// It is also a [`fmt::Write`] sink that hashes the UTF-8 bytes of what is
+/// written, so formatted text and serialized JSON can be hashed without
+/// building a `String`.
+///
 /// # Example
 ///
 /// ```
 /// use mim_isa::Fnv;
+/// use std::fmt::Write;
 ///
 /// let mut h = Fnv::new();
 /// h.bytes(b"a");
 /// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// let mut w = Fnv::new();
+/// write!(w, "{}", 'a').unwrap();
+/// assert_eq!(w.finish(), h.finish());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
@@ -220,6 +228,13 @@ impl Fnv {
     /// The hash of everything fed so far.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }
 

@@ -154,9 +154,9 @@ impl EnergyReport {
 /// budget, which its configuration computes from the geometry
 /// ([`MachineConfig::predictor`]'s `storage_bits`); no predictor table is
 /// built.
-#[derive(Debug, Clone)]
-pub struct EnergyModel {
-    machine: MachineConfig,
+#[derive(Debug, Clone, Copy)]
+pub struct EnergyModel<'a> {
+    machine: &'a MachineConfig,
     /// Supply-voltage scale relative to the 1 GHz nominal point.
     vdd_scale: f64,
 }
@@ -189,21 +189,19 @@ mod tech {
     pub(super) const CACHE_AREA_PER_KB: f64 = 0.05;
 }
 
-impl EnergyModel {
-    /// Creates the model for a design point.
+impl<'a> EnergyModel<'a> {
+    /// Creates the model for a design point; it borrows the machine, so
+    /// making one per evaluation copies nothing.
     ///
     /// # Panics
     ///
     /// Panics if the machine configuration is invalid.
-    pub fn new(machine: &MachineConfig) -> EnergyModel {
+    pub fn new(machine: &'a MachineConfig) -> EnergyModel<'a> {
         machine.validate().expect("valid machine");
         // Voltage scales roughly linearly toward the frequency target:
         // V(f) = 0.7 + 0.3 * f / 1 GHz (relative to nominal).
         let vdd_scale = 0.7 + 0.3 * machine.frequency_ghz;
-        EnergyModel {
-            machine: machine.clone(),
-            vdd_scale,
-        }
+        EnergyModel { machine, vdd_scale }
     }
 
     fn cache_access_pj(size_bytes: u64, assoc: u32) -> f64 {
@@ -212,7 +210,7 @@ impl EnergyModel {
 
     /// Total die-area proxy (arbitrary units) for leakage.
     pub fn area_units(&self) -> f64 {
-        let m = &self.machine;
+        let m = self.machine;
         let core =
             tech::CORE_AREA * f64::from(m.width).powf(1.5) + 0.05 * f64::from(m.pipeline_stages());
         let caches = (m.hierarchy.l1i.size_bytes()
@@ -232,7 +230,7 @@ impl EnergyModel {
 
     /// Evaluates energy and EDP for the given activity counts.
     pub fn evaluate(&self, activity: &Activity) -> EnergyReport {
-        let m = &self.machine;
+        let m = self.machine;
         let v2 = self.vdd_scale * self.vdd_scale;
 
         let per_inst = tech::CORE_PJ

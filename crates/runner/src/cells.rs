@@ -26,6 +26,7 @@
 //! panics — so a panicking
 //! cell fails its own job and never wedges the jobs waiting on it.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use mim_core::MachineConfig;
@@ -168,14 +169,15 @@ impl CellMemo {
         energy: bool,
         timeline: Option<u64>,
     ) -> u64 {
-        let config = serde_json::to_string(machine).expect("config serialization is infallible");
-        let text = format!(
-            "{workload}\u{1f}{size}\u{1f}{}\u{1f}{evaluator}\u{1f}{energy}\u{1f}{}\u{1f}{config}",
+        let mut h = Fnv::new();
+        write!(
+            h,
+            "{workload}\u{1f}{size}\u{1f}{}\u{1f}{evaluator}\u{1f}{energy}\u{1f}{}\u{1f}",
             limit.map_or(u64::MAX, |l| l),
             timeline.map_or(0, |t| t),
-        );
-        let mut h = Fnv::new();
-        h.bytes(text.as_bytes());
+        )
+        .expect("hashing is infallible");
+        serde_json::to_writer(&mut h, machine).expect("hashing is infallible");
         h.finish()
     }
 

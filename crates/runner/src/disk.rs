@@ -159,11 +159,9 @@ fn profile_key(
     l2s: &[CacheConfig],
     predictors: &[PredictorConfig],
 ) -> u64 {
-    let sweep = serde_json::to_string(&(hierarchy, &l2s.to_vec(), &predictors.to_vec()))
-        .expect("sweep config serialization is infallible");
     let mut h = Fnv::new();
     h.u64(trace_key(program_fingerprint, limit));
-    h.bytes(sweep.as_bytes());
+    serde_json::to_writer(&mut h, &(hierarchy, l2s, predictors)).expect("hashing is infallible");
     h.finish()
 }
 

@@ -2,6 +2,7 @@
 //! trees: control-character and non-ASCII strings, integral, non-finite
 //! and extreme floats, and the integer extremes.
 
+use mim::isa::Fnv;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::Value;
@@ -77,9 +78,21 @@ fn float(rng: &mut TestRng) -> f64 {
     }
 }
 
+/// The floats that [`float`] draws.
+#[derive(Debug, Clone, Copy)]
+struct FloatStrategy;
+
+impl Strategy for FloatStrategy {
+    type Value = f64;
+    fn sample(&self, rng: &mut TestRng) -> f64 {
+        float(rng)
+    }
+}
+
 fn tree(rng: &mut TestRng, depth: u32) -> Value {
-    let kinds = if depth == 0 { 6 } else { 8 };
-    match rng.below(kinds) {
+    // Half the nodes above the deepest level are containers, so trees
+    // nest several levels deep.
+    match rng.below(if depth == 0 { 6 } else { 12 }) {
         0 => Value::Null,
         1 => Value::Bool(rng.below(2) == 1),
         2 => Value::Int(match rng.below(2) {
@@ -92,7 +105,7 @@ fn tree(rng: &mut TestRng, depth: u32) -> Value {
         }),
         4 => Value::Float(float(rng)),
         5 => Value::Str(string(rng)),
-        6 => Value::Array((0..rng.below(5)).map(|_| tree(rng, depth - 1)).collect()),
+        6..=8 => Value::Array((0..rng.below(5)).map(|_| tree(rng, depth - 1)).collect()),
         _ => Value::Object(
             (0..rng.below(5))
                 .map(|_| (string(rng), tree(rng, depth - 1)))
@@ -120,7 +133,7 @@ fn reparsed(value: &Value) -> Value {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn compact_and_pretty_json_parse_back_to_the_tree(value in Trees { depth: 4 }) {
@@ -129,5 +142,25 @@ proptest! {
         prop_assert_eq!(serde_json::from_str::<Value>(&compact).expect("parse"), expected.clone());
         let pretty = serde_json::to_string_pretty(&value).expect("serialize");
         prop_assert_eq!(serde_json::from_str::<Value>(&pretty).expect("parse"), expected);
+    }
+
+    #[test]
+    fn floats_are_written_in_their_display_form(f in FloatStrategy) {
+        let json = serde_json::to_string(&f).expect("serialize");
+        let expected = match format!("{f}") {
+            _ if !f.is_finite() => "null".to_string(),
+            text if text.contains('.') => text,
+            text => text + ".0",
+        };
+        prop_assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn hashing_the_writer_output_hashes_the_compact_string(value in Trees { depth: 4 }) {
+        let mut streamed = Fnv::new();
+        serde_json::to_writer(&mut streamed, &value).expect("hashing is infallible");
+        let mut whole = Fnv::new();
+        whole.bytes(serde_json::to_string(&value).expect("serialize").as_bytes());
+        prop_assert_eq!(streamed.finish(), whole.finish());
     }
 }
