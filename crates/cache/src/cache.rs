@@ -71,15 +71,21 @@ impl SetAssocCache {
         let base = self.set_base(block);
         let set_tags = &mut self.tags[base..base + self.ways];
 
-        if let Some(pos) = set_tags.iter().position(|&t| t == block) {
-            // Hit: move to MRU position.
-            set_tags[..=pos].rotate_right(1);
+        // A hit in the MRU way changes nothing.
+        if set_tags[0] == block {
             return AccessResult { hit: true };
         }
-
-        // Miss: evict LRU way, insert at MRU.
-        set_tags.rotate_right(1);
-        set_tags[0] = block;
+        // One pass from MRU to LRU: each way takes its more recent
+        // neighbour's tag until the pass reaches the hit way, whose tag
+        // moves to MRU, or falls off the LRU way (a miss evicts it).
+        let mut carried = std::mem::replace(&mut set_tags[0], block);
+        for way in &mut set_tags[1..] {
+            let tag = std::mem::replace(way, carried);
+            if tag == block {
+                return AccessResult { hit: true };
+            }
+            carried = tag;
+        }
         AccessResult { hit: false }
     }
 

@@ -34,6 +34,43 @@ impl NaiveLru {
     }
 }
 
+/// The set-associative LRU as a way search and a rotation: a hit rotates
+/// the hit way to MRU, a miss rotates the whole set and writes the block
+/// into the MRU way.
+struct RotateLru {
+    /// Tags per set, most-recently-used first.
+    tags: Vec<u64>,
+    block_bytes: u64,
+    sets: u64,
+    ways: usize,
+}
+
+impl RotateLru {
+    fn new(size: u64, ways: usize, block_bytes: u64) -> RotateLru {
+        let sets = size / block_bytes / ways as u64;
+        RotateLru {
+            tags: vec![u64::MAX; sets as usize * ways],
+            block_bytes,
+            sets,
+            ways,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let block = addr / self.block_bytes;
+        let base = (block % self.sets) as usize * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        if let Some(pos) = set.iter().position(|&t| t == block) {
+            set[..=pos].rotate_right(1);
+            true
+        } else {
+            set.rotate_right(1);
+            set[0] = block;
+            false
+        }
+    }
+}
+
 /// A memo-free reference for one L1/TLB geometry and several L2s, built
 /// from the plain parts: every fetch looks up the ITLB and the L1I.
 struct PlainHierarchies {
@@ -149,6 +186,29 @@ proptest! {
             reference.access(b);
         }
         prop_assert_eq!(misses, reference.misses);
+    }
+
+    /// `SetAssocCache::access` and the TLB built on it answer every access
+    /// as the rotating reference does, on a direct-mapped and a 4-way
+    /// cache and a 32-entry TLB. Addresses fall on 256 blocks or pages, so
+    /// each geometry sees hits in every way and conflict misses.
+    #[test]
+    fn single_pass_lru_matches_rotating_reference(
+        accesses in proptest::collection::vec((0u64..256, 0u64..4096), 50..800),
+    ) {
+        let mut direct = SetAssocCache::new(CacheConfig::new("dm", 4096, 1, 64).unwrap());
+        let mut four = SetAssocCache::new(CacheConfig::new("4w", 8192, 4, 64).unwrap());
+        let mut tlb = Tlb::new(TlbConfig { entries: 32, page_bytes: 4096 });
+        let mut direct_ref = RotateLru::new(4096, 1, 64);
+        let mut four_ref = RotateLru::new(8192, 4, 64);
+        let mut tlb_ref = RotateLru::new(32 * 4096, 32, 4096);
+        for (i, &(unit, offset)) in accesses.iter().enumerate() {
+            let line = unit * 64 + offset % 64;
+            let page = unit * 4096 + offset;
+            let got = [direct.access(line).hit, four.access(line).hit, tlb.access(page).hit];
+            let want = [direct_ref.access(line), four_ref.access(line), tlb_ref.access(page)];
+            prop_assert!(got == want, "access {i}: 1-way, 4-way, TLB hit {got:?}, reference {want:?}");
+        }
     }
 
     /// Stack-distance profiling predicts the exact miss count of every

@@ -249,15 +249,31 @@ impl PipelineSim {
     /// [`SimResult::sampling`] carries the CLT 95% confidence half-width
     /// ±ε over the units.
     ///
+    /// The hooks are one body compiled twice, picked here from
+    /// [`TraceSource::sampling`]: a full run answers every position with
+    /// [`SamplePhase::Measure`] as a constant, so it walks no plan, tracks
+    /// no stale fetch memo and closes no sample units, and a planned run
+    /// walks the plan's [`PhaseRuns`]. The oracle walks every source,
+    /// full or planned, through the planned instantiation. The full
+    /// instantiation inlines the timing kernel; the planned one calls it
+    /// out of line.
+    ///
+    /// The kernel divides nothing per instruction. Its front-end ring of
+    /// the last `frontend_depth × width` execute-entry cycles is indexed by
+    /// a counter that wraps to 0 at the ring's length; the ring starts all
+    /// 0, so reading it before it first wraps delays no fetch. An absent
+    /// source operand reads an extra operand-availability slot that no
+    /// instruction writes, so it stays 0 and delays no issue.
+    ///
     /// # Errors
     ///
     /// Propagates the source's [`TraceError`] (a functional fault for live
     /// sources, a corrupt recording for replays).
     pub fn simulate_source<S: TraceSource>(&self, source: &mut S) -> Result<SimResult, TraceError> {
-        let name = source.name().to_string();
-        let mut run = Run::new(self, source.sampling());
-        let outcome = source.drive_hooks(&mut run)?;
-        Ok(run.finish(name, outcome.instructions()))
+        match source.sampling() {
+            None => Run::new(self, None, Full).drive(source),
+            plan => Run::new(self, plan, PhaseRuns::new(plan)).drive(source),
+        }
     }
 
     /// The differential oracle of
@@ -275,7 +291,7 @@ impl PipelineSim {
     pub fn simulate_events<S: TraceSource>(&self, source: &mut S) -> Result<SimResult, TraceError> {
         let name = source.name().to_string();
         let plan = source.sampling();
-        let mut run = Run::new(self, plan);
+        let mut run = Run::new(self, plan, PhaseRuns::new(plan));
         // Walked-stream position of the next delivered event. Skipped
         // events are never delivered, but their positions are plan
         // arithmetic, so the timeline's interval boundaries stay aligned
@@ -348,12 +364,52 @@ impl PipelineSim {
     }
 }
 
+/// The phases of a run's walked positions.
+///
+/// [`Full`] measures every position and [`PhaseRuns`] walks a sampling
+/// plan. [`Run`] is generic over the two, so a full run's hooks compile
+/// with every phase test folded to `Measure`.
+trait Plan {
+    /// Every position is measured: no position is skipped or warmed, and
+    /// the run closes no sample units.
+    const FULL: bool;
+    /// The phase of the next walked position.
+    fn next_phase(&mut self) -> SamplePhase;
+}
+
+/// The plan of a full run: every position is measured.
+struct Full;
+
+impl Plan for Full {
+    const FULL: bool = true;
+
+    #[inline(always)]
+    fn next_phase(&mut self) -> SamplePhase {
+        SamplePhase::Measure
+    }
+}
+
+impl Plan for PhaseRuns {
+    const FULL: bool = false;
+
+    #[inline(always)]
+    fn next_phase(&mut self) -> SamplePhase {
+        PhaseRuns::next_phase(self)
+    }
+}
+
 /// One simulation run: the machine's caches, predictor and pipeline
 /// state, the retired and branch counts, and the sample-unit and timeline
 /// bookkeeping. It is the [`BlockHooks`] set
-/// [`PipelineSim::simulate_source`] drives; the oracle
-/// [`PipelineSim::simulate_events`] feeds the same state whole events.
-struct Run {
+/// [`PipelineSim::simulate_source`] drives, as `Run<Full>` for a full
+/// run and `Run<PhaseRuns>` for a planned one; the oracle
+/// [`PipelineSim::simulate_events`] feeds a `Run<PhaseRuns>` whole events.
+///
+/// The timing kernel ([`Run::step`]) keeps two invariants in
+/// [`PipeState`] in place of per-instruction tests: the front-end ring's
+/// slot is a wrap counter over a ring that starts all 0, and the
+/// operand-availability slot [`NO_REG`] is 0 for the whole run.
+struct Run<P: Plan> {
     ideal: SimIdealization,
     lat: Latencies,
     hierarchy: Hierarchy,
@@ -365,8 +421,9 @@ struct Run {
     tl: Option<TimelineAcc>,
     units: Units,
     sampled: bool,
-    /// The phases of the walked positions, and the current instruction's.
-    phases: PhaseRuns,
+    /// The phases of the walked positions, and the current instruction's
+    /// (read through [`Run::phase`]).
+    phases: P,
     phase: SamplePhase,
     /// The blocks' fetch runs and the current block's countdown. Inside a
     /// block, an instruction's fetch goes to the hierarchy only at the
@@ -374,7 +431,7 @@ struct Run {
     /// every other measured fetch is a known L1 hit, counted in `repeats`.
     fetches: BlockFetches,
     /// A skipped instruction came after the hierarchy's last fetch, which
-    /// left its fetch memo behind.
+    /// left its fetch memo behind. Never set in a full run.
     stale: bool,
     /// Measured fetches answered as repeats, added to
     /// [`MissCounts::inst_accesses`] at the end.
@@ -391,9 +448,11 @@ struct Run {
 /// The sample units of a sampled run. A unit closes after `len` measured
 /// instructions (window end), or at the first warm instruction of the next
 /// window for plans whose windows the stream truncates, or at stream end.
+/// A full run through the hooks keeps none; the oracle's full run counts
+/// into one unit that never closes.
 #[derive(Default)]
 struct Units {
-    /// Measured instructions per unit (`u64::MAX` for a full run).
+    /// Measured instructions per unit (`u64::MAX` without a plan).
     len: u64,
     cpis: Vec<f64>,
     /// Measured instructions of the open unit.
@@ -430,8 +489,9 @@ impl Units {
     }
 }
 
-impl Run {
-    fn new(sim: &PipelineSim, plan: Option<Sampling>) -> Run {
+impl<P: Plan> Run<P> {
+    /// A run under `plan`, its positions' phases walked by `phases`.
+    fn new(sim: &PipelineSim, plan: Option<Sampling>, phases: P) -> Run<P> {
         let lat = Latencies::of(&sim.machine);
         Run {
             ideal: sim.ideal,
@@ -447,7 +507,7 @@ impl Run {
                 ..Units::default()
             },
             sampled: plan.is_some(),
-            phases: PhaseRuns::new(plan),
+            phases,
             phase: SamplePhase::Measure,
             fetches: BlockFetches::default(),
             stale: false,
@@ -458,10 +518,17 @@ impl Run {
         }
     }
 
+    /// Drives `source` through the hooks to the end of its stream.
+    fn drive<S: TraceSource>(mut self, source: &mut S) -> Result<SimResult, TraceError> {
+        let name = source.name().to_string();
+        let outcome = source.drive_hooks(&mut self)?;
+        Ok(self.finish(name, outcome.instructions()))
+    }
+
     /// The result of a run that walked `walked` instructions.
     fn finish(mut self, name: String, walked: u64) -> SimResult {
         let mark = self.st.watermark();
-        let (instructions, cycles, sampling) = if !self.sampled {
+        let (instructions, cycles, sampling) = if P::FULL || !self.sampled {
             // Drain: memory + writeback stages after the last completion
             // event.
             (self.retired, mark + 2, None)
@@ -515,11 +582,22 @@ impl Run {
         }
     }
 
+    /// The current instruction's phase: a constant in a full run.
+    #[inline(always)]
+    fn phase(&self) -> SamplePhase {
+        if P::FULL {
+            SamplePhase::Measure
+        } else {
+            self.phase
+        }
+    }
+
     /// The current instruction retires: a measured one runs through the
     /// timing kernel, and every walked position ticks the timeline.
     #[inline(always)]
     fn retire(&mut self, op: &TraceEvent) {
-        match self.phase {
+        match self.phase() {
+            SamplePhase::Measure if P::FULL => self.kernel(op),
             SamplePhase::Measure => {
                 self.step(op);
                 self.units.measured(self.st.watermark());
@@ -540,7 +618,18 @@ impl Run {
     /// When a timeline accumulator is present, miss/stall events charge
     /// their nominal penalties to it (interval bookkeeping stays with the
     /// driver).
+    ///
+    /// A full run inlines the kernel into its hooks; a planned run and the
+    /// oracle call it out of line, where its code stays apart from the
+    /// warm path's.
+    #[inline(never)]
     fn step(&mut self, ev: &TraceEvent) {
+        self.kernel(ev);
+    }
+
+    /// The body of [`step`](Run::step).
+    #[inline(always)]
+    fn kernel(&mut self, ev: &TraceEvent) {
         let lat = &self.lat;
         let st = &mut self.st;
         let tl = &mut self.tl;
@@ -548,14 +637,13 @@ impl Run {
         if let Some(acc) = tl.as_mut() {
             acc.measured();
         }
-        st.seen += 1;
-        let idx = (st.seen - 1) as usize % lat.cap;
+        let idx = st.slot;
+        st.slot = if idx + 1 == lat.cap { 0 } else { idx + 1 };
 
         // ---------------- fetch ------------------------------------------
-        let mut fmin = st.fetch_min;
-        if st.seen > lat.cap as u64 {
-            fmin = fmin.max(st.ex_ring[idx]); // backpressure
-        }
+        // Backpressure: the instruction `cap` ahead entered execute at
+        // `ex_ring[idx]` (0 while the ring is still filling).
+        let fmin = st.fetch_min.max(st.ex_ring[idx]);
         if st.fetch_slots >= lat.w || fmin > st.fetch_cycle {
             st.fetch_cycle = fmin.max(st.fetch_cycle + u64::from(st.fetch_slots > 0));
             st.fetch_slots = 0;
@@ -593,9 +681,8 @@ impl Run {
         // ---------------- execute entry ----------------------------------
         let mut earliest = f + lat.depth;
         if !self.ideal.no_dependencies {
-            for src in ev.sources.into_iter().flatten() {
-                earliest = earliest.max(st.avail[src.index()]);
-            }
+            let [a, b] = ev.sources.map(|src| src.map_or(NO_REG, |r| r.index()));
+            earliest = earliest.max(st.avail[a]).max(st.avail[b]);
         }
         let t;
         // Stages shift as units (paper §2.2): instructions from
@@ -742,7 +829,7 @@ impl Run {
     }
 }
 
-impl BlockHooks for Run {
+impl<P: Plan> BlockHooks for Run<P> {
     fn begin_block(&mut self, block: &Block) {
         self.fetches.begin(
             &self.hierarchy,
@@ -754,9 +841,12 @@ impl BlockHooks for Run {
 
     #[inline(always)]
     fn before_instruction(&mut self, op: &TraceEvent) {
-        self.phase = self.phases.next_phase();
-        let fresh = !self.fetches.in_block() || self.fetches.step().is_some() || self.stale;
-        match self.phase {
+        if !P::FULL {
+            self.phase = self.phases.next_phase();
+        }
+        let fresh =
+            !self.fetches.in_block() || self.fetches.step().is_some() || (!P::FULL && self.stale);
+        match self.phase() {
             SamplePhase::Skip => self.stale = true,
             SamplePhase::Warm => {
                 if fresh {
@@ -767,7 +857,9 @@ impl BlockHooks for Run {
             }
             SamplePhase::Measure => {
                 self.fetch = if fresh {
-                    self.stale = false;
+                    if !P::FULL {
+                        self.stale = false;
+                    }
                     self.hierarchy
                         .access(MemAccessKind::Fetch, Program::inst_addr(op.pc))
                 } else {
@@ -785,7 +877,7 @@ impl BlockHooks for Run {
         } else {
             MemAccessKind::Store
         };
-        match self.phase {
+        match self.phase() {
             SamplePhase::Skip => {}
             SamplePhase::Warm => self.hierarchy.warm(kind, addr),
             SamplePhase::Measure => self.data = self.hierarchy.access(kind, addr),
@@ -794,7 +886,7 @@ impl BlockHooks for Run {
 
     #[inline(always)]
     fn cond_branch(&mut self, op: &TraceEvent, taken: bool) {
-        match self.phase {
+        match self.phase() {
             SamplePhase::Skip => {}
             SamplePhase::Warm => self.predictor.update(op.pc, taken),
             SamplePhase::Measure => self.taken = taken,
@@ -857,9 +949,15 @@ struct PipeState {
     fetch_cycle: u64, // cycle of the group being filled
     fetch_slots: u64, // instructions fetched in that group
     fetch_min: u64,   // earliest allowed next fetch (redirects)
+    /// Execute-entry cycle of the last `cap` instructions, indexed by
+    /// `slot`; all 0 until the ring first wraps.
     ex_ring: Vec<u64>,
-    avail: [u64; NUM_REGS], // operand availability for EX entry
-    group_cycle: u64,       // EX cycle of current issue group
+    /// The ring slot of the next instruction: a wrap counter in `0..cap`.
+    slot: usize,
+    /// Operand availability for EX entry, per register, and 0 in the
+    /// extra slot [`NO_REG`] that an absent source operand reads.
+    avail: [u64; NUM_REGS + 1],
+    group_cycle: u64, // EX cycle of current issue group
     group_count: u64,
     group_blocked: bool,  // mul/div issued: no younger joins
     group_leave: u64,     // when current group exits EX to MEM
@@ -867,8 +965,11 @@ struct PipeState {
     ex_free_at: u64,      // earliest start of the next group
     mem_busy_until: u64,  // memory stage availability
     last_completion: u64,
-    seen: u64, // instructions through the kernel (ring index)
 }
+
+/// The slot of [`PipeState::avail`] an absent source operand reads: no
+/// instruction writes it, so it stays 0 and never delays issue.
+const NO_REG: usize = NUM_REGS;
 
 impl PipeState {
     fn new(cap: usize) -> PipeState {
@@ -877,7 +978,8 @@ impl PipeState {
             fetch_slots: 0,
             fetch_min: 0,
             ex_ring: vec![0; cap],
-            avail: [0u64; NUM_REGS],
+            slot: 0,
+            avail: [0; NUM_REGS + 1],
             group_cycle: u64::MAX,
             group_count: 0,
             group_blocked: false,
@@ -886,7 +988,6 @@ impl PipeState {
             ex_free_at: 0,
             mem_busy_until: 0,
             last_completion: 0,
-            seen: 0,
         }
     }
 

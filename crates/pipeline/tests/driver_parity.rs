@@ -2,7 +2,10 @@
 //! `SimResult` as its event-walking oracle `PipelineSim::simulate_events`,
 //! down to the bytes of its `Debug` rendering and the timeline, over every
 //! source kind, full and sampled runs, every idealization flag and
-//! instruction limits that end runs mid-block.
+//! instruction limits that end runs mid-block. For a source without a
+//! sampling plan, `simulate_source` runs its full-run instantiation and
+//! `simulate_events` the planned one, so the full cases hold the two
+//! against each other.
 
 use std::fs::File;
 use std::thread;
