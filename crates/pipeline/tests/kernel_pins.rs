@@ -8,7 +8,9 @@
 //!
 //! The machines lie outside Table 2 and stress the front-end ring: front-end
 //! depth 1 at width 1 holds one instruction in flight (the ring wraps on
-//! every instruction), and depth 6 at width 8 holds 48.
+//! every instruction), depth 6 at width 8 holds 48, and depth 2 at width 2
+//! holds 4, few enough that execute stalls fill the ring and its
+//! backpressure binds (a ring read one slot off moves these pins).
 
 use mim_core::MachineConfig;
 use mim_pipeline::{PipelineSim, SimResult};
@@ -42,19 +44,25 @@ use RunKind::*;
 /// Pinned runs: workload, front-end depth, width, run kind, and the
 /// expected cycles and `Debug` digest.
 #[rustfmt::skip]
-const PINS: [(&str, u32, u32, RunKind, u64, u64); 12] = [
+const PINS: [(&str, u32, u32, RunKind, u64, u64); 18] = [
     ("sha", 1, 1, Full, 45453, 0x6306_a2ba_11ac_f652),
     ("sha", 1, 1, DefaultPlan, 47061, 0x080c_0916_e058_a1e9),
     ("sha", 1, 1, Timeline500, 45453, 0x328c_0ac1_d3e6_983d),
     ("sha", 6, 8, Full, 25384, 0x53eb_de49_f0f8_b863),
     ("sha", 6, 8, DefaultPlan, 27345, 0x4148_8bb8_4a98_b4ad),
     ("sha", 6, 8, Timeline500, 25384, 0xd369_a5b0_ba87_851a),
+    ("sha", 2, 2, Full, 32807, 0x7876_1eb4_9dc8_8abf),
+    ("sha", 2, 2, DefaultPlan, 34462, 0x6fef_92f3_e219_261b),
+    ("sha", 2, 2, Timeline500, 32807, 0xfeed_76de_e577_1281),
     ("qsort", 1, 1, Full, 25305, 0x3922_d998_ffe5_e212),
     ("qsort", 1, 1, DefaultPlan, 26765, 0xb6ae_4240_900f_27ec),
     ("qsort", 1, 1, Timeline500, 25305, 0x5065_9abb_054e_b8d5),
     ("qsort", 6, 8, Full, 24833, 0xf00c_bec7_0694_1f59),
     ("qsort", 6, 8, DefaultPlan, 28348, 0xeb8d_9586_0765_cd00),
     ("qsort", 6, 8, Timeline500, 24833, 0x6bc4_04b8_dabb_9d47),
+    ("qsort", 2, 2, Full, 22439, 0x844a_c33d_9e6f_c57d),
+    ("qsort", 2, 2, DefaultPlan, 24499, 0x181d_3528_2a1f_fc83),
+    ("qsort", 2, 2, Timeline500, 22439, 0x4027_57c7_c360_d825),
 ];
 
 /// One run through both drivers.
