@@ -66,6 +66,7 @@ impl SetAssocCache {
     /// Accesses the byte address, updating LRU state.
     ///
     /// Reads and writes behave identically (write-allocate).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessResult {
         let block = addr >> self.block_shift;
         let base = self.set_base(block);

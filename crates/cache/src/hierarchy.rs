@@ -330,7 +330,10 @@ impl Hierarchy {
     /// Performs one access; returns the servicing level under the first
     /// L2 candidate and whether the corresponding TLB missed. A fetch is
     /// a one-fetch [`fetch_run`](Hierarchy::fetch_run).
-    #[inline]
+    ///
+    /// Always inlined, so the TLB and cache lookups it inlines in turn
+    /// do not push it out of a simulator's per-instruction loop.
+    #[inline(always)]
     pub fn access(&mut self, kind: MemAccessKind, addr: u64) -> (MemLevel, bool) {
         if kind == MemAccessKind::Fetch {
             return self.fetch_run(&FetchRun {
@@ -382,6 +385,7 @@ impl Hierarchy {
     /// reflects measured events only. The fill and replacement decisions
     /// are identical to [`access`](Hierarchy::access): interleaving warm
     /// and counted accesses evolves the same state as counting them all.
+    #[inline]
     pub fn warm(&mut self, kind: MemAccessKind, addr: u64) {
         let (tlb, l1) = match kind {
             MemAccessKind::Fetch if self.fetch.repeats(addr) => return,

@@ -42,6 +42,7 @@ impl Tlb {
     }
 
     /// Translates the byte address, returning hit/miss and updating LRU.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> crate::cache::AccessResult {
         self.inner.access(addr)
     }

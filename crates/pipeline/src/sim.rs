@@ -254,9 +254,8 @@ impl PipelineSim {
     /// [`SamplePhase::Measure`] as a constant, so it walks no plan, tracks
     /// no stale fetch memo and closes no sample units, and a planned run
     /// walks the plan's [`PhaseRuns`]. The oracle walks every source,
-    /// full or planned, through the planned instantiation. The full
-    /// instantiation inlines the timing kernel; the planned one calls it
-    /// out of line.
+    /// full or planned, through the planned instantiation. Both
+    /// instantiations inline the timing kernel.
     ///
     /// The kernel divides nothing per instruction. Its front-end ring of
     /// the last `frontend_depth × width` execute-entry cycles is indexed by
@@ -597,10 +596,11 @@ impl<P: Plan> Run<P> {
     #[inline(always)]
     fn retire(&mut self, op: &TraceEvent) {
         match self.phase() {
-            SamplePhase::Measure if P::FULL => self.kernel(op),
             SamplePhase::Measure => {
                 self.step(op);
-                self.units.measured(self.st.watermark());
+                if !P::FULL {
+                    self.units.measured(self.st.watermark());
+                }
             }
             SamplePhase::Warm => self.units.warm(self.st.watermark()),
             SamplePhase::Skip => {}
@@ -618,18 +618,8 @@ impl<P: Plan> Run<P> {
     /// When a timeline accumulator is present, miss/stall events charge
     /// their nominal penalties to it (interval bookkeeping stays with the
     /// driver).
-    ///
-    /// A full run inlines the kernel into its hooks; a planned run and the
-    /// oracle call it out of line, where its code stays apart from the
-    /// warm path's.
-    #[inline(never)]
-    fn step(&mut self, ev: &TraceEvent) {
-        self.kernel(ev);
-    }
-
-    /// The body of [`step`](Run::step).
     #[inline(always)]
-    fn kernel(&mut self, ev: &TraceEvent) {
+    fn step(&mut self, ev: &TraceEvent) {
         let lat = &self.lat;
         let st = &mut self.st;
         let tl = &mut self.tl;
@@ -995,6 +985,7 @@ impl PipeState {
     /// below it. Full runs report `watermark() + 2` (memory + writeback
     /// drain); sampled runs difference it at unit boundaries, so the
     /// drain constant cancels out of per-unit CPIs.
+    #[inline]
     fn watermark(&self) -> u64 {
         self.last_completion.max(self.mem_busy_until)
     }
